@@ -9,11 +9,10 @@ metadata.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .permcore import Permutation, identity, parse_cycles
+from .permcore import Permutation, direct_sum, parse_cycles
 from .permgroup import GeneratedGroup
 from .cover import Cover
 from .fiberprod import PairedCover
@@ -69,11 +68,6 @@ def _deg7_pair(which: int) -> PairedCover:
     return PairedCover(_DEG7_LABELS, sigma, tau, 7, 7)
 
 
-def _joint(a: Permutation, b: Permutation) -> Permutation:
-    m = a.degree
-    return Permutation(tuple(a.images) + tuple(m + i for i in b.images))
-
-
 @lru_cache(maxsize=None)
 def _deg7_joint_involution_split() -> tuple[Permutation, Permutation]:
     """Two joint involutions whose product is the first joint branch
@@ -90,17 +84,6 @@ def _deg7_joint_involution_split() -> tuple[Permutation, Permutation]:
     raise RuntimeError("no involution split found")
 
 
-def _split_joint_tuple(
-    element: tuple[Permutation, ...], degree_x: int, labels: tuple[str, ...]
-) -> PairedCover:
-    sigma = tuple(Permutation(tuple(p.images[:degree_x])) for p in element)
-    tau = tuple(
-        Permutation(tuple(i - degree_x for i in p.images[degree_x:]))
-        for p in element
-    )
-    return PairedCover(labels, sigma, tau, degree_x, len(tau[0].images))
-
-
 @lru_cache(maxsize=None)
 def _deg7_pair_r4() -> PairedCover:
     """The four-branch-point paired cover (three involutions and the
@@ -109,7 +92,7 @@ def _deg7_pair_r4() -> PairedCover:
     joint = pair.joint_group
     a, b = _deg7_joint_involution_split()
     element = (a, b, joint.generators[1], joint.generators[2])
-    return _split_joint_tuple(element, 7, ("z1", "z2", "z3", "infinity"))
+    return PairedCover.from_joint_tuple(("z1", "z2", "z3", "infinity"), element, 7)
 
 
 @lru_cache(maxsize=None)
@@ -121,8 +104,8 @@ def _deg7_pair_r6() -> PairedCover:
     a, b = _deg7_joint_involution_split()
     c = joint.generators[1]
     element = (a, b, c, c, b, a)
-    return _split_joint_tuple(
-        element, 7, ("z1", "z2", "z3", "z4", "z5", "z6")
+    return PairedCover.from_joint_tuple(
+        ("z1", "z2", "z3", "z4", "z5", "z6"), element, 7
     )
 
 
@@ -256,12 +239,12 @@ def build_hilbert_siegel_m5() -> PairedClassSpec:
     m = 5
     t1_gens = [parse_cycles("(1 2)", m), parse_cycles("(1 2 3 4 5)", m)]
     t2_gens = [pairs_permutation(p, m) for p in t1_gens]
-    joint_gens = [_joint(a, b) for a, b in zip(t1_gens, t2_gens)]
+    joint_gens = [direct_sum(a, b) for a, b in zip(t1_gens, t2_gens)]
     joint = GeneratedGroup(5 + 10, joint_gens)
 
     def joint_of(text: str) -> Permutation:
         p = parse_cycles(text, m)
-        return _joint(p, pairs_permutation(p, m))
+        return direct_sum(p, pairs_permutation(p, m))
 
     reps = (
         joint_of("(1 2)(3 4)"),

@@ -83,13 +83,18 @@ def _search_cap_override() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise _BadInput(f"{SEARCH_CAP_ENV} must be an integer") from exc
+    if cap < 1:
+        raise _BadInput(f"{SEARCH_CAP_ENV} must be positive, got {cap}")
+    return cap
 
 
 def _load_nielsen_spec(path: str, mode_override: str | None) -> NielsenClassSpec:
     data = _load_json(path)
+    cap = _search_cap_override()
+    kwargs = {} if cap is None else {"search_cap": cap}
     try:
         degree = int(data["degree"])
         generators = [parse_cycles(s, degree) for s in data["generators"]]
@@ -99,14 +104,12 @@ def _load_nielsen_spec(path: str, mode_override: str | None) -> NielsenClassSpec
             parse_cycles(s, degree) for s in data.get("outer_elements", [])
         )
         include_reorderings = bool(data.get("include_reorderings", True))
+        group = GeneratedGroup(degree, generators)
+        return NielsenClassSpec(
+            group, reps, mode, outer, include_reorderings, **kwargs
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise _BadInput(f"{path}: bad Nielsen spec: {exc}") from exc
-    group = GeneratedGroup(degree, generators)
-    cap = _search_cap_override()
-    kwargs = {} if cap is None else {"search_cap": cap}
-    return NielsenClassSpec(
-        group, reps, mode, outer, include_reorderings, **kwargs
-    )
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -217,7 +220,10 @@ def _cmd_nielsen_coalesce(args) -> int:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise _BadInput(f"{args.element}: bad element data: {exc}") from exc
-    new, report = nielsen.coalesce(entries, group, at=args.at)
+    try:
+        new, report = nielsen.coalesce(entries, group, at=args.at)
+    except ValueError as exc:
+        raise _BadInput(f"--at: {exc}") from exc
     print(" ".join(str(p) for p in new))
     print(f"restricted: {report['restricted']}")
     print(f"identity_dropped: {report['identity_dropped']}")

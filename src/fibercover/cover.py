@@ -9,11 +9,11 @@ rationals use :class:`fractions.Fraction` throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .permcore import Permutation, identity, parse_cycles
+from .permcore import Permutation, direct_sum, parse_cycles, product
 from .permgroup import GeneratedGroup
 
 __all__ = [
@@ -70,6 +70,8 @@ class Cover:
     cycles: tuple[Permutation, ...]
 
     def __post_init__(self) -> None:
+        if self.degree < 1:
+            raise ValueError(f"degree must be >= 1, got {self.degree}")
         if len(self.branch_points) != len(self.cycles):
             raise ValueError("branch point / cycle count mismatch")
         if len(set(self.branch_points)) != len(self.branch_points):
@@ -92,14 +94,21 @@ class Cover:
             tuple(parse_cycles(s, degree) for s in cycle_strings),
         )
 
+    @staticmethod
+    def from_aligned(
+        degree: int, branch_points: tuple[str, ...], perms
+    ) -> "Cover":
+        """The cover given by ``perms`` aligned over ``branch_points``;
+        identity entries mark unbranched labels and are dropped with
+        them."""
+        kept = [(b, p) for b, p in zip(branch_points, perms) if not p.is_identity]
+        return Cover(degree, tuple(b for b, _ in kept), tuple(p for _, p in kept))
+
     # -- validation ------------------------------------------------------
 
     def validate(self) -> ValidityReport:
-        prod = identity(self.degree)
-        for c in self.cycles:
-            prod = prod * c
         return ValidityReport(
-            product_one=prod.is_identity,
+            product_one=product(self.cycles, self.degree).is_identity,
             transitive=self.group().is_transitive() if self.cycles else self.degree == 1,
             no_identity_entries=all(not c.is_identity for c in self.cycles),
             cycle_types=tuple(c.cycle_type() for c in self.cycles),
@@ -114,7 +123,13 @@ class Cover:
             )
 
     def group(self) -> GeneratedGroup:
-        return GeneratedGroup(self.degree, list(self.cycles))
+        """The monodromy group; built on the first call and kept on the
+        instance, which is immutable."""
+        group = self.__dict__.get("_group")
+        if group is None:
+            group = GeneratedGroup(self.degree, list(self.cycles))
+            object.__setattr__(self, "_group", group)
+        return group
 
     # -- numeric invariants ----------------------------------------------
 
@@ -146,15 +161,8 @@ class Cover:
     def induced_cover(self, h: GeneratedGroup, labels: list[str] | None = None) -> "Cover":
         """The cover on the cosets of ``h``; identity images are dropped
         together with their branch-point labels."""
-        g = self.group()
-        perms, index = g.coset_action(h)
-        kept_labels: list[str] = []
-        kept_cycles: list[Permutation] = []
-        for label, perm in zip(self.branch_points, perms):
-            if not perm.is_identity:
-                kept_labels.append(label)
-                kept_cycles.append(perm)
-        return Cover(index, tuple(kept_labels), tuple(kept_cycles))
+        perms, index = self.group().coset_action(h)
+        return Cover.from_aligned(index, self.branch_points, perms)
 
     def self_fiber_subdegrees(self) -> list[int]:
         """Orbit lengths of the point stabilizer of letter 1, sorted."""
@@ -221,7 +229,7 @@ def character_entanglement(
         raise ValueError("generator lists must have equal length")
     m = t1_gens[0].degree
     n = t2_gens[0].degree
-    joint_gens = [_direct_sum(a, b) for a, b in zip(t1_gens, t2_gens)]
+    joint_gens = [direct_sum(a, b) for a, b in zip(t1_gens, t2_gens)]
     joint = GeneratedGroup(m + n, joint_gens)
     g1 = GeneratedGroup(m, t1_gens)
     g2 = GeneratedGroup(n, t2_gens)
@@ -242,12 +250,6 @@ def character_entanglement(
         if not galois and not davenport:
             break
     return {"galois_entangled": galois, "davenport_entangled": davenport}
-
-
-def _direct_sum(a: Permutation, b: Permutation) -> Permutation:
-    m = a.degree
-    images = list(a.images) + [m + i for i in b.images]
-    return Permutation(tuple(images))
 
 
 def equivalent_tuples(

@@ -14,13 +14,21 @@ independent routes that must agree —
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .permcore import Permutation, dominates, identity
-from .permgroup import CapExceededError, GeneratedGroup
+from .permcore import (
+    Permutation,
+    direct_sum,
+    dominates,
+    identity,
+    parse_cycles,
+    product,
+    split,
+)
+from .permgroup import CapExceededError, GeneratedGroup, orbit_transversal
 from .cover import Cover, InvalidCoverError, equivalent_tuples, genus_from_tuple
 
 __all__ = [
@@ -44,6 +52,16 @@ def _tensor_letter(x: int, y: int, n: int) -> int:
 def _tensor_pair(letter: int, n: int) -> tuple[int, int]:
     x, y = divmod(letter - 1, n)
     return x + 1, y + 1
+
+
+def _restrict(perm: Permutation, letters: tuple[int, ...]) -> Permutation:
+    """``perm`` on the letters it preserves, relabeled 1..len(letters)
+    in the order given."""
+    position = {x: i for i, x in enumerate(letters, start=1)}
+    try:
+        return Permutation(tuple(position[perm.apply(x)] for x in letters))
+    except KeyError:
+        raise RuntimeError(f"{perm} does not preserve {letters}") from None
 
 
 @dataclass(frozen=True)
@@ -110,54 +128,38 @@ class CoverPair:
         for p in tau:
             if p.degree != degree_y:
                 raise ValueError("tau degree mismatch")
-        self._validate_sides()
+        self._side_groups = self._validate_sides()
 
-    def _validate_sides(self) -> None:
+    def _validate_sides(self) -> tuple[GeneratedGroup, GeneratedGroup]:
+        """Check product-one and transitivity of each side; returns the
+        sigma and tau groups."""
+        groups = []
         for tup, deg, name in (
             (self.sigma, self.degree_x, "sigma"),
             (self.tau, self.degree_y, "tau"),
         ):
-            prod = identity(deg)
-            for p in tup:
-                prod = prod * p
-            if not prod.is_identity:
+            if not product(tup, deg).is_identity:
                 raise InvalidCoverError(f"{name} tuple fails product-one")
             grp = GeneratedGroup(deg, list(tup))
             if not grp.is_transitive():
                 raise InvalidCoverError(f"{name} tuple is not transitive")
+            groups.append(grp)
+        return tuple(groups)
 
     # -- covers and groups ------------------------------------------------
 
     def sigma_cover(self) -> Cover:
-        labels = [
-            b for b, p in zip(self.branch_points, self.sigma) if not p.is_identity
-        ]
-        cycles = [p for p in self.sigma if not p.is_identity]
-        return Cover(self.degree_x, tuple(labels), tuple(cycles))
+        return Cover.from_aligned(self.degree_x, self.branch_points, self.sigma)
 
     def tau_cover(self) -> Cover:
-        labels = [
-            b for b, p in zip(self.branch_points, self.tau) if not p.is_identity
-        ]
-        cycles = [p for p in self.tau if not p.is_identity]
-        return Cover(self.degree_y, tuple(labels), tuple(cycles))
+        return Cover.from_aligned(self.degree_y, self.branch_points, self.tau)
 
     @cached_property
     def joint_group(self) -> GeneratedGroup:
         """The pair group acting on the disjoint union of the x-letters
         (1..m) and the y-letters (m+1..m+n)."""
-        m, n = self.degree_x, self.degree_y
-        gens = []
-        for a, b in zip(self.sigma, self.tau):
-            images = list(a.images) + [m + i for i in b.images]
-            gens.append(Permutation(tuple(images)))
-        return GeneratedGroup(m + n, gens)
-
-    def joint_element_parts(self, x: Permutation) -> tuple[Permutation, Permutation]:
-        m, n = self.degree_x, self.degree_y
-        part1 = Permutation(tuple(x.images[:m]))
-        part2 = Permutation(tuple(i - m for i in x.images[m:]))
-        return part1, part2
+        gens = [direct_sum(a, b) for a, b in zip(self.sigma, self.tau)]
+        return GeneratedGroup(self.degree_x + self.degree_y, gens)
 
     @cached_property
     def tensor_cycles(self) -> tuple[Permutation, ...]:
@@ -250,8 +252,7 @@ class PairedCover(CoverPair):
                 raise InvalidCoverError(
                     f"entry orders differ: {a.order()} vs {b.order()}"
                 )
-        g1 = GeneratedGroup(degree_x, list(sigma))
-        g2 = GeneratedGroup(degree_y, list(tau))
+        g1, g2 = self._side_groups
         if not (self.joint_group.order() == g1.order() == g2.order()):
             raise InvalidCoverError(
                 "joint group does not project isomorphically to both sides "
@@ -272,12 +273,21 @@ class PairedCover(CoverPair):
         )
 
     @staticmethod
+    def from_joint_tuple(
+        branch_points: tuple[str, ...],
+        element: tuple[Permutation, ...],
+        degree_x: int,
+    ) -> "PairedCover":
+        """The paired cover whose joint branch cycles (x-letters 1..m
+        first, then the y-letters) are ``element``, with m = ``degree_x``."""
+        sigma, tau = zip(*(split(p, degree_x) for p in element))
+        return PairedCover(branch_points, sigma, tau, degree_x, tau[0].degree)
+
+    @staticmethod
     def from_json_dict(data: dict) -> "PairedCover":
         labels = tuple(str(b) for b in data["branch_points"])
         m = int(data["sigma"]["degree"])
         n = int(data["tau"]["degree"])
-        from .permcore import parse_cycles
-
         sigma = tuple(parse_cycles(s, m) for s in data["sigma"]["cycles"])
         tau = tuple(parse_cycles(s, n) for s in data["tau"]["cycles"])
         return PairedCover(labels, sigma, tau, m, n)
@@ -359,14 +369,7 @@ class Component:
     def restricted_cycles(self) -> tuple[Permutation, ...]:
         """The joint branch cycles restricted to the orbit, relabeled to
         1..|orbit| by sorted order."""
-        position = {letter: i + 1 for i, letter in enumerate(self.orbit)}
-        out = []
-        for perm in self.pair.tensor_cycles:
-            images = [0] * len(self.orbit)
-            for letter in self.orbit:
-                images[position[letter] - 1] = position[perm.apply(letter)]
-            out.append(Permutation(tuple(images)))
-        return tuple(out)
+        return tuple(_restrict(p, self.orbit) for p in self.pair.tensor_cycles)
 
     @cached_property
     def genus_method1(self) -> int:
@@ -391,21 +394,10 @@ class Component:
         pair = self.pair
         m, n = pair.degree_x, pair.degree_y
         joint = pair.joint_group
-        # BFS transversal in the joint group for the tau-action:
-        # carrier[y] maps the y-letter 1 to y (in joint coordinates).
-        y1 = m + 1
-        carrier: dict[int, Permutation] = {y1: identity(m + n)}
-        queue = [y1]
-        while queue:
-            p = queue.pop(0)
-            for g in joint.generators:
-                q = g.apply(p)
-                if q >= m + 1 and q not in carrier:
-                    carrier[q] = carrier[p] * g
-                    queue.append(q)
+        # carrier[y] maps the y-letter 1 to y (in joint coordinates); the
+        # joint group preserves the x/y split, so the orbit is all y-letters.
+        carrier = orbit_transversal(m + 1, joint.generators, m + n)
         J = self.x_orbit_over_y1
-        position = {x: i + 1 for i, x in enumerate(J)}
-        ell = len(J)
         out: list[tuple[str, Permutation]] = []
         for i, (label, b) in enumerate(zip(pair.branch_points, pair.tau)):
             for cyc in b.cycles(include_fixed=True):
@@ -416,14 +408,7 @@ class Component:
                 delta = u * (gamma**t) * u.inverse()
                 if delta.apply(m + 1) != m + 1:
                     raise RuntimeError("conjugated cycle fails to fix y-letter 1")
-                images = [0] * ell
-                for x in J:
-                    img = delta.apply(x)
-                    if img not in position:
-                        raise RuntimeError("restriction does not preserve J")
-                    images[position[x] - 1] = position[img]
-                restricted = Permutation(tuple(images))
-                out.append((f"{label}/y{min(cyc)}", restricted))
+                out.append((f"{label}/y{min(cyc)}", _restrict(delta, J)))
         return out
 
     @cached_property
@@ -431,20 +416,9 @@ class Component:
         """The stabilizer of the y-letter 1 in the joint group, restricted
         to J — the monodromy group of the projection to the y-line."""
         pair = self.pair
-        m = pair.degree_x
-        stab = pair.joint_group.point_stabilizer(m + 1)
+        stab = pair.joint_group.point_stabilizer(pair.degree_x + 1)
         J = self.x_orbit_over_y1
-        position = {x: i + 1 for i, x in enumerate(J)}
-        gens = []
-        for g in stab.generators:
-            images = [0] * len(J)
-            for x in J:
-                img = g.apply(x)
-                if img not in position:
-                    raise RuntimeError("stabilizer does not preserve J")
-                images[position[x] - 1] = position[img]
-            gens.append(Permutation(tuple(images)))
-        return GeneratedGroup(len(J), gens)
+        return GeneratedGroup(len(J), [_restrict(g, J) for g in stab.generators])
 
     @cached_property
     def genus_method2(self) -> int:
@@ -532,27 +506,31 @@ def _product_one_adjust(
     if start not in feasible[0]:
         raise RuntimeError("no product-one realization exists in these classes")
 
-    chosen: list[Permutation] = []
+    for chosen in _realizations(conjugate_sets, feasible, 0, start):
+        if GeneratedGroup(image_group.degree, chosen).order() == target_order:
+            return chosen
+    raise RuntimeError(
+        "no generating product-one realization found in these classes"
+    )
 
-    def backtrack(j: int, prefix: Permutation) -> bool:
-        if j == s:
-            group = GeneratedGroup(image_group.degree, list(chosen))
-            return group.order() == target_order
-        for q in conjugate_sets[j]:
-            nxt = prefix * q
-            if nxt not in feasible[j + 1]:
-                continue
-            chosen.append(q)
-            if backtrack(j + 1, nxt):
-                return True
-            chosen.pop()
-        return False
 
-    if not backtrack(0, start):
-        raise RuntimeError(
-            "no generating product-one realization found in these classes"
-        )
-    return chosen
+def _realizations(
+    conjugate_sets: list[list[Permutation]],
+    feasible: list[set[Permutation]],
+    j: int,
+    prefix: Permutation,
+):
+    """Depth-first, every choice of one entry per position from ``j`` on
+    that keeps the partial product in the feasible sets.  Not a recursive
+    closure: that is a reference cycle, which keeps the sets alive."""
+    if j == len(conjugate_sets):
+        yield []
+        return
+    for q in conjugate_sets[j]:
+        nxt = prefix * q
+        if nxt in feasible[j + 1]:
+            for rest in _realizations(conjugate_sets, feasible, j + 1, nxt):
+                yield [q] + rest
 
 
 # -- whole-pair operations ---------------------------------------------------
@@ -621,28 +599,14 @@ def _quotient_covers(c: Cover) -> list[tuple[str, Cover]]:
     """The cover itself plus its quotients through every nontrivial block
     system (degree = number of blocks); degree-1 quotients are excluded."""
     out: list[tuple[str, Cover]] = [("identity-quotient", c)]
-    group = c.group()
-    for bs in group.block_systems():
+    for bs in c.group().block_systems():
         if bs.num_blocks <= 1:
             continue
-        quotient_cycles = []
-        labels = []
-        for label, p in zip(c.branch_points, c.cycles):
-            images = tuple(
-                bs.block_of(p.apply(bs.blocks[b - 1][0]))
-                for b in range(1, bs.num_blocks + 1)
-            )
-            q = Permutation(images)
-            if not q.is_identity:
-                labels.append(label)
-                quotient_cycles.append(q)
-        if quotient_cycles:
-            out.append(
-                (
-                    f"blocks-of-size-{bs.block_size}",
-                    Cover(bs.num_blocks, tuple(labels), tuple(quotient_cycles)),
-                )
-            )
+        quotient = Cover.from_aligned(
+            bs.num_blocks, c.branch_points, [bs.quotient(p) for p in c.cycles]
+        )
+        if quotient.cycles:
+            out.append((f"blocks-of-size-{bs.block_size}", quotient))
     return out
 
 

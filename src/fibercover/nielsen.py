@@ -10,10 +10,11 @@ ambient symmetric group (absolute).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
 
-from .permcore import Permutation, identity
+from .permcore import Permutation, identity, product
 from .permgroup import CapExceededError, GeneratedGroup
 
 __all__ = [
@@ -21,7 +22,6 @@ __all__ = [
     "NielsenClassSpec",
     "NielsenElement",
     "enumerate_class",
-    "find_first_element",
     "braid_apply",
     "braid_orbits",
     "h3_structure",
@@ -131,21 +131,6 @@ def canonical_form(
     )
 
 
-def _is_valid_element(
-    spec: NielsenClassSpec, element: NielsenElement, class_sets: list[set[Permutation]]
-) -> bool:
-    prod = identity(spec.group.degree)
-    for p in element:
-        prod = prod * p
-    if not prod.is_identity:
-        return False
-    for p, cs in zip(element, class_sets):
-        if p not in cs:
-            return False
-    generated = GeneratedGroup(spec.group.degree, list(element))
-    return generated.order() == spec.group.order()
-
-
 def enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
     """All canonical representatives, sorted: backtrack over the first
     r-1 positions, force the last entry by product-one, check class
@@ -182,10 +167,7 @@ def _enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
         classes = [base_classes[i] for i in ordering]
         last_class = set(classes[-1])
         for prefix in itertools.product(*classes[:-1]):
-            prod = identity(degree)
-            for p in prefix:
-                prod = prod * p
-            last = prod.inverse()
+            last = product(prefix, degree).inverse()
             if last not in last_class:
                 continue
             element = prefix + (last,)
@@ -194,27 +176,6 @@ def _enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
                 continue
             found.add(canonical_form(element, conjugators))
     return sorted(found)
-
-
-def find_first_element(spec: NielsenClassSpec) -> NielsenElement | None:
-    """The first valid tuple in deterministic backtracking order, without
-    full enumeration (used by catalog builders for large classes)."""
-    classes = spec.classes()
-    last_class = set(classes[-1])
-    target_order = spec.group.order()
-    degree = spec.group.degree
-    for prefix in itertools.product(*classes[:-1]):
-        prod = identity(degree)
-        for p in prefix:
-            prod = prod * p
-        last = prod.inverse()
-        if last not in last_class:
-            continue
-        element = prefix + (last,)
-        generated = GeneratedGroup(degree, list(element))
-        if generated.order() == target_order:
-            return element
-    return None
 
 
 # -- braid action -------------------------------------------------------------
@@ -274,9 +235,9 @@ def braid_orbits(spec: NielsenClassSpec) -> list[list[NielsenElement]]:
         orbit = {start}
         seen_reps.add(start)
         visited = {rep}
-        queue = [rep]
+        queue = deque([rep])
         while queue:
-            e = queue.pop(0)
+            e = queue.popleft()
             for w in gens:
                 moved = canonical_form(braid_apply(e, w), conjugators)
                 if moved in visited:
@@ -312,9 +273,9 @@ def h3_structure(spec: NielsenClassSpec) -> dict:
     # has size 6, 3, 2 or 1 depending on repeats among the classes.
     reps = [min(spec.group.conjugacy_class(c)) for c in spec.class_reps]
     orderings = {tuple(reps)}
-    queue = [tuple(reps)]
+    queue = deque([tuple(reps)])
     while queue:
-        order = queue.pop(0)
+        order = queue.popleft()
         for moved in (
             (order[1], order[0], order[2]),  # q1
             (order[1], order[2], order[0]),  # sh
@@ -380,17 +341,7 @@ def paired_enumerate(
     """
     from .fiberprod import PairedCover
 
-    degree_y = joint_spec.group.degree - degree_x
-    out = []
-    for element in enumerate_class(joint_spec):
-        sigma = tuple(
-            Permutation(tuple(p.images[:degree_x])) for p in element
-        )
-        tau = tuple(
-            Permutation(tuple(i - degree_x for i in p.images[degree_x:]))
-            for p in element
-        )
-        out.append(
-            PairedCover(branch_points, sigma, tau, degree_x, degree_y)
-        )
-    return out
+    return [
+        PairedCover.from_joint_tuple(branch_points, element, degree_x)
+        for element in enumerate_class(joint_spec)
+    ]

@@ -8,12 +8,17 @@ Conventions used throughout the package:
   moves and conjugation everywhere else.
 * The identity prints as ``()``.  The canonical cycle print sorts cycles
   by least element and rotates each cycle to start at its least element.
+* Input is checked once, where it enters: the ``Permutation``
+  constructor and ``parse_cycles``.  Results of the operations below are
+  bijections by construction and are built by ``_from_images`` without
+  the check.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from math import lcm
 
 __all__ = [
@@ -21,6 +26,9 @@ __all__ = [
     "CycleType",
     "parse_cycles",
     "identity",
+    "product",
+    "direct_sum",
+    "split",
     "dominates",
 ]
 
@@ -72,13 +80,14 @@ class Permutation:
             raise ValueError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
+        other_images = other.images
+        return _from_images(tuple([other_images[i - 1] for i in self.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, img in enumerate(self.images, start=1):
             inv[img - 1] = i
-        return Permutation(tuple(inv))
+        return _from_images(tuple(inv))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -93,8 +102,15 @@ class Permutation:
         return result
 
     def conjugate(self, h: "Permutation") -> "Permutation":
-        """``h^-1 * self * h`` — moves the support of ``self`` by ``h``."""
-        return h.inverse() * self * h
+        """``h^-1 * self * h`` — moves the support of ``self`` by ``h``:
+        the image of ``(j)h`` is ``((j)self)h``."""
+        if self.degree != h.degree:
+            raise ValueError(f"degree mismatch: {self.degree} vs {h.degree}")
+        h_images = h.images
+        images = [0] * self.degree
+        for hj, pj in zip(h_images, self.images):
+            images[hj - 1] = h_images[pj - 1]
+        return _from_images(tuple(images))
 
     # -- cycle structure ------------------------------------------------
 
@@ -150,8 +166,47 @@ class Permutation:
         return f"Permutation[{self.degree}] {self}"
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _from_images(images: tuple[int, ...]) -> Permutation:
+    """A ``Permutation`` from an image tuple already known to be a
+    bijection of 1..n, built without running ``__post_init__``."""
+    p = _new(Permutation)
+    _set(p, "images", images)
+    return p
+
+
 def identity(degree: int) -> Permutation:
-    return Permutation(tuple(range(1, degree + 1)))
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    return _from_images(tuple(range(1, degree + 1)))
+
+
+def product(perms, degree: int) -> Permutation:
+    """The ordered product ``perms[0] * perms[1] * ...``; the identity
+    of ``degree`` when ``perms`` is empty."""
+    return reduce(Permutation.__mul__, perms, identity(degree))
+
+
+def direct_sum(a: Permutation, b: Permutation) -> Permutation:
+    """``a`` on the letters 1..m and ``b`` shifted onto m+1..m+n, where
+    m and n are the degrees of ``a`` and ``b``."""
+    m = a.degree
+    return _from_images(a.images + tuple([m + i for i in b.images]))
+
+
+def split(p: Permutation, m: int) -> tuple[Permutation, Permutation]:
+    """The two parts of a permutation that maps 1..m onto itself, as
+    permutations of 1..m and of 1..(degree - m); inverse of
+    ``direct_sum``."""
+    if not 1 <= m < p.degree or max(p.images[:m]) > m:
+        raise ValueError(f"{p!r} does not preserve the letters 1..{m}")
+    return (
+        _from_images(p.images[:m]),
+        _from_images(tuple([i - m for i in p.images[m:]])),
+    )
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -9,7 +9,8 @@ guard the operations that would not scale past that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .permcore import Permutation, identity
 
@@ -17,6 +18,7 @@ __all__ = [
     "GeneratedGroup",
     "BlockSystem",
     "CapExceededError",
+    "orbit_transversal",
     "DEFAULT_ORDER_CAP",
     "DEFAULT_NORMALIZER_DEGREE_CAP",
 ]
@@ -28,6 +30,26 @@ _CLOSURE_FALLBACK_CAP = 2 * 10**6
 
 class CapExceededError(RuntimeError):
     """A configured size cap was exceeded."""
+
+
+def orbit_transversal(
+    point: int, generators: list[Permutation], degree: int
+) -> dict[int, Permutation]:
+    """Breadth-first (FIFO) transversal of the orbit of ``point``: maps
+    each letter q of the orbit to a word in ``generators`` carrying
+    ``point`` to q.  Letters appear in discovery order, which fixes the
+    Schreier generators built from the transversal."""
+    transversal = {point: identity(degree)}
+    queue = deque([point])
+    while queue:
+        p = queue.popleft()
+        u = transversal[p]
+        for g in generators:
+            q = g.apply(p)
+            if q not in transversal:
+                transversal[q] = u * g
+                queue.append(q)
+    return transversal
 
 
 class _Level:
@@ -42,16 +64,7 @@ class _Level:
         self.transversal: dict[int, Permutation] = {}
 
     def rebuild_orbit(self, degree: int) -> None:
-        self.transversal = {self.point: identity(degree)}
-        queue = [self.point]
-        while queue:
-            p = queue.pop(0)
-            u = self.transversal[p]
-            for g in self.gens:
-                q = g.apply(p)
-                if q not in self.transversal:
-                    self.transversal[q] = u * g
-                    queue.append(q)
+        self.transversal = orbit_transversal(self.point, self.gens, degree)
 
 
 class _StabilizerChain:
@@ -150,6 +163,13 @@ class BlockSystem:
                 return idx
         raise ValueError(f"letter {letter} not in any block")
 
+    def quotient(self, g: Permutation) -> Permutation:
+        """The action of ``g`` on the blocks, labeled 1..num_blocks in
+        stored order; ``g`` must preserve the system."""
+        return Permutation(
+            tuple(self.block_of(g.apply(blk[0])) for blk in self.blocks)
+        )
+
     @staticmethod
     def from_partition(parts: list[list[int]]) -> "BlockSystem":
         blocks = tuple(sorted(tuple(sorted(p)) for p in parts))
@@ -214,9 +234,9 @@ class GeneratedGroup:
 
     def orbit(self, letter: int) -> list[int]:
         seen = {letter}
-        queue = [letter]
+        queue = deque([letter])
         while queue:
-            p = queue.pop(0)
+            p = queue.popleft()
             for g in self.generators:
                 q = g.apply(p)
                 if q not in seen:
@@ -249,15 +269,7 @@ class GeneratedGroup:
         """Stabilizer of one letter, generated by Schreier generators."""
         if not 1 <= letter <= self.degree:
             raise ValueError(f"letter {letter} out of range")
-        transversal: dict[int, Permutation] = {letter: identity(self.degree)}
-        queue = [letter]
-        while queue:
-            p = queue.pop(0)
-            for g in self.generators:
-                q = g.apply(p)
-                if q not in transversal:
-                    transversal[q] = transversal[p] * g
-                    queue.append(q)
+        transversal = orbit_transversal(letter, self.generators, self.degree)
         gens: list[Permutation] = []
         seen: set[Permutation] = set()
         for p, u in transversal.items():
@@ -268,11 +280,6 @@ class GeneratedGroup:
                     seen.add(schreier)
                     gens.append(schreier)
         return GeneratedGroup(self.degree, gens)
-
-    def setwise_stabilizer_of_tuple_point(
-        self, tensor_apply, start, points
-    ):  # pragma: no cover - reserved hook
-        raise NotImplementedError
 
     # -- block systems --------------------------------------------------
 
@@ -298,10 +305,10 @@ class GeneratedGroup:
             parent[ry] = rx
             return rx
 
-        queue = [(1, other)]
+        queue = deque([(1, other)])
         union(1, other)
         while queue:
-            a, b = queue.pop(0)
+            a, b = queue.popleft()
             for g in self.generators:
                 ga, gb = g.apply(a), g.apply(b)
                 if find(ga) != find(gb):
@@ -332,15 +339,7 @@ class GeneratedGroup:
                     minimal.append(bs)
         # Coarser systems: recurse on the quotient action on blocks.
         for bs in minimal:
-            quotient_gens = [
-                Permutation(
-                    tuple(
-                        bs.block_of(g.apply(bs.blocks[b - 1][0]))
-                        for b in range(1, bs.num_blocks + 1)
-                    )
-                )
-                for g in self.generators
-            ]
+            quotient_gens = [bs.quotient(g) for g in self.generators]
             quotient = GeneratedGroup(bs.num_blocks, quotient_gens)
             for sub in quotient.block_systems():
                 lifted = BlockSystem.from_partition(
@@ -380,9 +379,9 @@ class GeneratedGroup:
             return None
 
         # BFS discovery of coset representatives.
-        frontier = [identity(self.degree)]
+        frontier = deque([identity(self.degree)])
         while frontier:
-            rep = frontier.pop(0)
+            rep = frontier.popleft()
             for g in self.generators:
                 x = rep * g
                 if label_of(x) is None:
@@ -406,9 +405,9 @@ class GeneratedGroup:
         if not self.contains(x):
             raise ValueError("element not in group")
         seen = {x}
-        queue = [x]
+        queue = deque([x])
         while queue:
-            y = queue.pop(0)
+            y = queue.popleft()
             for g in self.generators:
                 z = y.conjugate(g)
                 if z not in seen:
@@ -461,8 +460,3 @@ class GeneratedGroup:
 
         gens = [h for h in ambient.elements() if preserves(h)]
         return GeneratedGroup(self.degree, gens)
-
-
-def closure_order(g: GeneratedGroup) -> int:
-    """Exact order of the generated group (cap enforced at build)."""
-    return g.order()

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface, invoked in-process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +91,23 @@ class TestCoverCommands:
         path.write_text("{not json")
         assert main(["genus", str(path)]) == 4
 
+    @pytest.mark.parametrize("command", ["validate", "genus"])
+    def test_degree_0_cover_exit_4(self, command, tmp_path, capsys):
+        path = tmp_path / "cover.json"
+        path.write_text(
+            json.dumps({"degree": 0, "branch_points": [], "cycles": []})
+        )
+        assert main([command, str(path)]) == 4
+        assert "degree must be >= 1" in capsys.readouterr().err
+
+    def test_degree_0_pair_exit_4(self, tmp_path, capsys):
+        side = {"degree": 0, "cycles": []}
+        path = tmp_path / "pair.json"
+        path.write_text(
+            json.dumps({"branch_points": [], "sigma": side, "tau": side})
+        )
+        assert main(["fiber", str(path)]) == 4
+
 
 class TestFiberCommand:
     def test_summary_lines(self, deg7_pair_file, capsys):
@@ -138,8 +156,26 @@ class TestNielsenCommands:
     def test_bad_search_cap_env_exit_4(
         self, nielsen_spec_file, monkeypatch, capsys
     ):
-        monkeypatch.setenv("FIBERCOVER_SEARCH_CAP", "lots")
-        assert main(["nielsen", "enum", nielsen_spec_file]) == 4
+        for raw in ("lots", "0", "-5"):
+            monkeypatch.setenv("FIBERCOVER_SEARCH_CAP", raw)
+            assert main(["nielsen", "enum", nielsen_spec_file]) == 4
+
+    @pytest.mark.parametrize("command", ["enum", "braid-orbits"])
+    def test_class_rep_outside_group_exit_4(self, command, tmp_path, capsys):
+        spec = _nielsen_spec_dict(
+            generators=["(1 2 3 4 5 6 7)"], class_reps=["(1 2)"]
+        )
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["nielsen", command, str(path)]) == 4
+        assert "not in group" in capsys.readouterr().err
+
+    def test_coalesce_position_out_of_range_exit_4(self, tmp_path, capsys):
+        payload = {"degree": 7, "entries": ["(1 2 3 4 5 6 7)", "(1 7 6 5 4 3 2)"]}
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps(payload))
+        assert main(["nielsen", "coalesce", str(path), "--at", "5"]) == 4
+        assert "out of range" in capsys.readouterr().err
 
     def test_coalesce_matches_reference_merge(self, tmp_path, capsys):
         tuples = catalog.get("deg7-coalesce-tuples")
@@ -291,3 +327,55 @@ class TestGrowthCommand:
             )
             == 4
         )
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_argv(case: str, tmp_path) -> list[str]:
+    def pair_file(key: str) -> str:
+        path = tmp_path / "pair.json"
+        path.write_text(catalog.get(key).to_json())
+        return str(path)
+
+    if case.startswith("fiber_"):
+        return ["fiber", pair_file(case[len("fiber_") :])]
+    if case == "nielsen_braid-orbits_inner":
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps(_nielsen_spec_dict(mode="inner", include_reorderings=False))
+        )
+        return ["nielsen", "braid-orbits", str(path)]
+    if case == "growth_deg7-pair-2_chebyshev_6":
+        return [
+            "growth",
+            "--pair",
+            "deg7-pair-2",
+            "--g1-family",
+            "chebyshev",
+            "--max-degree",
+            "6",
+        ]
+    return ["catalog", "get", case[len("catalog_get_") :]]
+
+
+class TestGoldenStdout:
+    """Byte-for-byte stdout of commands whose output depends on
+    transversal and BFS order (the projection branch cycles), on the
+    direct-sum/split of joint tuples, and on braid-orbit walks."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "fiber_deg7-pair-1",
+            "fiber_deg7-pair-2",
+            "nielsen_braid-orbits_inner",
+            "growth_deg7-pair-2_chebyshev_6",
+            "catalog_get_deg7-pair-2^3.7",
+            "catalog_get_hilbert-siegel-m5",
+        ],
+    )
+    def test_stdout_matches_golden(self, case, tmp_path, capsys):
+        assert main(_golden_argv(case, tmp_path)) == 0
+        expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected

@@ -1,12 +1,17 @@
 """Unit tests for permutation primitives and the right-action convention."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibercover.permcore import (
     Permutation,
+    direct_sum,
     dominates,
     identity,
     parse_cycles,
+    product,
+    split,
 )
 
 
@@ -84,6 +89,51 @@ class TestBasics:
     def test_images_must_be_a_permutation(self):
         with pytest.raises(ValueError):
             Permutation((1, 1, 3))
+
+    def test_identity_rejects_degree_0(self):
+        with pytest.raises(ValueError):
+            identity(0)
+
+    def test_product_of_nothing_is_identity(self):
+        assert product((), 4) == identity(4)
+        assert product((p("(1 2)"), p("(2 3)")), 7) == p("(1 2)") * p("(2 3)")
+
+
+def _perms(degree: int):
+    return st.permutations(range(1, degree + 1)).map(
+        lambda images: Permutation(tuple(images))
+    )
+
+
+def _revalidated(x: Permutation) -> Permutation:
+    assert type(x.images) is tuple
+    return Permutation(x.images)
+
+
+class TestTrustedKernel:
+    """Operations skip the bijection check; their results must still be
+    exactly what the checked constructor builds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 9), m=st.integers(1, 6), k=st.integers(-9, 9))
+    def test_results_equal_checked_construction(self, data, n, m, k):
+        a, b, h = (data.draw(_perms(n)) for _ in range(3))
+        c = data.draw(_perms(m))
+        for result in (a * b, a.inverse(), a**k, a.conjugate(h), direct_sum(a, c)):
+            checked = _revalidated(result)
+            assert result == checked and hash(result) == hash(checked)
+        assert a.conjugate(h) == h.inverse() * a * h
+        parts = split(direct_sum(a, c), n)
+        assert parts == (a, c)
+        assert all(part == _revalidated(part) for part in parts)
+
+    def test_split_rejects_a_mixing_permutation(self):
+        with pytest.raises(ValueError):
+            split(parse_cycles("(1 3)", 3), 2)
+
+    def test_conjugate_degree_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            p("(1 2)").conjugate(parse_cycles("(1 2)", 3))
 
 
 class TestParse:
