@@ -103,7 +103,12 @@ def _load_nielsen_spec(path: str, mode_override: str | None) -> NielsenClassSpec
         outer = tuple(
             parse_cycles(s, degree) for s in data.get("outer_elements", [])
         )
-        include_reorderings = bool(data.get("include_reorderings", True))
+        include_reorderings = data.get("include_reorderings", True)
+        if not isinstance(include_reorderings, bool):
+            raise ValueError(
+                "include_reorderings must be true or false, "
+                f"got {include_reorderings!r}"
+            )
         group = GeneratedGroup(degree, generators)
         return NielsenClassSpec(
             group, reps, mode, outer, include_reorderings, **kwargs

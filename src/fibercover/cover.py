@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .permcore import Permutation, direct_sum, parse_cycles, product
-from .permgroup import GeneratedGroup
+from .permgroup import GeneratedGroup, orbits
 
 __all__ = [
     "Cover",
@@ -109,7 +109,7 @@ class Cover:
     def validate(self) -> ValidityReport:
         return ValidityReport(
             product_one=product(self.cycles, self.degree).is_identity,
-            transitive=self.group().is_transitive() if self.cycles else self.degree == 1,
+            transitive=len(orbits(self.cycles, self.degree)) == 1,
             no_identity_entries=all(not c.is_identity for c in self.cycles),
             cycle_types=tuple(c.cycle_type() for c in self.cycles),
         )

@@ -21,6 +21,7 @@ from math import gcd, lcm
 
 from .permcore import (
     Permutation,
+    _from_images,
     direct_sum,
     dominates,
     identity,
@@ -28,7 +29,7 @@ from .permcore import (
     product,
     split,
 )
-from .permgroup import CapExceededError, GeneratedGroup, orbit_transversal
+from .permgroup import CapExceededError, GeneratedGroup, orbit_transversal, orbits
 from .cover import Cover, InvalidCoverError, equivalent_tuples, genus_from_tuple
 
 __all__ = [
@@ -128,23 +129,18 @@ class CoverPair:
         for p in tau:
             if p.degree != degree_y:
                 raise ValueError("tau degree mismatch")
-        self._side_groups = self._validate_sides()
+        self._validate_sides()
 
-    def _validate_sides(self) -> tuple[GeneratedGroup, GeneratedGroup]:
-        """Check product-one and transitivity of each side; returns the
-        sigma and tau groups."""
-        groups = []
+    def _validate_sides(self) -> None:
+        """Check product-one and transitivity of each side."""
         for tup, deg, name in (
             (self.sigma, self.degree_x, "sigma"),
             (self.tau, self.degree_y, "tau"),
         ):
             if not product(tup, deg).is_identity:
                 raise InvalidCoverError(f"{name} tuple fails product-one")
-            grp = GeneratedGroup(deg, list(tup))
-            if not grp.is_transitive():
+            if len(orbits(tup, deg)) != 1:
                 raise InvalidCoverError(f"{name} tuple is not transitive")
-            groups.append(grp)
-        return tuple(groups)
 
     # -- covers and groups ------------------------------------------------
 
@@ -173,22 +169,17 @@ class CoverPair:
                     images[_tensor_letter(x, y, n) - 1] = _tensor_letter(
                         a.apply(x), b.apply(y), n
                     )
-            out.append(Permutation(tuple(images)))
+            out.append(_from_images(tuple(images)))
         return tuple(out)
-
-    @cached_property
-    def tensor_group(self) -> GeneratedGroup:
-        return GeneratedGroup(
-            self.degree_x * self.degree_y, list(self.tensor_cycles)
-        )
 
     # -- components -------------------------------------------------------
 
     @cached_property
     def components(self) -> list["Component"]:
-        """Orbits of the joint group on tensor letters, by least letter."""
-        orbits = self.tensor_group.orbits()
-        return [Component(self, tuple(o)) for o in orbits]
+        """Orbits of the joint group on tensor letters, by least letter,
+        read off the tensor cycles without building their group."""
+        found = orbits(self.tensor_cycles, self.degree_x * self.degree_y)
+        return [Component(self, tuple(o)) for o in found]
 
     def component_containing(self, x: int, y: int) -> "Component":
         letter = _tensor_letter(x, y, self.degree_y)
@@ -252,7 +243,8 @@ class PairedCover(CoverPair):
                 raise InvalidCoverError(
                     f"entry orders differ: {a.order()} vs {b.order()}"
                 )
-        g1, g2 = self._side_groups
+        g1 = GeneratedGroup(degree_x, list(sigma))
+        g2 = GeneratedGroup(degree_y, list(tau))
         if not (self.joint_group.order() == g1.order() == g2.order()):
             raise InvalidCoverError(
                 "joint group does not project isomorphically to both sides "
@@ -352,13 +344,16 @@ class Component:
 
     @cached_property
     def subgroup_witness(self) -> tuple[GeneratedGroup, int]:
-        """The joint-group stabilizer H of the least tensor letter of the
-        orbit (the intersection of the two point stabilizers), with its
-        index; the index equals the component degree over z."""
-        tensor_group = self.pair.tensor_group
-        least = self.orbit[0]
-        stab = tensor_group.point_stabilizer(least)
-        index = tensor_group.order() // stab.order()
+        """The stabilizer H of the least tensor letter (x, y) of the
+        orbit, with its index; the index equals the component degree over
+        z.  H is Stab(x) ∩ Stab(m + y) in the joint group on m + n
+        letters, which acts faithfully on the tensor letters, so H has the
+        order of the tensor letter's stabilizer."""
+        pair = self.pair
+        joint = pair.joint_group
+        x, y = _tensor_pair(self.orbit[0], pair.degree_y)
+        stab = joint.point_stabilizer(x).point_stabilizer(pair.degree_x + y)
+        index = joint.order() // stab.order()
         if index != self.deg_over_z:
             raise RuntimeError("stabilizer index does not match orbit size")
         return stab, index

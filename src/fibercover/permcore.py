@@ -70,7 +70,7 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
+        return self.images == _IDENTITY_IMAGES[len(self.images)]
 
     # -- group arithmetic ----------------------------------------------
 
@@ -170,6 +170,17 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+class _IdentityImages(dict):
+    """degree -> the identity's image tuple, made on first use."""
+
+    def __missing__(self, degree: int) -> tuple[int, ...]:
+        images = self[degree] = tuple(range(1, degree + 1))
+        return images
+
+
+_IDENTITY_IMAGES = _IdentityImages()
+
+
 def _from_images(images: tuple[int, ...]) -> Permutation:
     """A ``Permutation`` from an image tuple already known to be a
     bijection of 1..n, built without running ``__post_init__``."""
@@ -181,7 +192,7 @@ def _from_images(images: tuple[int, ...]) -> Permutation:
 def identity(degree: int) -> Permutation:
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    return _from_images(tuple(range(1, degree + 1)))
+    return _from_images(_IDENTITY_IMAGES[degree])
 
 
 def product(perms, degree: int) -> Permutation:

@@ -12,12 +12,13 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .permcore import Permutation, identity
+from .permcore import Permutation, _from_images, identity
 
 __all__ = [
     "GeneratedGroup",
     "BlockSystem",
     "CapExceededError",
+    "orbits",
     "orbit_transversal",
     "DEFAULT_ORDER_CAP",
     "DEFAULT_NORMALIZER_DEGREE_CAP",
@@ -30,6 +31,31 @@ _CLOSURE_FALLBACK_CAP = 2 * 10**6
 
 class CapExceededError(RuntimeError):
     """A configured size cap was exceeded."""
+
+
+def orbits(generators, degree: int) -> list[list[int]]:
+    """The orbits of the group generated by ``generators`` on 1..degree,
+    each sorted, in order of least letter.  A breadth-first walk over the
+    generators' image tuples; no stabilizer chain is built."""
+    image_lists = [g.images for g in generators]
+    seen = [False] * (degree + 1)
+    out: list[list[int]] = []
+    for start in range(1, degree + 1):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        # ``orbit`` doubles as the FIFO queue: the loop reaches letters
+        # appended while it runs.
+        for p in orbit:
+            for images in image_lists:
+                q = images[p - 1]
+                if not seen[q]:
+                    seen[q] = True
+                    orbit.append(q)
+        orbit.sort()
+        out.append(orbit)
+    return out
 
 
 def orbit_transversal(
@@ -233,35 +259,19 @@ class GeneratedGroup:
     # -- orbits ---------------------------------------------------------
 
     def orbit(self, letter: int) -> list[int]:
-        seen = {letter}
-        queue = deque([letter])
-        while queue:
-            p = queue.popleft()
-            for g in self.generators:
-                q = g.apply(p)
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return sorted(seen)
+        return self.orbits([letter])[0]
 
     def orbits(self, seed_set: list[int] | None = None) -> list[list[int]]:
         """Orbits meeting ``seed_set`` (default: all letters), sorted by
         least element."""
+        found = orbits(self.generators, self.degree)
         if seed_set is None:
-            seed_set = list(range(1, self.degree + 1))
-        remaining = sorted(set(seed_set))
-        out: list[list[int]] = []
-        covered: set[int] = set()
-        for s in remaining:
-            if s in covered:
-                continue
-            orb = self.orbit(s)
-            covered.update(orb)
-            out.append(orb)
-        return out
+            return found
+        seeds = set(seed_set)
+        return [orb for orb in found if not seeds.isdisjoint(orb)]
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(1)) == self.degree
+        return len(orbits(self.generators, self.degree)) == 1
 
     # -- stabilizers ----------------------------------------------------
 
@@ -434,7 +444,7 @@ class GeneratedGroup:
             )
         gens: list[Permutation] = []
         for images in itertools.permutations(range(1, self.degree + 1)):
-            h = Permutation(images)
+            h = _from_images(images)
             if all(self.contains(g.conjugate(h)) for g in self.generators):
                 gens.append(h)
         return GeneratedGroup(self.degree, gens)

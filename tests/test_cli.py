@@ -177,6 +177,21 @@ class TestNielsenCommands:
         assert main(["nielsen", "coalesce", str(path), "--at", "5"]) == 4
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_boolean_include_reorderings_exit_4(self, value, tmp_path, capsys):
+        spec = _nielsen_spec_dict(mode="inner", include_reorderings=value)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["nielsen", "enum", str(path)]) == 4
+        assert "include_reorderings" in capsys.readouterr().err
+
+    def test_include_reorderings_false_pins_order(self, tmp_path, capsys):
+        spec = _nielsen_spec_dict(mode="inner", include_reorderings=False)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["nielsen", "enum", str(path)]) == 0
+        assert "count: 1" in capsys.readouterr().out
+
     def test_coalesce_matches_reference_merge(self, tmp_path, capsys):
         tuples = catalog.get("deg7-coalesce-tuples")
         payload = {

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fibercover import catalog
+from fibercover import catalog, permgroup
 from fibercover.cover import Cover, InvalidCoverError
 from fibercover.fiberprod import (
     CoverPair,
@@ -325,3 +325,41 @@ class TestScreening:
         g1 = catalog.build_cyclic_cover(2, ("t1", "t2"))
         report = screen_g1(f, g1)
         assert report.fail2b_quotients
+
+
+class TestNoTensorChain:
+    """Components, both genus methods and the subgroup witness come from
+    generator orbits and groups on m + n letters: no stabilizer chain on
+    the m*n tensor letters is built, and validating a cover builds none."""
+
+    @pytest.fixture
+    def chain_degrees(self, monkeypatch):
+        degrees = []
+        original = permgroup._StabilizerChain.__init__
+
+        def recording(chain, degree, generators):
+            degrees.append(degree)
+            original(chain, degree, generators)
+
+        monkeypatch.setattr(permgroup._StabilizerChain, "__init__", recording)
+        return degrees
+
+    @pytest.mark.parametrize("key", ["sm-pair-7", "deg7-pair-1"])
+    def test_pair_builds_no_tensor_chain(self, key, chain_degrees):
+        source = catalog.get(key)
+        m, n = source.degree_x, source.degree_y
+        # A fresh pair, so nothing is read from a cache filled elsewhere.
+        pair = PairedCover(source.branch_points, source.sigma, source.tau, m, n)
+        for component in pair.components:
+            component.genus_method1
+            component.genus_method2
+            _, index = component.subgroup_witness
+            assert index == component.deg_over_z
+        assert m + n in chain_degrees
+        assert m * n not in chain_degrees
+
+    def test_validate_builds_no_chain(self, chain_degrees):
+        source = catalog.get("deg7-cover-1")
+        cover = Cover(source.degree, source.branch_points, source.cycles)
+        assert cover.validate().valid
+        assert chain_degrees == []

@@ -9,6 +9,7 @@ from fibercover.permgroup import (
     BlockSystem,
     CapExceededError,
     GeneratedGroup,
+    orbits,
 )
 
 
@@ -106,6 +107,28 @@ class TestOrbitsAndStabilizers:
 
     def test_orbits_with_seed_set(self, deg7):
         assert deg7.orbits(seed_set=[3]) == [list(range(1, 8))]
+
+    def test_orbits_match_sympy_on_random_generator_sets(self):
+        import random
+
+        rng = random.Random(6007)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                # A random permutation of a random subset of the letters,
+                # so that many generator sets are intransitive.
+                support = rng.sample(range(1, n + 1), rng.randint(1, n))
+                moved = support[:]
+                rng.shuffle(moved)
+                img = list(range(1, n + 1))
+                for a, b in zip(support, moved):
+                    img[a - 1] = b
+                gens.append(Permutation(tuple(img)))
+            ours = orbits(gens, n)
+            sym = PermutationGroup([SymPerm([i - 1 for i in g.images]) for g in gens])
+            assert ours == sorted(sorted(i + 1 for i in o) for o in sym.orbits())
+            assert GeneratedGroup(n, gens, order_cap=10**9).orbits() == ours
 
     def test_point_stabilizer_order(self, deg7):
         stab = deg7.point_stabilizer(1)

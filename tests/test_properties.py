@@ -6,6 +6,8 @@
   reducible pairs;
 * local ramification multiplicities of a fiber product sum to the
   degree;
+* components and subgroup witnesses, found without a chain on the
+  tensor letters, match the group generated by the tensor cycles;
 * braid moves preserve Nielsen-class membership;
 * quotient covers never have larger genus than the cover they come
   from.
@@ -20,7 +22,11 @@ from hypothesis import strategies as st
 
 from fibercover import catalog, nielsen
 from fibercover.cover import Cover
-from fibercover.fiberprod import PairedCover, _quotient_covers
+from fibercover.fiberprod import (
+    PairedCover,
+    _quotient_covers,
+    pair_covers_over_common_points,
+)
 from fibercover.nielsen import (
     EquivalenceMode,
     NielsenClassSpec,
@@ -29,7 +35,7 @@ from fibercover.nielsen import (
     enumerate_class,
 )
 from fibercover.permcore import Permutation, identity, parse_cycles
-from fibercover.permgroup import GeneratedGroup
+from fibercover.permgroup import GeneratedGroup, orbits
 
 # -- random element generators ------------------------------------------------
 
@@ -66,16 +72,7 @@ _SAMPLERS = (_random_symmetric, _random_alternating, _random_dihedral)
 
 
 def _is_transitive(n: int, entries: list[Permutation]) -> bool:
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        x = frontier.pop()
-        for p in entries:
-            y = p.apply(x)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return len(seen) == n
+    return len(orbits(entries, n)) == 1
 
 
 def _random_valid_tuple(rng: random.Random) -> tuple[int, list[Permutation]]:
@@ -168,6 +165,61 @@ class TestRamificationSumsToDegree:
                         rp.count * rp.ram_index_over_y for rp in points
                     )
                     assert total == pair.degree_x
+
+
+# -- the tensor group as an independent oracle for components -----------------
+
+
+def _small_valid_tuple(rng: random.Random) -> tuple[int, list[Permutation]]:
+    """A ``_random_valid_tuple`` of degree at most 6, so that a joint group
+    of two of them (order at most 720**2) stays under the default order
+    cap that the subgroup witness builds under."""
+    while True:
+        n, entries = _random_valid_tuple(rng)
+        if n <= 6:
+            return n, entries
+
+
+def _random_weak_pair(rng: random.Random):
+    """Two random valid covers over partly shared labels, weakly paired.
+    Every other pair is a cover against a relabelled copy of itself over
+    the same labels, which is reducible (it has a diagonal component)."""
+    m, sigma = _small_valid_tuple(rng)
+    if rng.random() < 0.5:
+        h = _random_symmetric(rng, m)
+        n, tau = m, [p.conjugate(h) for p in sigma]
+        shared = len(sigma)
+    else:
+        n, tau = _small_valid_tuple(rng)
+        shared = rng.randint(0, min(len(sigma), len(tau)))
+    x_labels = [f"z{i}" for i in range(len(sigma))]
+    y_labels = [f"z{i}" if i < shared else f"w{i}" for i in range(len(tau))]
+    return pair_covers_over_common_points(
+        Cover(m, tuple(x_labels), tuple(sigma)),
+        Cover(n, tuple(y_labels), tuple(tau)),
+    )
+
+
+def _check_against_tensor_group(pair) -> None:
+    m, n = pair.degree_x, pair.degree_y
+    tensor = GeneratedGroup(m * n, list(pair.tensor_cycles))
+    assert [list(c.orbit) for c in pair.components] == tensor.orbits()
+    for c in pair.components:
+        witness, index = c.subgroup_witness
+        assert witness.order() == tensor.point_stabilizer(c.orbit[0]).order()
+        assert index == c.deg_over_z
+
+
+class TestTensorGroupOracle:
+    def test_random_paired_covers(self):
+        rng = random.Random(3119)
+        for _ in range(25):
+            _check_against_tensor_group(_random_paired_cover(rng))
+
+    def test_random_weak_pairs(self):
+        rng = random.Random(5273)
+        for _ in range(25):
+            _check_against_tensor_group(_random_weak_pair(rng))
 
 
 # -- braid moves preserve Nielsen membership -----------------------------------
