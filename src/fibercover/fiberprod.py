@@ -158,6 +158,13 @@ class CoverPair:
         return GeneratedGroup(self.degree_x + self.degree_y, gens)
 
     @cached_property
+    def x1_stabilizer(self) -> GeneratedGroup:
+        """Stab(1) in the joint group.  Tensor letters are x-major and the
+        x-side is transitive, so the least letter of every component is
+        (1, y) and every subgroup witness lies in this group."""
+        return self.joint_group.point_stabilizer(1)
+
+    @cached_property
     def tensor_cycles(self) -> tuple[Permutation, ...]:
         """The branch cycles acting on the m*n tensor letters."""
         m, n = self.degree_x, self.degree_y
@@ -236,6 +243,8 @@ class PairedCover(CoverPair):
         degree_y: int,
     ) -> None:
         super().__init__(branch_points, sigma, tau, degree_x, degree_y)
+        g1 = GeneratedGroup(degree_x, list(sigma))
+        g2 = GeneratedGroup(degree_y, list(tau))
         for a, b in zip(sigma, tau):
             if a.is_identity or b.is_identity:
                 raise InvalidCoverError("paired covers allow no identity entries")
@@ -243,8 +252,6 @@ class PairedCover(CoverPair):
                 raise InvalidCoverError(
                     f"entry orders differ: {a.order()} vs {b.order()}"
                 )
-        g1 = GeneratedGroup(degree_x, list(sigma))
-        g2 = GeneratedGroup(degree_y, list(tau))
         if not (self.joint_group.order() == g1.order() == g2.order()):
             raise InvalidCoverError(
                 "joint group does not project isomorphically to both sides "
@@ -344,16 +351,16 @@ class Component:
 
     @cached_property
     def subgroup_witness(self) -> tuple[GeneratedGroup, int]:
-        """The stabilizer H of the least tensor letter (x, y) of the
+        """The stabilizer H of the least tensor letter (1, y) of the
         orbit, with its index; the index equals the component degree over
-        z.  H is Stab(x) ∩ Stab(m + y) in the joint group on m + n
+        z.  H is Stab(1) ∩ Stab(m + y) in the joint group on m + n
         letters, which acts faithfully on the tensor letters, so H has the
         order of the tensor letter's stabilizer."""
         pair = self.pair
-        joint = pair.joint_group
-        x, y = _tensor_pair(self.orbit[0], pair.degree_y)
-        stab = joint.point_stabilizer(x).point_stabilizer(pair.degree_x + y)
-        index = joint.order() // stab.order()
+        y = self.orbit[0]
+        assert y <= pair.degree_y, "least tensor letter has x != 1"
+        stab = pair.x1_stabilizer.point_stabilizer(pair.degree_x + y)
+        index = pair.joint_group.order() // stab.order()
         if index != self.deg_over_z:
             raise RuntimeError("stabilizer index does not match orbit size")
         return stab, index

@@ -8,6 +8,7 @@ import pytest
 from fibercover import catalog
 from fibercover.cli import main
 from fibercover.cover import Cover
+from fibercover.permcore import parse_cycles
 
 
 @pytest.fixture
@@ -99,6 +100,21 @@ class TestCoverCommands:
         )
         assert main([command, str(path)]) == 4
         assert "degree must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [("validate", "valid: True"), ("genus", "0"), ("ochar", "-17/55")],
+    )
+    def test_cover_above_order_cap(self, command, expected, tmp_path, capsys):
+        # S_11 has order 11! > DEFAULT_ORDER_CAP; these commands need only
+        # the branch cycles, so they build no group and hit no cap.
+        a = parse_cycles("(1 2)", 11)
+        b = parse_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 11)
+        cover = Cover(11, ("z1", "z2", "z3"), (a, b, (a * b).inverse()))
+        path = tmp_path / "s11.json"
+        path.write_text(cover.to_json())
+        assert main([command, str(path)]) == 0
+        assert expected in capsys.readouterr().out.splitlines()
 
     def test_degree_0_pair_exit_4(self, tmp_path, capsys):
         side = {"degree": 0, "cycles": []}

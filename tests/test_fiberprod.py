@@ -17,6 +17,7 @@ from fibercover.fiberprod import (
     screen_g1,
 )
 from fibercover.permcore import identity, parse_cycles
+from fibercover.permgroup import CapExceededError
 
 
 @pytest.fixture(scope="module")
@@ -363,3 +364,31 @@ class TestNoTensorChain:
         cover = Cover(source.degree, source.branch_points, source.cycles)
         assert cover.validate().valid
         assert chain_degrees == []
+
+
+class TestAboveOrderCap:
+    """Transitivity and components come from generator orbits, so a cover
+    whose monodromy group exceeds the order cap still validates and still
+    pairs weakly; only the group-building paths raise."""
+
+    @pytest.fixture(scope="class")
+    def s11(self):
+        a = parse_cycles("(1 2)", 11)
+        b = parse_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 11)
+        return Cover(11, ("z1", "z2", "z3"), (a, b, (a * b).inverse()))
+
+    def test_validate_without_group(self, s11):
+        assert s11.validate().valid
+        with pytest.raises(CapExceededError):
+            s11.group()
+
+    def test_weak_pair_components(self, s11):
+        pair = pair_covers_over_common_points(s11, s11)
+        # S_11 is doubly transitive: the diagonal and its complement.
+        assert [c.deg_over_z for c in pair.components] == [11, 110]
+
+    def test_paired_cover_cap_before_entry_checks(self, s11):
+        one = identity(11)
+        sigma = s11.cycles + (one,)
+        with pytest.raises(CapExceededError):
+            PairedCover(s11.branch_points + ("z4",), sigma, sigma, 11, 11)

@@ -35,7 +35,7 @@ from fibercover.nielsen import (
     enumerate_class,
 )
 from fibercover.permcore import Permutation, identity, parse_cycles
-from fibercover.permgroup import GeneratedGroup, orbits
+from fibercover.permgroup import GeneratedGroup
 
 # -- random element generators ------------------------------------------------
 
@@ -72,7 +72,16 @@ _SAMPLERS = (_random_symmetric, _random_alternating, _random_dihedral)
 
 
 def _is_transitive(n: int, entries: list[Permutation]) -> bool:
-    return len(orbits(entries, n)) == 1
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        x = frontier.pop()
+        for p in entries:
+            y = p.apply(x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return len(seen) == n
 
 
 def _random_valid_tuple(rng: random.Random) -> tuple[int, list[Permutation]]:
