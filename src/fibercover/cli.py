@@ -41,6 +41,11 @@ class _BadInput(Exception):
     pass
 
 
+# What malformed JSON data raises in the loaders; OverflowError comes
+# from int() of the JSON literal Infinity.
+_BAD_DATA = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _fmt(value) -> str:
     if isinstance(value, Fraction):
         if value.denominator == 1:
@@ -64,7 +69,7 @@ def _load_cover(path: str) -> Cover:
     data = _load_json(path)
     try:
         return Cover.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_DATA as exc:
         raise _BadInput(f"{path}: bad cover data: {exc}") from exc
 
 
@@ -74,7 +79,7 @@ def _load_pair(path: str) -> CoverPair:
         return PairedCover.from_json_dict(data)
     except InvalidCoverError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_DATA as exc:
         raise _BadInput(f"{path}: bad paired-cover data: {exc}") from exc
 
 
@@ -113,7 +118,7 @@ def _load_nielsen_spec(path: str, mode_override: str | None) -> NielsenClassSpec
         return NielsenClassSpec(
             group, reps, mode, outer, include_reorderings, **kwargs
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_DATA as exc:
         raise _BadInput(f"{path}: bad Nielsen spec: {exc}") from exc
 
 
@@ -223,7 +228,7 @@ def _cmd_nielsen_coalesce(args) -> int:
         group = GeneratedGroup(
             degree, [parse_cycles(s, degree) for s in gen_strings]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_DATA as exc:
         raise _BadInput(f"{args.element}: bad element data: {exc}") from exc
     try:
         new, report = nielsen.coalesce(entries, group, at=args.at)

@@ -165,6 +165,12 @@ class CoverPair:
         return self.joint_group.point_stabilizer(1)
 
     @cached_property
+    def y1_stabilizer(self) -> GeneratedGroup:
+        """Stab(m+1) in the joint group: the stabilizer of the y-letter 1,
+        shared by every component's projection to the y-line."""
+        return self.joint_group.point_stabilizer(self.degree_x + 1)
+
+    @cached_property
     def tensor_cycles(self) -> tuple[Permutation, ...]:
         """The branch cycles acting on the m*n tensor letters."""
         m, n = self.degree_x, self.degree_y
@@ -417,10 +423,10 @@ class Component:
     def _pry_image_group(self) -> GeneratedGroup:
         """The stabilizer of the y-letter 1 in the joint group, restricted
         to J — the monodromy group of the projection to the y-line."""
-        pair = self.pair
-        stab = pair.joint_group.point_stabilizer(pair.degree_x + 1)
         J = self.x_orbit_over_y1
-        return GeneratedGroup(len(J), [_restrict(g, J) for g in stab.generators])
+        return GeneratedGroup(
+            len(J), [_restrict(g, J) for g in self.pair.y1_stabilizer.generators]
+        )
 
     @cached_property
     def genus_method2(self) -> int:

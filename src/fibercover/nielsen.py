@@ -10,6 +10,7 @@ ambient symmetric group (absolute).
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -44,8 +45,8 @@ class NielsenClassSpec:
     and the declared equivalence.
 
     ``outer_elements`` optionally supplies extra conjugators for absolute
-    equivalence when the brute-force normalizer is out of reach; when
-    present they are used instead of the normalizer sweep.
+    equivalence; when present they are used instead of the class-preserving
+    normalizer.
 
     A Nielsen class is cut out by a class *multiset*, so by default the
     enumeration covers every distinct ordering of the given classes.
@@ -90,8 +91,8 @@ class NielsenClassSpec:
         return out
 
     def equivalence_conjugators(self) -> list[Permutation]:
-        """The conjugators realizing the declared equivalence; cached on
-        the instance (the absolute-mode normalizer sweep is costly)."""
+        """The conjugators realizing the declared equivalence, as the
+        sorted elements of a group; cached on the instance."""
         cached = getattr(self, "_conjugators_cache", None)
         if cached is not None:
             return cached
@@ -131,11 +132,49 @@ def canonical_form(
     )
 
 
+def _key(element: NielsenElement) -> bytes:
+    """A compact dict key for a tuple: its images packed as 32-bit words."""
+    images = itertools.chain.from_iterable(p.images for p in element)
+    return array("I", images).tobytes()
+
+
+class _OrbitTable:
+    """Canonical forms modulo a group of conjugators, one orbit at a time.
+
+    The first tuple met from an orbit has its whole orbit built and every
+    member mapped to the orbit's least tuple; later members are a dict
+    lookup.  Because the conjugators form a group, the orbit of any
+    member is the same set, so the result equals ``canonical_form``.
+    Members are keyed by packed images, which take a small fraction of
+    the memory of tuples of ``Permutation`` objects."""
+
+    def __init__(self, conjugators: list[Permutation]) -> None:
+        self.conjugators = conjugators
+        self.canonical: dict[bytes, NielsenElement] = {}
+
+    def __call__(self, element: NielsenElement) -> NielsenElement:
+        rep = self.canonical.get(_key(element))
+        if rep is None:
+            orbit = [tuple(p.conjugate(h) for p in element) for h in self.conjugators]
+            rep = min(orbit)
+            self.canonical.update(dict.fromkeys(map(_key, orbit), rep))
+        return rep
+
+
+def _orbit_table(spec: NielsenClassSpec) -> _OrbitTable:
+    """The spec's orbit table, shared by enumeration and braid walks."""
+    table = getattr(spec, "_orbit_table_cache", None)
+    if table is None:
+        table = _OrbitTable(spec.equivalence_conjugators())
+        object.__setattr__(spec, "_orbit_table_cache", table)
+    return table
+
+
 def enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
     """All canonical representatives, sorted: backtrack over the first
     r-1 positions, force the last entry by product-one, check class
-    membership and generation, then reduce modulo the equivalence.
-    Results are cached on the spec instance."""
+    membership, then reduce modulo the equivalence and test generation
+    once per orbit.  Results are cached on the spec instance."""
     cached = getattr(spec, "_enumeration_cache", None)
     if cached is not None:
         return cached
@@ -161,8 +200,11 @@ def _enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
             )
     target_order = spec.group.order()
     degree = spec.group.degree
-    conjugators = spec.equivalence_conjugators()
-    found: set[NielsenElement] = set()
+    canonical = _orbit_table(spec)
+    # Generation is invariant under conjugation, so it is tested once per
+    # orbit: ``tested`` holds the representative of every orbit met.
+    tested: set[NielsenElement] = set()
+    found: list[NielsenElement] = []
     for ordering in orderings:
         classes = [base_classes[i] for i in ordering]
         last_class = set(classes[-1])
@@ -170,11 +212,12 @@ def _enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
             last = product(prefix, degree).inverse()
             if last not in last_class:
                 continue
-            element = prefix + (last,)
-            generated = GeneratedGroup(degree, list(element))
-            if generated.order() != target_order:
+            rep = canonical(prefix + (last,))
+            if rep in tested:
                 continue
-            found.add(canonical_form(element, conjugators))
+            tested.add(rep)
+            if GeneratedGroup(degree, list(rep)).order() == target_order:
+                found.append(rep)
     return sorted(found)
 
 
@@ -221,7 +264,7 @@ def braid_orbits(spec: NielsenClassSpec) -> list[list[NielsenElement]]:
     """Partition of the canonical representatives into braid-group
     orbits, by closure under the twists and the shift."""
     reps = enumerate_class(spec)
-    conjugators = spec.equivalence_conjugators()
+    canonical = _orbit_table(spec)
     index = {rep: i for i, rep in enumerate(reps)}
     seen_reps: set[int] = set()
     orbits: list[list[NielsenElement]] = []
@@ -239,7 +282,7 @@ def braid_orbits(spec: NielsenClassSpec) -> list[list[NielsenElement]]:
         while queue:
             e = queue.popleft()
             for w in gens:
-                moved = canonical_form(braid_apply(e, w), conjugators)
+                moved = canonical(braid_apply(e, w))
                 if moved in visited:
                     continue
                 visited.add(moved)
@@ -257,14 +300,13 @@ def h3_structure(spec: NielsenClassSpec) -> dict:
     inner equivalence and report the induced action on class orderings."""
     if spec.r != 3:
         raise ValueError("this report requires r = 3")
-    inner = spec.group.elements()
-    elements = enumerate_class(
-        NielsenClassSpec(
-            spec.group, spec.class_reps, EquivalenceMode.INNER, search_cap=spec.search_cap
-        )
+    inner = NielsenClassSpec(
+        spec.group, spec.class_reps, EquivalenceMode.INNER, search_cap=spec.search_cap
     )
+    elements = enumerate_class(inner)
+    canonical = _orbit_table(inner)
     squares_trivial = all(
-        canonical_form(braid_apply(e, f"q{i} q{i}"), inner) == e
+        canonical(braid_apply(e, f"q{i} q{i}")) == e
         for e in elements
         for i in (1, 2)
     )

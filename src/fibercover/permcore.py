@@ -229,6 +229,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     Unmentioned letters are fixed; the empty string and ``()`` are the
     identity (matching how the identity prints).
     """
+    if not isinstance(text, str):
+        raise TypeError(f"cycle notation must be a string, got {text!r}")
     stripped = text.strip()
     if stripped == "()":
         return identity(degree)

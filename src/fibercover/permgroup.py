@@ -9,8 +9,9 @@ guard the operations that would not scale past that.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from math import factorial
 
 from .permcore import Permutation, _from_images, identity
 
@@ -437,17 +438,34 @@ class GeneratedGroup:
     def normalizer_in_symmetric(
         self, degree_cap: int = DEFAULT_NORMALIZER_DEGREE_CAP
     ) -> "GeneratedGroup":
-        """Brute-force N_{S_n}(G); capped by degree."""
-        if self.degree > degree_cap:
+        """N_{S_n}(G), capped by degree.  Grown from G by the permutations
+        that carry one generator g1 onto an element of G of its cycle
+        type: one target per G-class suffices because G lies in N, and
+        g1 is the generator with the smallest centralizer in S_n, which
+        keeps the candidates fewest."""
+        n = self.degree
+        if n > degree_cap:
             raise CapExceededError(
-                f"normalizer brute force capped at degree {degree_cap}"
+                f"normalizer search capped at degree {degree_cap}"
             )
-        gens: list[Permutation] = []
-        for images in itertools.permutations(range(1, self.degree + 1)):
-            h = _from_images(images)
-            if all(self.contains(g.conjugate(h)) for g in self.generators):
-                gens.append(h)
-        return GeneratedGroup(self.degree, gens)
+        if not self.generators or 2 * self._order >= factorial(n):
+            # The trivial group, and a subgroup of index at most 2, are
+            # normal in S_n.
+            return GeneratedGroup(n, _symmetric_generators(n))
+        g1 = min(self.generators, key=_centralizer_order)
+        shape = g1.cycle_type()
+        targets: list[Permutation] = []
+        covered: set[Permutation] = set()
+        for t in self.elements():
+            if t not in covered and t.cycle_type() == shape:
+                targets.append(t)
+                covered.update(self.conjugacy_class(t))
+        candidates = (h for t in targets for h in _conjugators_onto(g1, t))
+        return _subgroup_of(
+            self,
+            candidates,
+            lambda h: all(self.contains(g.conjugate(h)) for g in self.generators),
+        )
 
     def class_stabilizer(
         self,
@@ -468,5 +486,68 @@ class GeneratedGroup:
             )
             return mapped == multiset
 
-        gens = [h for h in ambient.elements() if preserves(h)]
-        return GeneratedGroup(self.degree, gens)
+        # G fixes each of its own classes, so it is a base to grow from
+        # whenever it lies in the ambient group.
+        base = self if self.is_subgroup(ambient) else GeneratedGroup(self.degree, [])
+        return _subgroup_of(base, ambient.elements(), preserves)
+
+
+def _subgroup_of(base: GeneratedGroup, candidates, keep) -> GeneratedGroup:
+    """The group generated by ``base`` and the candidates ``h`` with
+    ``keep(h)``.  A candidate is added only when the group so far lacks
+    it and it passes ``keep``, so the chain is rebuilt at most log2 of the
+    index times.  Membership is tested first: one sift, where ``keep``
+    may conjugate whole classes, and most candidates of a class
+    stabilizer lie in G already."""
+    group = base
+    for h in candidates:
+        if not group.contains(h) and keep(h):
+            group = GeneratedGroup(base.degree, group.generators + [h])
+    return group
+
+
+def _symmetric_generators(n: int) -> list[Permutation]:
+    """A transposition and an n-cycle; none for n = 1."""
+    if n == 1:
+        return []
+    cycle = _from_images(tuple(range(2, n + 1)) + (1,))
+    swap = _from_images((2, 1) + tuple(range(3, n + 1)))
+    return [swap, cycle]
+
+
+def _centralizer_order(p: Permutation) -> int:
+    """|C_{S_n}(p)|: the product of k**m * m! over cycle lengths k that
+    occur m times, fixed points included."""
+    result = 1
+    for k, m in Counter(p.cycle_type()).items():
+        result *= k**m * factorial(m)
+    return result
+
+
+def _conjugators_onto(p: Permutation, t: Permutation):
+    """Every h with ``p.conjugate(h) == t``, for ``t`` of the cycle type of
+    ``p``: h carries each cycle (a1 a2 ...) of ``p`` onto a cycle
+    (b1 b2 ...) of ``t`` of the same length, a_i to b_(i+s) for a
+    rotation s.  Yields |C_{S_n}(p)| permutations."""
+    by_length: dict[int, tuple[list, list]] = {}
+    for c in p.cycles(include_fixed=True):
+        by_length.setdefault(len(c), ([], []))[0].append(c)
+    for c in t.cycles(include_fixed=True):
+        by_length[len(c)][1].append(c)
+    choices = []
+    for k, (sources, dests) in by_length.items():
+        choices.append(
+            [
+                (sources, matched, shifts)
+                for matched in itertools.permutations(dests)
+                for shifts in itertools.product(range(k), repeat=len(sources))
+            ]
+        )
+    images = [0] * p.degree
+    for choice in itertools.product(*choices):
+        for sources, matched, shifts in choice:
+            for a, b, s in zip(sources, matched, shifts):
+                k = len(a)
+                for i, letter in enumerate(a):
+                    images[letter - 1] = b[(i + s) % k]
+        yield _from_images(tuple(images))

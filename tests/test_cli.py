@@ -1,9 +1,15 @@
 """End-to-end tests of the command-line interface, invoked in-process."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibercover import catalog
 from fibercover.cli import main
@@ -410,3 +416,163 @@ class TestGoldenStdout:
         assert main(_golden_argv(case, tmp_path)) == 0
         expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+
+# -- fuzzing: every subcommand keeps the exit-code contract --------------------
+
+_FUZZ_COVER = {
+    "degree": 4,
+    "branch_points": ["z1", "z2", "z3"],
+    "cycles": ["(1 2)", "(1 2 3 4)", "(1 4 3)"],
+}
+_FUZZ_PAIR = {
+    "branch_points": ["z1", "z2", "z3"],
+    "sigma": {"degree": 3, "cycles": ["(1 2)", "(1 2 3)", "(1 3)"]},
+    "tau": {"degree": 3, "cycles": ["(2 3)", "(1 2 3)", "(1 2)"]},
+}
+_FUZZ_SPEC = {
+    "degree": 4,
+    "generators": ["(1 2)", "(1 2 3 4)"],
+    "class_reps": ["(1 2)", "(1 2 3 4)", "(1 2 3)"],
+    "mode": "absolute",
+    "include_reorderings": True,
+}
+_FUZZ_ELEMENT = {
+    "degree": 4,
+    "entries": ["(1 2)", "(1 2 3 4)", "(1 4 3)"],
+    "group_generators": ["(1 2)", "(1 2 3 4)"],
+}
+_FUZZ_KEYS = sorted(
+    {k for doc in (_FUZZ_COVER, _FUZZ_PAIR, _FUZZ_SPEC, _FUZZ_ELEMENT) for k in doc}
+    | {"outer_elements"}
+)
+# Integers stay small: a mutated degree must not make one call expensive.
+_FUZZ_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.sampled_from(["absolute", "inner", "raw", "()", "(1 2)", "(2 3)"])
+    | st.sampled_from(["(1 2 3)", "(1 3 2)", "(1 2)(3 4)", "(1 2 3 4)", "(1 4 3)"])
+    | st.sampled_from([2.5, float("inf"), float("nan")])
+    | st.text("() 0123456-x", max_size=10)
+)
+_FUZZ_JSON = st.recursive(
+    _FUZZ_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _mutated(draw, base):
+    """``base`` with up to two values, at any depth, deleted or replaced
+    by a random value (often a plausible one); sometimes random JSON
+    instead."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_FUZZ_JSON)
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(0, 2))):
+        node = doc
+        while isinstance(node, (dict, list)) and node:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if draw(st.integers(0, 3)) == 0:
+                del node[key]
+            else:
+                node[key] = draw(_FUZZ_LEAVES | _FUZZ_JSON)
+            break
+    return doc
+
+
+def _fuzz_argv(draw, command, write):
+    if command in ("validate", "genus", "galois-genus", "ochar"):
+        return [command, write(draw(_mutated(_FUZZ_COVER)))]
+    if command == "fiber":
+        return ["fiber", write(draw(_mutated(_FUZZ_PAIR)))]
+    if command in ("enum", "braid-orbits"):
+        argv = ["nielsen", command, write(draw(_mutated(_FUZZ_SPEC)))]
+        mode = draw(st.sampled_from([None, "raw", "inner", "absolute"]))
+        return argv + (["--mode", mode] if mode else [])
+    if command == "coalesce":
+        at = draw(st.integers(-1, 4))
+        element = write(draw(_mutated(_FUZZ_ELEMENT)))
+        return ["nielsen", "coalesce", element, "--at", str(at)]
+    if command == "screen":
+        docs = [_FUZZ_COVER, _FUZZ_COVER, _FUZZ_PAIR]
+        i = draw(st.integers(0, 2))
+        docs[i] = draw(_mutated(docs[i]))
+        prw, g1, joint = map(write, docs)
+        return ["screen", prw, g1, "--joint", joint]
+    key = draw(st.text("abc-12", max_size=8))
+    if command == "catalog":
+        return ["catalog", "get", key]
+    degree = str(draw(st.integers(-1, 3)))
+    return ["growth", "--pair", key, "--g1-family", "cyclic", "--max-degree", degree]
+
+
+class TestFuzz:
+    """Random and mutated JSON on every subcommand: the exit code is one of
+    the documented ones and no traceback escapes."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "validate",
+            "genus",
+            "galois-genus",
+            "ochar",
+            "fiber",
+            "enum",
+            "braid-orbits",
+            "coalesce",
+            "screen",
+            "catalog",
+            "growth",
+        ],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_contract(self, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = iter(range(10))
+
+            def write(doc) -> str:
+                path = Path(tmp) / f"{next(paths)}.json"
+                path.write_text(json.dumps(doc))
+                return str(path)
+
+            argv = _fuzz_argv(data.draw, command, write)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    def test_infinite_degree_exit_4(self, tmp_path, capsys):
+        # JSON allows Infinity, and int(Infinity) raises OverflowError.
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(dict(_FUZZ_COVER, degree=float("inf"))))
+        assert main(["genus", str(path)]) == 4
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["fiber"], dict(_FUZZ_PAIR, sigma={"degree": 3, "cycles": [12, "(1 3)"]})),
+            (["nielsen", "enum"], dict(_FUZZ_SPEC, class_reps=[None, "(1 2)"])),
+            (["nielsen", "coalesce"], dict(_FUZZ_ELEMENT, entries=[["(1 2)"], "(1 2)"])),
+        ],
+        ids=["fiber", "enum", "coalesce"],
+    )
+    def test_non_string_cycle_exit_4(self, argv, doc, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + [str(path)]) == 4
+        assert "must be a string" in capsys.readouterr().err

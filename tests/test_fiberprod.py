@@ -366,6 +366,26 @@ class TestNoTensorChain:
         assert chain_degrees == []
 
 
+def test_y1_stabilizer_built_once_per_pair(monkeypatch):
+    """Every component's projection to the y-line reads Stab(m+1) of the
+    joint group from the pair, so it is built once, not per component."""
+    letters = []
+    original = permgroup.GeneratedGroup.point_stabilizer
+
+    def recording(group, letter):
+        letters.append((group.degree, letter))
+        return original(group, letter)
+
+    monkeypatch.setattr(permgroup.GeneratedGroup, "point_stabilizer", recording)
+    source = catalog.get("sm-pair-7")
+    m, n = source.degree_x, source.degree_y
+    pair = PairedCover(source.branch_points, source.sigma, source.tau, m, n)
+    assert len(pair.components) == 2
+    for component in pair.components:
+        assert component.pry_branch_cycles().validate().valid
+    assert letters.count((m + n, m + 1)) == 1
+
+
 class TestAboveOrderCap:
     """Transitivity and components come from generator orbits, so a cover
     whose monodromy group exceeds the order cap still validates and still

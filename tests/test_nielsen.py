@@ -1,6 +1,9 @@
 """Unit tests for Nielsen classes: enumeration, equivalence, braid
 action, coalescing."""
 
+import runpy
+from pathlib import Path
+
 import pytest
 
 from fibercover import catalog, nielsen
@@ -252,3 +255,15 @@ class TestPairedEnumerate:
     def test_sigma_covers_have_genus_zero(self, hs_m5_pairs):
         for pair in hs_m5_pairs:
             assert pair.sigma_cover().genus() == 0
+
+
+def test_survey_script_stdout_matches_golden(capsys):
+    """``scripts/nielsen_survey.py`` prints every canonical representative
+    of the three absolute degree-7 classes in all orderings; its stdout is
+    compared byte for byte with a capture from before the orbit table."""
+    root = Path(__file__).parent.parent
+    runpy.run_path(str(root / "scripts" / "nielsen_survey.py"), run_name="__main__")
+    expected = (root / "tests" / "golden" / "nielsen_survey.txt").read_text(
+        encoding="utf-8"
+    )
+    assert capsys.readouterr().out == expected

@@ -9,12 +9,18 @@
 * components and subgroup witnesses, found without a chain on the
   tensor letters, match the group generated by the tensor cycles;
 * braid moves preserve Nielsen-class membership;
+* Nielsen counts: a class-algebra count of product-one tuples equals a
+  plain loop, raw enumeration lists exactly the generating tuples the
+  loop finds, and raw = inner representatives times |G : Z(G)|;
+* the normalizer and class stabilizer equal a sweep over all of S_n;
 * quotient covers never have larger genus than the cover they come
   from.
 """
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
+from itertools import product as cartesian
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +281,235 @@ class TestBraidsPreserveMembership:
         reps = set(elements)
         for e in elements:
             assert canonical_form(braid_apply(e, word), conjugators) in reps
+
+
+
+# -- Nielsen counts against an independent count -------------------------------
+#
+# Everything below works on image tuples with its own arithmetic, so that
+# it shares no code with the package beyond the inputs.
+
+
+def _mul(a, b):
+    """Apply ``a``, then ``b``."""
+    return tuple(b[i - 1] for i in a)
+
+
+def _inv(a):
+    out = [0] * len(a)
+    for i, j in enumerate(a, start=1):
+        out[j - 1] = i
+    return tuple(out)
+
+
+def _closure(gens, n, stop=None):
+    """Elements of the group generated by ``gens``; with ``stop``, gives up
+    as soon as more than ``stop`` elements are found."""
+    one = tuple(range(1, n + 1))
+    found = {one}
+    todo = [one]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = _mul(x, g)
+            if y not in found:
+                found.add(y)
+                todo.append(y)
+                if stop is not None and len(found) > stop:
+                    return found
+    return found
+
+
+def _conjugacy_classes(elements, gens):
+    """The classes of the group, as frozensets, by conjugation walks."""
+    left = set(elements)
+    classes = []
+    while left:
+        start = left.pop()
+        cls = {start}
+        todo = [start]
+        while todo:
+            x = todo.pop()
+            for g in gens:
+                y = _mul(_mul(_inv(g), x), g)
+                if y not in cls:
+                    cls.add(y)
+                    todo.append(y)
+        left -= cls
+        classes.append(frozenset(cls))
+    return classes
+
+
+def _class_algebra_count(classes, slots, n):
+    """Product-one tuples with entry i in ``slots[i]``, by a DP over
+    conjugacy classes: ``per[K]`` is the number of prefixes whose product
+    is one given element of class K, the same for every element of K."""
+    index = {x: k for k, cls in enumerate(classes) for x in cls}
+    one = tuple(range(1, n + 1))
+    per = [1 if one in cls else 0 for cls in classes]
+    for slot in slots:
+        reps = [next(iter(cls)) for cls in classes]
+        per = [sum(per[index[_mul(z, _inv(x))]] for x in slot) for z in reps]
+    return per[index[one]]
+
+
+def _plain_count(slots, n, order):
+    """(product-one tuples, the generating ones among them), by a loop over
+    the first r-1 entries."""
+    one = tuple(range(1, n + 1))
+    last_slot = slots[-1]
+    total = 0
+    generating = set()
+    for prefix in cartesian(*slots[:-1]):
+        prod = one
+        for x in prefix:
+            prod = _mul(prod, x)
+        last = _inv(prod)
+        if last in last_slot:
+            total += 1
+            element = prefix + (last,)
+            # A proper subgroup has at most half the order.
+            if len(_closure(element, n, stop=order // 2)) > order // 2:
+                generating.add(element)
+    return total, generating
+
+
+def _check_nielsen_counts(group, class_reps) -> int:
+    """Check the counts of one class in its given order of classes;
+    returns the number of generating tuples."""
+    n = group.degree
+    gens = [g.images for g in group.generators]
+    elements = _closure(gens, n)
+    classes = _conjugacy_classes(elements, gens)
+    slots = [next(c for c in classes if rep.images in c) for rep in class_reps]
+    total, generating = _plain_count(slots, n, len(elements))
+    assert _class_algebra_count(classes, slots, n) == total
+
+    def spec(mode):
+        return NielsenClassSpec(group, class_reps, mode, include_reorderings=False)
+
+    raw = enumerate_class(spec(EquivalenceMode.RAW))
+    assert {tuple(p.images for p in e) for e in raw} == generating
+    center = [z for z in elements if all(_mul(z, g) == _mul(g, z) for g in gens)]
+    inner = enumerate_class(spec(EquivalenceMode.INNER))
+    assert len(raw) == len(inner) * (len(elements) // len(center))
+    return len(raw)
+
+
+class TestNielsenCounts:
+    @pytest.mark.parametrize(
+        "key", ["deg7-class-2.4.7", "deg7-class-3.2.7", "deg7-class-2^3.7"]
+    )
+    def test_catalog_classes(self, key):
+        spec = catalog.get(key)
+        _check_nielsen_counts(spec.group, spec.class_reps)
+
+    def test_hilbert_siegel_class(self):
+        spec = catalog.get("hilbert-siegel-m5").joint_spec
+        _check_nielsen_counts(spec.group, spec.class_reps)
+
+    def test_random_small_groups(self):
+        rng = random.Random(6047)
+        nonempty = 0
+        for _ in range(40):
+            n = rng.randint(3, 5)
+            group = GeneratedGroup(
+                n, [_random_symmetric(rng, n) for _ in range(rng.randint(1, 2))]
+            )
+            elements = group.elements()
+            reps = tuple(rng.choice(elements) for _ in range(rng.randint(2, 4)))
+            nonempty += _check_nielsen_counts(group, reps) > 0
+        # Some of the random classes must be nonempty for the check to bite.
+        assert nonempty >= 5
+
+
+# -- normalizer and class stabilizer against a sweep over S_n --------------------
+
+
+def _conj(x, h):
+    return _mul(_mul(_inv(h), x), h)
+
+
+def _brute_normalizer(group):
+    """Images of every h in S_n that conjugates each generator into G."""
+    gens = [g.images for g in group.generators]
+    elements = _closure(gens, group.degree)
+    return {
+        h
+        for h in permutations(range(1, group.degree + 1))
+        if all(_conj(g, h) in elements for g in gens)
+    }
+
+
+def _brute_class_stabilizer(classes, ambient):
+    """Images of every h in ``ambient`` whose conjugation maps the class
+    multiset onto itself; classes are lists of ``Permutation``."""
+    class_sets = [frozenset(x.images for x in c) for c in classes]
+    multiset = Counter(class_sets)
+    return {
+        h
+        for h in ambient
+        if Counter(frozenset(_conj(x, h) for x in c) for c in class_sets) == multiset
+    }
+
+
+def _images(group):
+    return {p.images for p in group.elements()}
+
+
+def _random_generators(rng, n):
+    """Zero to three generators; each moves a random subset of the letters,
+    so the group is often intransitive."""
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        images = list(range(1, n + 1))
+        moved = rng.sample(range(n), rng.randint(0, n))
+        values = [images[i] for i in moved]
+        rng.shuffle(values)
+        for i, v in zip(moved, values):
+            images[i] = v
+        gens.append(Permutation(tuple(images)))
+    return gens
+
+
+class TestNormalizerOracle:
+    def test_random_generator_sets(self):
+        rng = random.Random(8221)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            group = GeneratedGroup(n, _random_generators(rng, n))
+            normalizer = group.normalizer_in_symmetric()
+            brute = _brute_normalizer(group)
+            assert _images(normalizer) == brute
+            elements = group.elements()
+            classes = [
+                group.conjugacy_class(rng.choice(elements))
+                for _ in range(rng.randint(1, 3))
+            ]
+            stab = group.class_stabilizer(classes)
+            assert _images(stab) == _brute_class_stabilizer(classes, brute)
+            # An ambient group that need not contain G.
+            ambient = GeneratedGroup(n, _random_generators(rng, n))
+            stab = group.class_stabilizer(classes, ambient=ambient)
+            assert _images(stab) == _brute_class_stabilizer(classes, _images(ambient))
+
+    def test_psl27_on_the_projective_line(self):
+        # PSL(2,7) on P^1(F_7): letters 1..7 are 0..6, letter 8 is infinity.
+        # Its normalizer in S_8 is PGL(2,7), of order 336.
+        def moebius(f):
+            return Permutation(
+                tuple(8 if f(x) is None else f(x) + 1 for x in [*range(7), None])
+            )
+
+        shift = moebius(lambda x: None if x is None else (x + 1) % 7)
+        flip = moebius(
+            lambda x: 0 if x is None else None if x == 0 else -pow(x, 5, 7) % 7
+        )
+        group = GeneratedGroup(8, [shift, flip])
+        assert group.order() == 168
+        normalizer = group.normalizer_in_symmetric()
+        assert normalizer.order() == 336
+        assert group.is_subgroup(normalizer)
 
 
 # -- quotient genus never exceeds the cover genus ------------------------------
