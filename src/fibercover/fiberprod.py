@@ -451,9 +451,13 @@ class Component:
         conjugacy classes produced by the local data, product one, and
         generating the projection's monodromy group.
 
-        The raw local representatives are each conjugated by an element
-        of the monodromy group (found by a deterministic reachability
-        search) to restore product-one; identity entries are dropped.
+        Identity entries are dropped, and each remaining local
+        representative is conjugated within the monodromy group by
+        ``_product_one_adjust``: a lazy depth-first search over one
+        conjugate per entry that returns the first product-one choice, in
+        a fixed order, that generates the group.  The search is refused
+        with ``CapExceededError`` when the group order times the number of
+        entries exceeds ``search_cap``.
         """
         ell = self.deg_over_y
         entries = [(lab, p) for lab, p in self._pry_entry_data if not p.is_identity]
@@ -475,70 +479,90 @@ def _product_one_adjust(
     image_group: GeneratedGroup,
     search_cap: int,
 ) -> list[Permutation]:
-    """Conjugate each entry within its image-group class so the ordered
-    product is the identity and the entries generate the image group.
+    """Conjugate each entry within its image-group class so that the
+    ordered product is the identity and the entries generate the image
+    group.
 
-    Uses forward reachability over partial products (state space bounded
-    by |image group|), then a deterministic backtrack that prefers the
-    untouched representatives; tries successive solutions until one
-    generates the whole image group.
+    Each entry's class is listed once per distinct entry, in order of
+    the first conjugator among the sorted group elements, so the entry
+    itself comes first.  ``_realizations`` yields the product-one
+    choices lazily in lexicographic order of those lists; the first one
+    that generates the image group is returned.  The search visits at
+    most |image group| partial products per position, so that product
+    with the number of entries is checked against ``search_cap`` before
+    any element is listed.
     """
-    elements = image_group.elements()
-    if len(elements) * len(perms) > search_cap:
+    order = image_group.order()
+    estimate = order * len(perms)
+    if estimate > search_cap:
         raise CapExceededError(
-            "product-one adjustment search space exceeds cap"
+            f"product-one adjustment search space {estimate} (image group "
+            f"order {order} x {len(perms)} entries) exceeds cap {search_cap}; "
+            "raise the search_cap parameter of Component.pry_branch_cycles"
         )
-    target_order = image_group.order()
-    # Distinct conjugates of each entry, original representative first.
-    conjugate_sets: list[list[Permutation]] = []
+    elements = image_group.elements()
+    classes: dict[Permutation, list[Permutation]] = {}
     for p in perms:
-        seen = {p}
-        ordered = [p]
-        for h in elements:
-            q = p.conjugate(h)
-            if q not in seen:
-                seen.add(q)
-                ordered.append(q)
-        conjugate_sets.append(ordered)
-    # Backward feasibility: feasible[j] = products completable to identity
-    # using entries j..end.
-    s = len(perms)
-    feasible: list[set[Permutation]] = [set() for _ in range(s + 1)]
-    feasible[s] = {identity(image_group.degree)}
-    for j in range(s - 1, -1, -1):
-        for q in conjugate_sets[j]:
-            q_inv = q.inverse()
-            for target in feasible[j + 1]:
-                feasible[j].add(target * q_inv)
-    start = identity(image_group.degree)
-    if start not in feasible[0]:
-        raise RuntimeError("no product-one realization exists in these classes")
-
-    for chosen in _realizations(conjugate_sets, feasible, 0, start):
-        if GeneratedGroup(image_group.degree, chosen).order() == target_order:
+        if p not in classes:
+            classes[p] = list(dict.fromkeys(p.conjugate(h) for h in elements))
+    found = False
+    for chosen in _realizations([classes[p] for p in perms], image_group.degree):
+        found = True
+        if GeneratedGroup(image_group.degree, chosen).order() == order:
             return chosen
+    if not found:
+        raise RuntimeError("no product-one realization exists in these classes")
     raise RuntimeError(
         "no generating product-one realization found in these classes"
     )
 
 
-def _realizations(
-    conjugate_sets: list[list[Permutation]],
-    feasible: list[set[Permutation]],
-    j: int,
-    prefix: Permutation,
-):
-    """Depth-first, every choice of one entry per position from ``j`` on
-    that keeps the partial product in the feasible sets.  Not a recursive
-    closure: that is a reference cycle, which keeps the sets alive."""
-    if j == len(conjugate_sets):
-        yield []
+def _realizations(choices: list[list[Permutation]], degree: int):
+    """Every choice of one entry per position whose ordered product is
+    the identity, in lexicographic order of the positions' lists.
+
+    A lazy depth-first search on an explicit stack.  The last entry is
+    forced: the inverse of the product before it.  A (position, partial
+    product) state is recorded as dead once it has been explored in full
+    without a completion, and is never entered again; a state that did
+    complete may be entered again under another prefix, whose
+    completions are new choices.  Not a recursive closure: that is a
+    reference cycle, which keeps the search state alive."""
+    one = identity(degree)
+    last = set(choices[-1])
+    if len(choices) == 1:
+        if one in last:
+            yield [one]
         return
-    for q in conjugate_sets[j]:
-        nxt = prefix * q
-        if nxt in feasible[j + 1]:
-            for rest in _realizations(conjugate_sets, feasible, j + 1, nxt):
-                yield [q] + rest
+    final = len(choices) - 2
+    dead: list[set[Permutation]] = [set() for _ in choices]
+    prefixes = [one]
+    chosen: list[Permutation] = []
+    frames = [iter(choices[0])]
+    # Frames below ``live`` have seen a completion since they were entered.
+    live = 0
+    while frames:
+        j = len(frames) - 1
+        q = next(frames[j], None)
+        if q is None:
+            frames.pop()
+            if j >= live:
+                dead[j].add(prefixes[j])
+            live = min(live, j)
+            prefixes.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        nxt = prefixes[j] * q
+        if j == final:
+            closing = nxt.inverse()
+            if closing in last:
+                live = len(frames)
+                yield chosen + [q, closing]
+        elif nxt not in dead[j + 1]:
+            chosen.append(q)
+            prefixes.append(nxt)
+            frames.append(iter(choices[j + 1]))
 
 
 # -- whole-pair operations ---------------------------------------------------

@@ -234,22 +234,21 @@ class GeneratedGroup:
         return self._chain.contains(g)
 
     def elements(self) -> list[Permutation]:
-        """Full element list (closure enumeration), sorted; cached."""
+        """Every element, sorted; cached.  Listed from the stabilizer
+        chain: each element is one product t_k * ... * t_1 of transversal
+        elements, one per level from the deepest up, so the list costs
+        about |G| products and needs no membership test."""
         if self._elements is None:
             if self._order > _CLOSURE_FALLBACK_CAP:
                 raise CapExceededError(
                     f"element enumeration capped at {_CLOSURE_FALLBACK_CAP}; "
                     f"group has order {self._order}"
                 )
-            found = {identity(self.degree)}
-            queue = [identity(self.degree)]
-            while queue:
-                x = queue.pop()
-                for g in self.generators:
-                    y = x * g
-                    if y not in found:
-                        found.add(y)
-                        queue.append(y)
+            found = [identity(self.degree)]
+            for lvl in reversed(self._chain.levels):
+                if len(lvl.transversal) > 1:
+                    coset_reps = list(lvl.transversal.values())
+                    found = [x * u for x in found for u in coset_reps]
             self._elements = sorted(found)
         return self._elements
 
@@ -487,8 +486,14 @@ class GeneratedGroup:
             return mapped == multiset
 
         # G fixes each of its own classes, so it is a base to grow from
-        # whenever it lies in the ambient group.
-        base = self if self.is_subgroup(ambient) else GeneratedGroup(self.degree, [])
+        # whenever it lies in the ambient group, and the answer when it
+        # is the ambient group.
+        if not self.is_subgroup(ambient):
+            base = GeneratedGroup(self.degree, [])
+        elif self._order == ambient.order():
+            return self
+        else:
+            base = self
         return _subgroup_of(base, ambient.elements(), preserves)
 
 

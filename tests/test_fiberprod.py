@@ -1,7 +1,9 @@
 """Unit tests for fiber products: components, genuses by both methods,
 projections, ramification, screening."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from fibercover.fiberprod import (
 )
 from fibercover.permcore import identity, parse_cycles
 from fibercover.permgroup import CapExceededError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -412,3 +416,32 @@ class TestAboveOrderCap:
         sigma = s11.cycles + (one,)
         with pytest.raises(CapExceededError):
             PairedCover(s11.branch_points + ("z4",), sigma, sigma, 11, 11)
+
+
+class TestProjectionAdjustment:
+    """The product-one adjustment behind ``pry_branch_cycles``."""
+
+    def test_search_cap_trips_before_listing_elements(self, monkeypatch):
+        def refuse(group):
+            raise AssertionError("elements listed before the cap check")
+
+        monkeypatch.setattr(permgroup.GeneratedGroup, "elements", refuse)
+        pair = catalog.build_sm_pair(8)
+        component = max(pair.components, key=lambda c: c.deg_over_y)
+        entries = [p for _, p in component._pry_entry_data if not p.is_identity]
+        order = component._pry_image_group.order()
+        estimate = order * len(entries)
+        with pytest.raises(CapExceededError) as info:
+            component.pry_branch_cycles(search_cap=100)
+        message = str(info.value)
+        assert f"search space {estimate} " in message
+        assert "exceeds cap 100" in message
+        assert "search_cap parameter of Component.pry_branch_cycles" in message
+
+    def test_sm_pair_9_projections_match_golden(self):
+        """Every projection of ``sm-pair-9``, byte for byte as captured
+        with the backward-table search this adjustment replaced."""
+        pair = catalog.get("sm-pair-9")
+        covers = [c.pry_branch_cycles().to_json_dict() for c in pair.components]
+        expected = (GOLDEN / "pry_sm-pair-9.json").read_text(encoding="utf-8")
+        assert json.dumps(covers, indent=2) + "\n" == expected

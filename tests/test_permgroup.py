@@ -248,3 +248,17 @@ class TestNormalizer:
         ]
         stab = deg7.class_stabilizer(classes)
         assert stab.order() == 168  # normalizer = G and G fixes its classes
+
+    def test_class_stabilizer_in_the_group_itself(self, monkeypatch):
+        """With ambient = G, G fixes its own classes and is the answer: no
+        element of the ambient group is listed."""
+        s8 = GeneratedGroup(
+            8, [parse_cycles("(1 2)", 8), parse_cycles("(1 2 3 4 5 6 7 8)", 8)]
+        )
+        classes = [s8.conjugacy_class(g) for g in s8.generators]
+
+        def refuse(group):
+            raise AssertionError("ambient elements listed")
+
+        monkeypatch.setattr(GeneratedGroup, "elements", refuse)
+        assert s8.class_stabilizer(classes, ambient=s8).order() == 40320

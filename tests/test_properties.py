@@ -13,6 +13,9 @@
   plain loop, raw enumeration lists exactly the generating tuples the
   loop finds, and raw = inner representatives times |G : Z(G)|;
 * the normalizer and class stabilizer equal a sweep over all of S_n;
+* group elements listed from the stabilizer chain equal a closure walk;
+* the lazy product-one adjustment returns what the backward-table
+  search returns, and yields every product-one choice in its order;
 * quotient covers never have larger genus than the cover they come
   from.
 """
@@ -30,7 +33,9 @@ from fibercover import catalog, nielsen
 from fibercover.cover import Cover
 from fibercover.fiberprod import (
     PairedCover,
+    _product_one_adjust,
     _quotient_covers,
+    _realizations,
     pair_covers_over_common_points,
 )
 from fibercover.nielsen import (
@@ -40,7 +45,14 @@ from fibercover.nielsen import (
     canonical_form,
     enumerate_class,
 )
-from fibercover.permcore import Permutation, identity, parse_cycles
+from fibercover.permcore import (
+    Permutation,
+    direct_sum,
+    identity,
+    parse_cycles,
+    product,
+    split,
+)
 from fibercover.permgroup import GeneratedGroup
 
 # -- random element generators ------------------------------------------------
@@ -510,6 +522,180 @@ class TestNormalizerOracle:
         normalizer = group.normalizer_in_symmetric()
         assert normalizer.order() == 336
         assert group.is_subgroup(normalizer)
+
+
+# -- element listing against a closure walk ------------------------------------
+
+
+class TestElementListing:
+    def test_random_generator_sets(self):
+        rng = random.Random(3571)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            gens = _random_generators(rng, n)
+            group = GeneratedGroup(n, gens)
+            listed = group.elements()
+            assert [p.images for p in listed] == sorted(
+                _closure([g.images for g in gens], n)
+            )
+            assert len(listed) == group.order()
+
+
+# -- product-one adjustment against the backward-table search -----------------
+
+
+def _backward_table(options, n):
+    """``feasible[j]``: the partial products that one choice from each of
+    ``options[j:]`` (lists of image tuples) completes to one."""
+    feasible = [set() for _ in range(len(options) + 1)]
+    feasible[-1].add(tuple(range(1, n + 1)))
+    for j in range(len(options) - 1, -1, -1):
+        for q in options[j]:
+            # ``t * q^-1`` as a lookup: ``back[i]`` is the preimage of i.
+            back = (0,) + _inv(q)
+            feasible[j].update(tuple(map(back.__getitem__, t)) for t in feasible[j + 1])
+    return feasible
+
+
+def _table_walk(options, feasible, j, prefix):
+    """Depth-first, in list order, every choice from ``options[j:]`` that
+    keeps the partial product inside the feasible sets."""
+    if j == len(options):
+        yield []
+        return
+    for q in options[j]:
+        nxt = _mul(prefix, q)
+        if nxt in feasible[j + 1]:
+            for rest in _table_walk(options, feasible, j + 1, nxt):
+                yield [q] + rest
+
+
+def _backward_table_adjust(perms, image_group):
+    """The product-one adjustment as a backward feasibility table over the
+    whole image group, on image tuples: the conjugates of each entry in
+    order of the first conjugator among the sorted elements, the table,
+    then the walk inside it.  Returns the first realization that
+    generates the image group; raises the library's errors when there is
+    none."""
+    n = image_group.degree
+    one = tuple(range(1, n + 1))
+    elements = sorted(_closure([g.images for g in image_group.generators], n))
+    options = [list(dict.fromkeys(_conj(p.images, h) for h in elements)) for p in perms]
+    feasible = _backward_table(options, n)
+    if one not in feasible[0]:
+        raise RuntimeError("no product-one realization exists in these classes")
+    for chosen in _table_walk(options, feasible, 0, one):
+        if len(_closure(chosen, n)) == len(elements):
+            return chosen
+    raise RuntimeError("no generating product-one realization found in these classes")
+
+
+def _check_adjustment(component) -> int:
+    """Compare the library's adjustment of one component's projection with
+    the backward-table search; returns the number of entries adjusted."""
+    perms = [p for _, p in component._pry_entry_data if not p.is_identity]
+    if component.deg_over_y == 1 or not perms:
+        return 0
+    image_group = component._pry_image_group
+    try:
+        expected = _backward_table_adjust(perms, image_group)
+    except RuntimeError as exc:
+        # Over a y-curve of positive genus the local data alone need not
+        # multiply to one; both searches must then fail alike.
+        with pytest.raises(RuntimeError, match=str(exc)):
+            _product_one_adjust(perms, image_group, 10**7)
+        return 0
+    adjusted = _product_one_adjust(perms, image_group, 10**7)
+    assert [p.images for p in adjusted] == expected
+    return len(perms)
+
+
+def _conjugated_pair(pair, rng):
+    """``pair`` with its x-letters and y-letters renamed by the two parts
+    of a random element of its joint group."""
+    m, n = pair.degree_x, pair.degree_y
+    joint = [direct_sum(a, b) for a, b in zip(pair.sigma, pair.tau)]
+    word = product([rng.choice(joint) for _ in range(4 * (m + n))], m + n)
+    g, h = split(word, m)
+    return PairedCover(
+        pair.branch_points,
+        tuple(p.conjugate(g) for p in pair.sigma),
+        tuple(p.conjugate(h) for p in pair.tau),
+        m,
+        n,
+    )
+
+
+class TestProductOneAdjustmentOracle:
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "d4-paired",
+            "deg7-pair-1",
+            "deg7-pair-2",
+            "sm-pair-5",
+            "sm-pair-7",
+            "sm-pair-9",
+        ],
+    )
+    def test_catalog_pairs(self, key):
+        pair = catalog.get(key)
+        assert sum(_check_adjustment(c) for c in pair.components) > 0
+
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_seeded_conjugates_of_sm_pairs(self, m):
+        rng = random.Random(7919 + m)
+        source = catalog.build_sm_pair(m)
+        for _ in range(2):
+            pair = _conjugated_pair(source, rng)
+            assert sum(_check_adjustment(c) for c in pair.components) > 0
+
+    def test_random_weak_pairs(self):
+        rng = random.Random(6689)
+        adjusted = sum(
+            _check_adjustment(c)
+            for _ in range(20)
+            for c in _random_weak_pair(rng).components
+        )
+        assert adjusted > 0
+
+    def test_every_realization_in_order(self):
+        """The lazy search yields every product-one choice, in the order of
+        the table walk: a state that completed is entered again under
+        another prefix; only exhausted states are skipped."""
+        rng = random.Random(4421)
+        walked = 0
+        for _ in range(60):
+            n = rng.randint(3, 4)
+            group = GeneratedGroup(n, [_random_symmetric(rng, n) for _ in range(2)])
+            elements = group.elements()
+            perms = [rng.choice(elements) for _ in range(rng.randint(1, 5))]
+            options = [
+                list(dict.fromkeys(p.conjugate(h) for h in elements)) for p in perms
+            ]
+            tuples = [[q.images for q in qs] for qs in options]
+            one = tuple(range(1, n + 1))
+            expected = list(_table_walk(tuples, _backward_table(tuples, n), 0, one))
+            found = [[q.images for q in r] for r in _realizations(options, n)]
+            assert found == expected
+            walked += len(expected)
+        assert walked > 1000
+
+    def test_no_realization_raises(self):
+        s3 = GeneratedGroup(3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)])
+        # A transposition times a 3-cycle is odd: never the identity.
+        odd = [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)]
+        # Two transpositions multiply to one only when equal, and then
+        # generate a group of order 2.
+        two = [parse_cycles("(1 2)", 3), parse_cycles("(2 3)", 3)]
+        for perms, message in [
+            (odd, "no product-one realization exists"),
+            (two, "no generating product-one realization found"),
+        ]:
+            with pytest.raises(RuntimeError, match=message):
+                _backward_table_adjust(perms, s3)
+            with pytest.raises(RuntimeError, match=message):
+                _product_one_adjust(perms, s3, 10**6)
 
 
 # -- quotient genus never exceeds the cover genus ------------------------------
