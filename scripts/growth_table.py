@@ -15,22 +15,6 @@ from fibercover import catalog
 from fibercover.fiberprod import pair_covers_over_common_points, screen_g1
 
 
-def family_cover(family: str, degree: int, target):
-    if family == "chebyshev":
-        if len(target.branch_points) != 3:
-            return None
-        by_order = sorted(
-            zip(target.branch_points, target.cycles),
-            key=lambda bc: (bc[1].order(), bc[0]),
-        )
-        return catalog.build_chebyshev_cover(
-            degree, tuple(b for b, _ in by_order)
-        )
-    if family == "cyclic":
-        return catalog.build_cyclic_cover(degree, ("t1", "t2"))
-    raise ValueError(f"unknown family {family!r}")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pair", default="deg7-pair-2")
@@ -49,7 +33,7 @@ def main() -> None:
         for family in args.families:
             print(f"  family {family}:")
             for d in range(2, args.max_degree + 1):
-                g1 = family_cover(family, d, pry)
+                g1 = catalog.growth_family_cover(family, d, pry)
                 if g1 is None:
                     print("    (needs a three-branch-point target; skipped)")
                     break

@@ -27,6 +27,7 @@ __all__ = [
     "build_dihedral",
     "build_chebyshev_cover",
     "build_cyclic_cover",
+    "growth_family_cover",
     "build_hilbert_siegel_m5",
     "pairs_permutation",
     "has_second_representation",
@@ -178,6 +179,26 @@ def build_cyclic_cover(
     return Cover(d, labels, (rot, rot.inverse()))
 
 
+def growth_family_cover(family: str, degree: int, target: Cover) -> Cover | None:
+    """A degree-``degree`` cover from the named family, to compose with
+    ``target`` in a genus-growth table.  The ``chebyshev`` family aligns
+    its branch points with a three-point target (full cycle over the
+    target's highest-order branch point) and is None for any other
+    target; the ``cyclic`` family uses fresh branch points (generic
+    position)."""
+    if family == "chebyshev":
+        if len(target.branch_points) != 3:
+            return None
+        by_order = sorted(
+            zip(target.branch_points, target.cycles),
+            key=lambda bc: (bc[1].order(), bc[0]),
+        )
+        return build_chebyshev_cover(degree, tuple(b for b, _ in by_order))
+    if family == "cyclic":
+        return build_cyclic_cover(degree, ("t1", "t2"))
+    raise ValueError(f"unknown growth family {family!r}")
+
+
 @lru_cache(maxsize=None)
 def _d4_paired() -> PairedCover:
     """The order-8 dihedral group in its two degree-4 involution-coset
@@ -264,7 +285,8 @@ def build_hilbert_siegel_m5() -> PairedClassSpec:
 def has_second_representation(c: Cover) -> bool:
     """Whether the catalog knows a second, inequivalent transitive
     representation of this cover's monodromy group at the same degree
-    scale (used by the screening report's dec-var caveat)."""
+    scale: the degree-7 pair of PSL(2,7), or the standard and
+    unordered-pairs actions of S_m for m = 4..9."""
     order = c.group().order()
     if (c.degree, order) == (7, 168):
         return True

@@ -312,27 +312,6 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _growth_family_cover(family: str, degree: int, target: Cover) -> Cover:
-    """A degree-``degree`` composing cover from the named family.  The
-    Chebyshev family aligns its branch points with a three-point target
-    (full cycle over the target's highest-order branch point); the
-    cyclic family uses fresh branch points (generic position)."""
-    if family == "chebyshev":
-        if len(target.branch_points) != 3:
-            raise _BadInput(
-                "chebyshev alignment needs a three-branch-point target"
-            )
-        by_order = sorted(
-            zip(target.branch_points, target.cycles),
-            key=lambda bc: (bc[1].order(), bc[0]),
-        )
-        labels = (by_order[0][0], by_order[1][0], by_order[2][0])
-        return catalog.build_chebyshev_cover(degree, labels)
-    if family == "cyclic":
-        return catalog.build_cyclic_cover(degree, ("t1", "t2"))
-    raise _BadInput(f"unknown growth family {family!r}")
-
-
 def _cmd_growth(args) -> int:
     try:
         pair = catalog.get(args.pair)
@@ -350,13 +329,10 @@ def _cmd_growth(args) -> int:
             f"projection degree {pry.degree} over the y-line"
         )
         for d in range(2, args.max_degree + 1):
-            try:
-                g1 = _growth_family_cover(args.g1_family, d, pry)
-            except _BadInput:
-                if args.g1_family == "chebyshev":
-                    print("  (chebyshev alignment unavailable; skipped)")
-                    break
-                raise
+            g1 = catalog.growth_family_cover(args.g1_family, d, pry)
+            if g1 is None:
+                print("  (chebyshev alignment unavailable; skipped)")
+                break
             joint = pair_covers_over_common_points(pry, g1)
             genuses = sorted(c.genus_method1 for c in joint.components)
             flags = screen_g1(pry, g1, joint=joint)

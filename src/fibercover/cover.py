@@ -158,7 +158,7 @@ class Cover:
 
     # -- derived covers ---------------------------------------------------
 
-    def induced_cover(self, h: GeneratedGroup, labels: list[str] | None = None) -> "Cover":
+    def induced_cover(self, h: GeneratedGroup) -> "Cover":
         """The cover on the cosets of ``h``; identity images are dropped
         together with their branch-point labels."""
         perms, index = self.group().coset_action(h)

@@ -151,6 +151,11 @@ class CoverPair:
         return Cover.from_aligned(self.degree_y, self.branch_points, self.tau)
 
     @cached_property
+    def y_genus(self) -> int:
+        """The genus g_y of the y-cover (its tuple is validated at init)."""
+        return genus_from_tuple(self.degree_y, sum(p.index() for p in self.tau))
+
+    @cached_property
     def joint_group(self) -> GeneratedGroup:
         """The pair group acting on the disjoint union of the x-letters
         (1..m) and the y-letters (m+1..m+n)."""
@@ -188,17 +193,24 @@ class CoverPair:
     # -- components -------------------------------------------------------
 
     @cached_property
-    def components(self) -> list["Component"]:
+    def component_orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits of the joint group on tensor letters, by least letter,
         read off the tensor cycles without building their group."""
         found = orbits(self.tensor_cycles, self.degree_x * self.degree_y)
-        return [Component(self, tuple(o)) for o in found]
+        return tuple(tuple(o) for o in found)
+
+    @property
+    def components(self) -> list["Component"]:
+        """A new ``Component`` per orbit.  Caching these would close a
+        reference cycle with ``Component.pair``, which keeps the pair's
+        groups alive until the cycle collector runs."""
+        return [Component(self, o) for o in self.component_orbits]
 
     def component_containing(self, x: int, y: int) -> "Component":
         letter = _tensor_letter(x, y, self.degree_y)
-        for comp in self.components:
-            if letter in comp.letter_set:
-                return comp
+        for orbit in self.component_orbits:
+            if letter in orbit:
+                return Component(self, orbit)
         raise RuntimeError("tensor letter not covered by any orbit")
 
     # -- ramification ------------------------------------------------------
@@ -264,18 +276,6 @@ class PairedCover(CoverPair):
                 f"(orders {g1.order()}, {g2.order()}, "
                 f"joint {self.joint_group.order()})"
             )
-
-    @staticmethod
-    def from_covers(sigma_cover: Cover, tau_cover: Cover) -> "PairedCover":
-        if sigma_cover.branch_points != tau_cover.branch_points:
-            raise ValueError("branch point labels must agree")
-        return PairedCover(
-            sigma_cover.branch_points,
-            sigma_cover.cycles,
-            tau_cover.cycles,
-            sigma_cover.degree,
-            tau_cover.degree,
-        )
 
     @staticmethod
     def from_joint_tuple(
@@ -436,7 +436,7 @@ class Component:
         g_y is the y-cover's genus.  The indices are conjugation
         invariants, so no product-one adjustment is needed."""
         index_sum = sum(p.index() for _, p in self._pry_entry_data)
-        g_y = self.pair.tau_cover().genus()
+        g_y = self.pair.y_genus
         doubled = self.deg_over_y * (2 * g_y - 2) + index_sum + 2
         if doubled % 2 != 0 or doubled < 0:
             raise InvalidCoverError(
@@ -458,7 +458,17 @@ class Component:
         a fixed order, that generates the group.  The search is refused
         with ``CapExceededError`` when the group order times the number of
         entries exceeds ``search_cap``.
+
+        Raises ``InvalidCoverError`` before any search when the y-cover
+        has genus g_y > 0: the local cycles then satisfy
+        prod [a_i, b_i] * prod g_j = 1, and no product-one choice of them
+        need exist.
         """
+        if self.pair.y_genus > 0:
+            raise InvalidCoverError(
+                "projection branch cycles need a genus-0 y-cover; "
+                f"this y-cover has genus g_y = {self.pair.y_genus}"
+            )
         ell = self.deg_over_y
         entries = [(lab, p) for lab, p in self._pry_entry_data if not p.is_identity]
         image_group = self._pry_image_group
@@ -718,7 +728,6 @@ def screen_g1(
     pr_w: Cover,
     g1: Cover,
     joint: CoverPair | None = None,
-    second_representation_known: bool = False,
 ) -> ScreenReport:
     """Screen a component projection pr_w against a candidate composing
     cover g1 over the same target line."""
@@ -772,9 +781,7 @@ def screen_g1(
                 "the fiber product of the projection with g1 is reducible"
             )
 
-    dec_var = second_representation_known or bool(
-        pr_w.group().block_systems()
-    )
+    dec_var = bool(pr_w.group().block_systems())
     if dec_var:
         notes.append("dec-var not excluded")
 

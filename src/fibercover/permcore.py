@@ -151,9 +151,6 @@ class Permutation:
     def fixed_points(self) -> list[int]:
         return [i for i in range(1, self.degree + 1) if self.apply(i) == i]
 
-    def num_fixed(self) -> int:
-        return len(self.fixed_points())
-
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:

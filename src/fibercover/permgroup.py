@@ -1,9 +1,10 @@
 """Groups generated by permutations.
 
 Membership and order come from a deterministic stabilizer chain with
-base (1, 2, 3, ...).  Everything is sized for desk-scale groups (the
-largest shipped instances are symmetric groups on nine letters); caps
-guard the operations that would not scale past that.
+base (1, 2, 3, ...), built at any group order.  Caps sit at the work
+that grows with the group: ``LISTING_CAP`` bounds every listing of group
+elements, class members or cosets, and ``NORMALIZER_DEGREE_CAP`` the
+degree of the normalizer search.
 """
 
 from __future__ import annotations
@@ -21,17 +22,24 @@ __all__ = [
     "CapExceededError",
     "orbits",
     "orbit_transversal",
-    "DEFAULT_ORDER_CAP",
-    "DEFAULT_NORMALIZER_DEGREE_CAP",
+    "LISTING_CAP",
+    "NORMALIZER_DEGREE_CAP",
 ]
 
-DEFAULT_ORDER_CAP = 10**7
-DEFAULT_NORMALIZER_DEGREE_CAP = 9
-_CLOSURE_FALLBACK_CAP = 2 * 10**6
+LISTING_CAP = 2 * 10**6
+NORMALIZER_DEGREE_CAP = 9
 
 
 class CapExceededError(RuntimeError):
-    """A configured size cap was exceeded."""
+    """A size cap was exceeded."""
+
+
+def _check_listing(count: int, what: str) -> None:
+    """Refuse a listing once it holds more than ``LISTING_CAP`` items."""
+    if count > LISTING_CAP:
+        raise CapExceededError(
+            f"listing {count} {what} exceeds the listing cap {LISTING_CAP}"
+        )
 
 
 def orbits(generators, degree: int) -> list[list[int]]:
@@ -164,6 +172,18 @@ class _StabilizerChain:
             return False
         return self._sift(g) is None
 
+    def coset_minimum(self, x: Permutation) -> Permutation:
+        """The least element of the right coset H*x, H this chain's group,
+        by one greedy transversal choice per level: s*u*x, with u in the
+        first level's transversal and s fixing the first base point, sends
+        that point where x sends its image under u.  The base is 1, ..., n,
+        so each level fixes the next image of the least element."""
+        for lvl in self.levels:
+            if len(lvl.transversal) > 1:
+                q = min(lvl.transversal, key=x.apply)
+                x = lvl.transversal[q] * x
+        return x
+
 
 @dataclass(frozen=True)
 class BlockSystem:
@@ -206,12 +226,7 @@ class BlockSystem:
 class GeneratedGroup:
     """A permutation group given by generators; immutable after build."""
 
-    def __init__(
-        self,
-        degree: int,
-        generators: list[Permutation],
-        order_cap: int = DEFAULT_ORDER_CAP,
-    ) -> None:
+    def __init__(self, degree: int, generators: list[Permutation]) -> None:
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
@@ -219,10 +234,6 @@ class GeneratedGroup:
         self.generators = [g for g in generators if not g.is_identity]
         self._chain = _StabilizerChain(degree, self.generators)
         self._order = self._chain.order()
-        if self._order > order_cap:
-            raise CapExceededError(
-                f"group order {self._order} exceeds cap {order_cap}"
-            )
         self._elements: list[Permutation] | None = None
 
     # -- basic queries --------------------------------------------------
@@ -239,11 +250,7 @@ class GeneratedGroup:
         elements, one per level from the deepest up, so the list costs
         about |G| products and needs no membership test."""
         if self._elements is None:
-            if self._order > _CLOSURE_FALLBACK_CAP:
-                raise CapExceededError(
-                    f"element enumeration capped at {_CLOSURE_FALLBACK_CAP}; "
-                    f"group has order {self._order}"
-                )
+            _check_listing(self._order, "group elements")
             found = [identity(self.degree)]
             for lvl in reversed(self._chain.levels):
                 if len(lvl.transversal) > 1:
@@ -374,37 +381,28 @@ class GeneratedGroup:
 
         Cosets are labeled 1..[g:h] with the coset of ``h`` itself
         labeled 1 and the rest by breadth-first discovery over the
-        generators in input order — byte-reproducible output.
+        generators in input order — byte-reproducible output.  A coset is
+        keyed by its least element, one walk down the chain of ``h``, so
+        the index, checked against ``LISTING_CAP`` first, bounds the cost.
         """
         if not h.is_subgroup(self):
             raise ValueError("h is not a subgroup of g")
         index = self._order // h.order()
-        reps: list[Permutation] = [identity(self.degree)]
-        labels: dict[Permutation, int] = {}
-
-        def label_of(x: Permutation) -> int | None:
-            for i, r in enumerate(reps, start=1):
-                if h.contains(x * r.inverse()):
-                    return i
-            return None
-
-        # BFS discovery of coset representatives.
-        frontier = deque([identity(self.degree)])
-        while frontier:
-            rep = frontier.popleft()
-            for g in self.generators:
-                x = rep * g
-                if label_of(x) is None:
-                    reps.append(x)
-                    frontier.append(x)
+        _check_listing(index, "cosets")
+        reps = [identity(self.degree)]
+        labels = {reps[0]: 1}
+        images: list[list[int]] = [[] for _ in self.generators]
+        # ``reps`` doubles as the FIFO queue of cosets to act on.
+        for rep in reps:
+            for gi, g in enumerate(self.generators):
+                least = h._chain.coset_minimum(rep * g)
+                target = labels.get(least)
+                if target is None:
+                    target = labels[least] = len(reps) + 1
+                    reps.append(least)
+                images[gi].append(target)
         if len(reps) != index:
             raise RuntimeError("coset enumeration mismatch")
-        images: list[list[int]] = [[0] * index for _ in self.generators]
-        for ci, rep in enumerate(reps, start=1):
-            for gi, g in enumerate(self.generators):
-                target = label_of(rep * g)
-                assert target is not None
-                images[gi][ci - 1] = target
         perms = [Permutation(tuple(img)) for img in images]
         return perms, index
 
@@ -422,6 +420,7 @@ class GeneratedGroup:
                 z = y.conjugate(g)
                 if z not in seen:
                     seen.add(z)
+                    _check_listing(len(seen), "class members")
                     queue.append(z)
         return sorted(seen)
 
@@ -434,18 +433,16 @@ class GeneratedGroup:
 
     # -- normalizer in the symmetric group -------------------------------
 
-    def normalizer_in_symmetric(
-        self, degree_cap: int = DEFAULT_NORMALIZER_DEGREE_CAP
-    ) -> "GeneratedGroup":
-        """N_{S_n}(G), capped by degree.  Grown from G by the permutations
-        that carry one generator g1 onto an element of G of its cycle
-        type: one target per G-class suffices because G lies in N, and
-        g1 is the generator with the smallest centralizer in S_n, which
-        keeps the candidates fewest."""
+    def normalizer_in_symmetric(self) -> "GeneratedGroup":
+        """N_{S_n}(G), for n up to ``NORMALIZER_DEGREE_CAP``.  Grown from
+        G by the permutations that carry one generator g1 onto an element
+        of G of its cycle type: one target per G-class suffices because G
+        lies in N, and g1 is the generator with the smallest centralizer
+        in S_n, which keeps the candidates fewest."""
         n = self.degree
-        if n > degree_cap:
+        if n > NORMALIZER_DEGREE_CAP:
             raise CapExceededError(
-                f"normalizer search capped at degree {degree_cap}"
+                f"normalizer search capped at degree {NORMALIZER_DEGREE_CAP}"
             )
         if not self.generators or 2 * self._order >= factorial(n):
             # The trivial group, and a subgroup of index at most 2, are

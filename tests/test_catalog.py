@@ -1,6 +1,9 @@
 """Unit tests for the built-in constructions."""
 
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +164,22 @@ class TestSmSeries:
             assert comps[0].deg_over_x == m - 1
             assert comps[0].genus_method1 == 0
 
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (11, [(110, 0), (495, 12)]),
+            (12, [(132, 0), (660, 16)]),
+            (15, [(210, 0), (1365, 30)]),
+        ],
+    )
+    def test_pairs_above_order_10_7(self, m, expected):
+        """S_m with m >= 11 has order above 10^7; the pair, its components
+        and both genus methods need no listing of group elements."""
+        pair = catalog.build_sm_pair(m)
+        comps = sorted(pair.components, key=lambda c: len(c.orbit))
+        assert [(c.deg_over_z, c.genus_method1) for c in comps] == expected
+        assert [c.genus_method2 for c in comps] == [g for _, g in expected]
+
     def test_m_below_4_rejected(self):
         with pytest.raises(ValueError):
             catalog.build_sm_pair(3)
@@ -204,3 +223,25 @@ class TestCoalesceTuples:
             for x in e:
                 prod = prod * x
             assert prod.is_identity
+
+
+class TestGrowthFamilies:
+    def test_chebyshev_needs_three_point_target(self):
+        target = catalog.build_dihedral(5, "2^4")
+        assert catalog.growth_family_cover("chebyshev", 3, target) is None
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValueError, match="unknown growth family"):
+            catalog.growth_family_cover("quadratic", 3, catalog.get("deg7-cover-1"))
+
+    def test_growth_script_stdout_matches_golden(self, monkeypatch, capsys):
+        """``scripts/growth_table.py`` builds its families with the same
+        catalog function as ``fibercover growth``; its stdout is compared
+        byte for byte with a capture made while it had its own copy."""
+        root = Path(__file__).parent.parent
+        monkeypatch.setattr(sys, "argv", ["growth_table.py"])
+        runpy.run_path(str(root / "scripts" / "growth_table.py"), run_name="__main__")
+        expected = (root / "tests" / "golden" / "growth_table.txt").read_text(
+            encoding="utf-8"
+        )
+        assert capsys.readouterr().out == expected

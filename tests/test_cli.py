@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibercover import catalog
+from fibercover import catalog, permgroup
 from fibercover.cli import main
 from fibercover.cover import Cover
 from fibercover.permcore import parse_cycles
@@ -109,11 +109,16 @@ class TestCoverCommands:
 
     @pytest.mark.parametrize(
         "command, expected",
-        [("validate", "valid: True"), ("genus", "0"), ("ochar", "-17/55")],
+        [
+            ("validate", "valid: True"),
+            ("genus", "0"),
+            ("ochar", "-17/55"),
+            ("galois-genus", "6168961"),
+        ],
     )
     def test_cover_above_order_cap(self, command, expected, tmp_path, capsys):
-        # S_11 has order 11! > DEFAULT_ORDER_CAP; these commands need only
-        # the branch cycles, so they build no group and hit no cap.
+        # S_11 has order 11! > 10^7.  None of these commands lists the
+        # group's elements, so none hits a cap.
         a = parse_cycles("(1 2)", 11)
         b = parse_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 11)
         cover = Cover(11, ("z1", "z2", "z3"), (a, b, (a * b).inverse()))
@@ -151,6 +156,29 @@ class TestFiberCommand:
         for c in data["components"]:
             assert c["pry_cover"]["degree"] == c["l"]
 
+    def test_positive_genus_y_cover_exit_2(self, tmp_path, capsys):
+        # A genus-1 degree-6 cover against a relabelled copy of itself.
+        pair = {
+            "branch_points": ["z1", "z2", "z3"],
+            "sigma": {"degree": 6, "cycles": ["(1 5 4 2 6)", "(1 5 3 2 6)", "(1 2 3)(4 5 6)"]},
+            "tau": {"degree": 6, "cycles": ["(1 3 4 6 5)", "(1 2 4 6 5)", "(1 6 3)(2 5 4)"]},
+        }
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair))
+        assert main(["fiber", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "g_y = 1" in captured.err
+
+    def test_sm_pair_11_stops_at_search_cap(self, tmp_path, capsys):
+        path = tmp_path / "pair.json"
+        path.write_text(catalog.build_sm_pair(11).to_json())
+        assert main(["fiber", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "(image group order 362880 x 37 entries)" in err
+        assert "search_cap parameter" in err
+
 
 class TestNielsenCommands:
     def test_enum_count(self, nielsen_spec_file, capsys):
@@ -174,6 +202,18 @@ class TestNielsenCommands:
     def test_search_cap_env_exit_3(self, nielsen_spec_file, monkeypatch, capsys):
         monkeypatch.setenv("FIBERCOVER_SEARCH_CAP", "5")
         assert main(["nielsen", "enum", nielsen_spec_file]) == 3
+
+    def test_class_above_listing_cap_exit_3(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(permgroup, "LISTING_CAP", 1000)
+        spec = _nielsen_spec_dict(
+            degree=12,
+            generators=["(1 2)", "(1 2 3 4 5 6 7 8 9 10 11 12)"],
+            class_reps=["(1 2)", "(1 2 3 4 5 6 7 8 9 10 11 12)"],
+        )
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["nielsen", "enum", str(path)]) == 3
+        assert "class members exceeds the listing cap 1000" in capsys.readouterr().err
 
     def test_bad_search_cap_env_exit_4(
         self, nielsen_spec_file, monkeypatch, capsys

@@ -1,13 +1,15 @@
 """Unit tests for fiber products: components, genuses by both methods,
 projections, ramification, screening."""
 
+import gc
 import json
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fibercover import catalog, permgroup
+from fibercover import catalog, fiberprod, permgroup
 from fibercover.cover import Cover, InvalidCoverError
 from fibercover.fiberprod import (
     CoverPair,
@@ -36,6 +38,15 @@ def pair2():
 
 def by_size(pair):
     return sorted(pair.components, key=lambda c: len(c.orbit))
+
+
+# A genus-1 degree-6 cover paired with a relabelled copy of itself: the
+# y-cover has genus 1.
+GENUS_1_PAIR = {
+    "branch_points": ["z1", "z2", "z3"],
+    "sigma": {"degree": 6, "cycles": ["(1 5 4 2 6)", "(1 5 3 2 6)", "(1 2 3)(4 5 6)"]},
+    "tau": {"degree": 6, "cycles": ["(1 3 4 6 5)", "(1 2 4 6 5)", "(1 6 3)(2 5 4)"]},
+}
 
 
 class TestComponents:
@@ -391,9 +402,9 @@ def test_y1_stabilizer_built_once_per_pair(monkeypatch):
 
 
 class TestAboveOrderCap:
-    """Transitivity and components come from generator orbits, so a cover
-    whose monodromy group exceeds the order cap still validates and still
-    pairs weakly; only the group-building paths raise."""
+    """A cover with a monodromy group of order above 10^7 validates, pairs
+    weakly and builds its group; only listing the group's elements, above
+    ``LISTING_CAP``, raises."""
 
     @pytest.fixture(scope="class")
     def s11(self):
@@ -403,8 +414,9 @@ class TestAboveOrderCap:
 
     def test_validate_without_group(self, s11):
         assert s11.validate().valid
+        assert s11.group().order() == 39916800
         with pytest.raises(CapExceededError):
-            s11.group()
+            s11.group().elements()
 
     def test_weak_pair_components(self, s11):
         pair = pair_covers_over_common_points(s11, s11)
@@ -414,7 +426,7 @@ class TestAboveOrderCap:
     def test_paired_cover_cap_before_entry_checks(self, s11):
         one = identity(11)
         sigma = s11.cycles + (one,)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(InvalidCoverError, match="no identity entries"):
             PairedCover(s11.branch_points + ("z4",), sigma, sigma, 11, 11)
 
 
@@ -438,6 +450,18 @@ class TestProjectionAdjustment:
         assert "exceeds cap 100" in message
         assert "search_cap parameter of Component.pry_branch_cycles" in message
 
+    def test_positive_genus_y_cover_refused_before_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the product-one search ran")
+
+        monkeypatch.setattr(fiberprod, "_product_one_adjust", refuse)
+        pair = PairedCover.from_json_dict(GENUS_1_PAIR)
+        assert pair.y_genus == pair.tau_cover().genus() == 1
+        for component in pair.components:
+            assert component.genus_method2 == component.genus_method1
+            with pytest.raises(InvalidCoverError, match="g_y = 1"):
+                component.pry_branch_cycles()
+
     def test_sm_pair_9_projections_match_golden(self):
         """Every projection of ``sm-pair-9``, byte for byte as captured
         with the backward-table search this adjustment replaced."""
@@ -445,3 +469,21 @@ class TestProjectionAdjustment:
         covers = [c.pry_branch_cycles().to_json_dict() for c in pair.components]
         expected = (GOLDEN / "pry_sm-pair-9.json").read_text(encoding="utf-8")
         assert json.dumps(covers, indent=2) + "\n" == expected
+
+
+def test_pair_freed_without_cycle_collector():
+    """Components refer to their pair, and the pair caches only the orbits,
+    so a pair and everything it built are freed by reference counting."""
+    gc.disable()
+    try:
+        pair = catalog.build_sm_pair(8)
+        for component in pair.components:
+            component.genus_method1
+            component.genus_method2
+            component.subgroup_witness
+            component.pry_branch_cycles()
+        ref = weakref.ref(pair)
+        del pair, component
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -1,9 +1,13 @@
 """Unit tests for generated groups, cross-checked against sympy."""
 
+import random
+from collections import deque
+
 import pytest
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics.perm_groups import PermutationGroup
 
+from fibercover import catalog, permgroup
 from fibercover.permcore import Permutation, identity, parse_cycles
 from fibercover.permgroup import (
     BlockSystem,
@@ -66,7 +70,7 @@ class TestOrderAndMembership:
                 img = list(range(1, n + 1))
                 rng.shuffle(img)
                 gens.append(Permutation(tuple(img)))
-            ours = GeneratedGroup(n, gens, order_cap=10**8)
+            ours = GeneratedGroup(n, gens)
             assert ours.order() == to_sympy_group(ours).order()
 
     def test_joint_degree15_regression(self):
@@ -83,12 +87,14 @@ class TestOrderAndMembership:
         assert g.order() == to_sympy_group(g).order()
 
     def test_order_cap_enforced(self):
+        """Any order builds; the listing cap refuses the elements."""
+        s12 = GeneratedGroup(
+            12,
+            [parse_cycles("(1 2)", 12), parse_cycles("(1 2 3 4 5 6 7 8 9 10 11 12)", 12)],
+        )
+        assert s12.order() == 479001600
         with pytest.raises(CapExceededError):
-            GeneratedGroup(
-                12,
-                [parse_cycles("(1 2)", 12), parse_cycles("(1 2 3 4 5 6 7 8 9 10 11 12)", 12)],
-                order_cap=1000,
-            )
+            s12.elements()
 
     def test_elements_closure(self, deg7):
         els = deg7.elements()
@@ -128,7 +134,7 @@ class TestOrbitsAndStabilizers:
             ours = orbits(gens, n)
             sym = PermutationGroup([SymPerm([i - 1 for i in g.images]) for g in gens])
             assert ours == sorted(sorted(i + 1 for i in o) for o in sym.orbits())
-            assert GeneratedGroup(n, gens, order_cap=10**9).orbits() == ours
+            assert GeneratedGroup(n, gens).orbits() == ours
 
     def test_point_stabilizer_order(self, deg7):
         stab = deg7.point_stabilizer(1)
@@ -195,6 +201,96 @@ class TestCosetAction:
         other = GeneratedGroup(7, [p7("(1 2)")])
         with pytest.raises(ValueError):
             deg7.coset_action(other)
+
+    def test_matches_sift_scan_on_random_pairs(self):
+        # H is cyclic, for a spread of indices.  The scan costs about
+        # index**2 sifts, so pairs of index above 120 are drawn again; the
+        # trivial H of the degree-7 case below has index 168.
+        rng = random.Random(4111)
+        checked = 0
+        while checked < 120:
+            n = rng.randint(1, 6)
+            g = GeneratedGroup(n, [_random_perm(rng, n) for _ in range(rng.randint(1, 3))])
+            h = GeneratedGroup(n, [rng.choice(g.elements())])
+            if g.order() // h.order() > 120:
+                continue
+            assert g.coset_action(h) == _sift_scan_coset_action(g, h)
+            checked += 1
+
+    @pytest.mark.parametrize("which", ["point stabilizer", "trivial group"])
+    def test_matches_sift_scan_on_deg7_catalog_group(self, which):
+        g = catalog.get("deg7-cover-1").group()
+        h = g.point_stabilizer(1) if which == "point stabilizer" else GeneratedGroup(7, [])
+        assert g.coset_action(h) == _sift_scan_coset_action(g, h)
+
+    def test_coset_minimum_is_least_coset_element(self):
+        rng = random.Random(5003)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            h = GeneratedGroup(n, [_random_perm(rng, n) for _ in range(rng.randint(0, 2))])
+            x = _random_perm(rng, n)
+            assert h._chain.coset_minimum(x) == min(y * x for y in h.elements())
+
+
+def _random_perm(rng: random.Random, n: int) -> Permutation:
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    return Permutation(tuple(images))
+
+
+def _sift_scan_coset_action(g: GeneratedGroup, h: GeneratedGroup):
+    """The coset action by the scan that least-coset labels replaced: a
+    coset's label is found by one membership sift per known coset."""
+    reps = [identity(g.degree)]
+
+    def label_of(x):
+        for i, r in enumerate(reps, start=1):
+            if h.contains(x * r.inverse()):
+                return i
+        return None
+
+    frontier = deque([identity(g.degree)])
+    while frontier:
+        rep = frontier.popleft()
+        for gen in g.generators:
+            x = rep * gen
+            if label_of(x) is None:
+                reps.append(x)
+                frontier.append(x)
+    images = [[label_of(rep * gen) for rep in reps] for gen in g.generators]
+    return [Permutation(tuple(img)) for img in images], len(reps)
+
+
+class TestListingCap:
+    """One cap bounds every listing of elements, class members and cosets;
+    lowered to 1000 here so that S8 crosses it."""
+
+    @pytest.fixture
+    def s8(self, monkeypatch):
+        monkeypatch.setattr(permgroup, "LISTING_CAP", 1000)
+        return GeneratedGroup(
+            8, [parse_cycles("(1 2)", 8), parse_cycles("(1 2 3 4 5 6 7 8)", 8)]
+        )
+
+    def test_large_class_refused(self, s8):
+        with pytest.raises(CapExceededError, match="class members"):
+            s8.conjugacy_class(parse_cycles("(1 2 3 4 5 6 7 8)", 8))
+
+    def test_small_class_listed(self, s8):
+        assert len(s8.conjugacy_class(parse_cycles("(1 2)", 8))) == 28
+
+    def test_elements_refused(self, s8):
+        with pytest.raises(CapExceededError, match="40320 group elements"):
+            s8.elements()
+
+    def test_coset_index_refused_before_listing(self, s8, monkeypatch):
+        def refuse(chain, x):
+            raise AssertionError("a coset was listed before the cap check")
+
+        monkeypatch.setattr(permgroup._StabilizerChain, "coset_minimum", refuse)
+        cyclic = GeneratedGroup(8, [parse_cycles("(1 2 3 4 5 6 7 8)", 8)])
+        with pytest.raises(CapExceededError, match="5040 cosets"):
+            s8.coset_action(cyclic)
 
 
 class TestConjugacy:

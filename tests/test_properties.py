@@ -199,8 +199,7 @@ class TestRamificationSumsToDegree:
 
 def _small_valid_tuple(rng: random.Random) -> tuple[int, list[Permutation]]:
     """A ``_random_valid_tuple`` of degree at most 6, so that a joint group
-    of two of them (order at most 720**2) stays under the default order
-    cap that the subgroup witness builds under."""
+    of two of them has order at most 720**2."""
     while True:
         n, entries = _random_valid_tuple(rng)
         if n <= 6:
