@@ -9,6 +9,7 @@ metadata.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -286,17 +287,17 @@ def has_second_representation(c: Cover) -> bool:
     """Whether the catalog knows a second, inequivalent transitive
     representation of this cover's monodromy group at the same degree
     scale: the degree-7 pair of PSL(2,7), or the standard and
-    unordered-pairs actions of S_m for m = 4..9."""
+    unordered-pairs actions of S_m for m >= 4, on m and m(m-1)/2
+    letters."""
     order = c.group().order()
     if (c.degree, order) == (7, 168):
         return True
-    # Symmetric groups carry the standard and unordered-pairs actions.
-    import math
-
-    for m in range(4, 10):
-        if order == math.factorial(m) and c.degree in (m, m * (m - 1) // 2):
-            return True
-    return False
+    # The degree is m, or m(m-1)/2 with 8 * degree + 1 = (2m - 1)^2.
+    candidates = [c.degree]
+    root = math.isqrt(8 * c.degree + 1)
+    if root * root == 8 * c.degree + 1:
+        candidates.append((root + 1) // 2)
+    return any(m >= 4 and order == math.factorial(m) for m in candidates)
 
 
 # -- the key/value surface ----------------------------------------------------

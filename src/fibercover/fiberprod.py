@@ -261,8 +261,6 @@ class PairedCover(CoverPair):
         degree_y: int,
     ) -> None:
         super().__init__(branch_points, sigma, tau, degree_x, degree_y)
-        g1 = GeneratedGroup(degree_x, list(sigma))
-        g2 = GeneratedGroup(degree_y, list(tau))
         for a, b in zip(sigma, tau):
             if a.is_identity or b.is_identity:
                 raise InvalidCoverError("paired covers allow no identity entries")
@@ -270,11 +268,15 @@ class PairedCover(CoverPair):
                 raise InvalidCoverError(
                     f"entry orders differ: {a.order()} vs {b.order()}"
                 )
-        if not (self.joint_group.order() == g1.order() == g2.order()):
+        # Each side is a quotient of the joint group.
+        joint_order = self.joint_group.order()
+        g1 = GeneratedGroup(degree_x, list(sigma), _order_bound=joint_order)
+        g2 = GeneratedGroup(degree_y, list(tau), _order_bound=joint_order)
+        if not (joint_order == g1.order() == g2.order()):
             raise InvalidCoverError(
                 "joint group does not project isomorphically to both sides "
                 f"(orders {g1.order()}, {g2.order()}, "
-                f"joint {self.joint_group.order()})"
+                f"joint {joint_order})"
             )
 
     @staticmethod
@@ -518,7 +520,8 @@ def _product_one_adjust(
     found = False
     for chosen in _realizations([classes[p] for p in perms], image_group.degree):
         found = True
-        if GeneratedGroup(image_group.degree, chosen).order() == order:
+        chosen_group = GeneratedGroup(image_group.degree, chosen, _order_bound=order)
+        if chosen_group.order() == order:
             return chosen
     if not found:
         raise RuntimeError("no product-one realization exists in these classes")

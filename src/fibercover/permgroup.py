@@ -1,10 +1,20 @@
 """Groups generated by permutations.
 
 Membership and order come from a deterministic stabilizer chain with
-base (1, 2, 3, ...), built at any group order.  Caps sit at the work
-that grows with the group: ``LISTING_CAP`` bounds every listing of group
-elements, class members or cosets, and ``NORMALIZER_DEGREE_CAP`` the
-degree of the normalizer search.
+base (1, 2, 3, ...), built at any group order by Schreier–Sims that
+repeats no finished work: a new strong generator extends each level's
+orbit without changing an existing transversal entry (each level keeps
+the inverses too), the generators are sifted in first, and the
+Schreier generators are checked from the deepest level up, resuming at
+the level that received a residue and sifting each (letter, generator)
+pair once.  A build stops when the product of the orbit lengths reaches
+an order bound the caller has proved: each orbit of a partial chain lies
+in the true basic orbit, so the product is at most the group order, with
+equality only for a complete chain.
+
+Caps sit at the work that grows with the group: ``LISTING_CAP`` bounds
+every listing of group elements, class members or cosets, and
+``NORMALIZER_DEGREE_CAP`` the degree of the normalizer search.
 """
 
 from __future__ import annotations
@@ -88,84 +98,143 @@ def orbit_transversal(
 
 
 class _Level:
-    """One level of the stabilizer chain: a base point, the generators
-    fixing all earlier base points, and a BFS transversal of the orbit."""
+    """One level of the stabilizer chain: a base point, the strong
+    generators fixing every earlier base point, and a breadth-first
+    transversal of the base point's orbit under them, with the inverse
+    of each entry.  Entries are only ever added, never changed.  The
+    generators and the transversal itself are build state, dropped once
+    the chain is complete; the inverses stay."""
 
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
-    def __init__(self, point: int) -> None:
+    def __init__(self, point: int, degree: int) -> None:
         self.point = point
         self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
+        one = identity(degree)
+        self.transversal: dict[int, Permutation] = {point: one}
+        self.inverses: dict[int, Permutation] = {point: one}
 
-    def rebuild_orbit(self, degree: int) -> None:
-        self.transversal = orbit_transversal(self.point, self.gens, degree)
+    def add_generator(self, g: Permutation) -> None:
+        """Append ``g`` and extend the orbit: the known letters were
+        closed under the old generators, so they need only ``g``; each
+        new letter needs every generator."""
+        self.gens.append(g)
+        transversal, inverses, gens = self.transversal, self.inverses, self.gens
+        new: list[int] = []
+        for p in list(transversal):
+            q = g.apply(p)
+            if q not in transversal:
+                u = transversal[q] = transversal[p] * g
+                inverses[q] = u.inverse()
+                new.append(q)
+        # ``new`` doubles as the FIFO queue of letters to act on.
+        for p in new:
+            for s in gens:
+                q = s.apply(p)
+                if q not in transversal:
+                    u = transversal[q] = transversal[p] * s
+                    inverses[q] = u.inverse()
+                    new.append(q)
 
 
 class _StabilizerChain:
-    """Deterministic Schreier–Sims with base (1, 2, ..., n)."""
+    """Deterministic Schreier–Sims with base (1, 2, ..., n), built by
+    ``complete``."""
 
     def __init__(self, degree: int, generators: list[Permutation]) -> None:
         self.degree = degree
-        self.levels = [_Level(i) for i in range(1, degree + 1)]
-        for lvl in self.levels:
-            lvl.rebuild_orbit(degree)
-        for g in generators:
-            self._add_strong_generator(g, 0)
-        self._verify()
+        self.levels = [_Level(i, degree) for i in range(1, degree + 1)]
+        self._size = 1  # the product of the orbit lengths
+        self._generators = generators
 
-    def _sift(self, g: Permutation, start: int = 0) -> tuple[int, Permutation] | None:
-        """Reduce ``g`` through the chain.  Returns ``None`` if ``g``
-        sifts to the identity (membership), else ``(level, residue)``."""
-        for idx in range(start, self.degree):
-            if g.is_identity:
-                return None
-            lvl = self.levels[idx]
-            p = g.apply(lvl.point)
-            if p == lvl.point:
-                continue
-            u = lvl.transversal.get(p)
-            if u is None:
-                return (idx, g)
-            g = g * u.inverse()
-        return None if g.is_identity else (self.degree - 1, g)
-
-    def _add_strong_generator(self, g: Permutation, level: int) -> None:
-        if g.is_identity:
-            return
-        # The generator belongs to every level from the top down to the
-        # first base point it moves, inclusive; keeping the level sets
-        # nested is what makes the Schreier-generator check sufficient.
-        for idx in range(self.degree):
-            self.levels[idx].gens.append(g)
-            self.levels[idx].rebuild_orbit(self.degree)
-            if g.apply(self.levels[idx].point) != self.levels[idx].point:
+    def complete(self, bound: int | None = None) -> None:
+        """Sift the generators in, then close under Schreier generators.
+        Stop once the product of the orbit lengths reaches ``bound``, a
+        proved upper bound on |<generators>|: that product never exceeds
+        the group order and equals it only for a complete chain."""
+        for g in self._generators:
+            if self._size == bound:
                 break
+            residue = self._sift(g)
+            if residue is not None:
+                self._add_strong_generator(residue)
+        if self._size != bound:
+            self._verify(bound)
+        # Membership, listing and coset minima read only the inverses.
+        del self._generators
+        for lvl in self.levels:
+            del lvl.gens, lvl.transversal
+        if bound is not None and self._size > bound:
+            raise RuntimeError(f"group order {self._size} exceeds its bound {bound}")
 
-    def _verify(self) -> None:
-        """Close under Schreier generators until every one sifts through."""
-        changed = True
-        while changed:
-            changed = False
-            for idx in range(self.degree):
-                lvl = self.levels[idx]
-                for p, u in list(lvl.transversal.items()):
-                    for g in lvl.gens:
-                        q = g.apply(p)
-                        schreier = u * g * lvl.transversal[q].inverse()
-                        res = self._sift(schreier, idx)
-                        if res is not None:
-                            res_level, residue = res
-                            self._add_strong_generator(residue, res_level)
-                            changed = True
-                if changed:
+    def _sift(self, g: Permutation, start: int = 0) -> Permutation | None:
+        """Reduce ``g``, which fixes the base points before ``start``,
+        through the chain.  Returns ``None`` if ``g`` sifts to the
+        identity (membership), else the residue, which moves its level's
+        base point outside that level's orbit."""
+        levels = self.levels
+        for idx in range(start, self.degree):
+            p = g.images[idx]
+            if p != idx + 1:
+                inverse = levels[idx].inverses.get(p)
+                if inverse is None:
+                    return g
+                g = g * inverse
+        return None
+
+    def _add_strong_generator(self, g: Permutation) -> int:
+        """Add ``g`` to every level from the top down to the first base
+        point it moves, inclusive, and return that level.  Keeping the
+        level sets nested is what makes the Schreier-generator check
+        sufficient."""
+        for idx, lvl in enumerate(self.levels):
+            before = len(lvl.transversal)
+            lvl.add_generator(g)
+            self._size = self._size // before * len(lvl.transversal)
+            if g.apply(lvl.point) != lvl.point:
+                return idx
+
+    def _verify(self, bound: int | None) -> None:
+        """Close under Schreier generators, from the deepest level up.
+
+        Leaving level i, every Schreier generator u*s*v^-1 of level i has
+        sifted to the identity or to a residue that became a strong
+        generator below i, so it lies in the group of the levels below,
+        which are complete; by Schreier's lemma level i is then complete
+        too.  A residue changes only the levels down to the one that
+        received it, so the check resumes there.  Transversal entries
+        never change, so a (letter, generator) pair once sifted stays
+        sifted and is never sifted again."""
+        sifted: list[set[tuple[int, int]]] = [set() for _ in self.levels]
+        idx = self.degree - 1
+        while idx >= 0:
+            lvl = self.levels[idx]
+            done = sifted[idx]
+            transversal, inverses = lvl.transversal, lvl.inverses
+            residue = None
+            for p, u in list(transversal.items()):
+                for gi, g in enumerate(lvl.gens):
+                    if (p, gi) in done:
+                        continue
+                    done.add((p, gi))
+                    ug = u * g
+                    q = g.apply(p)
+                    if ug.images == transversal[q].images:
+                        continue  # the edge that found q: a trivial generator
+                    residue = self._sift(ug * inverses[q], idx + 1)
+                    if residue is not None:
+                        break
+                if residue is not None:
                     break
+            if residue is None:
+                idx -= 1
+                continue
+            idx = self._add_strong_generator(residue)
+            if self._size == bound:
+                return
 
     def order(self) -> int:
-        result = 1
-        for lvl in self.levels:
-            result *= len(lvl.transversal)
-        return result
+        return self._size
 
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
@@ -179,9 +248,9 @@ class _StabilizerChain:
         that point where x sends its image under u.  The base is 1, ..., n,
         so each level fixes the next image of the least element."""
         for lvl in self.levels:
-            if len(lvl.transversal) > 1:
-                q = min(lvl.transversal, key=x.apply)
-                x = lvl.transversal[q] * x
+            if len(lvl.inverses) > 1:
+                q = min(lvl.inverses, key=x.apply)
+                x = lvl.inverses[q].inverse() * x
         return x
 
 
@@ -224,15 +293,26 @@ class BlockSystem:
 
 
 class GeneratedGroup:
-    """A permutation group given by generators; immutable after build."""
+    """A permutation group given by generators; immutable after build.
 
-    def __init__(self, degree: int, generators: list[Permutation]) -> None:
+    ``_order_bound`` is private to the package: a caller that has proved
+    |<generators>| <= ``_order_bound`` passes it, and the stabilizer chain
+    stops as soon as its order reaches the bound."""
+
+    def __init__(
+        self,
+        degree: int,
+        generators: list[Permutation],
+        *,
+        _order_bound: int | None = None,
+    ) -> None:
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
         self.degree = degree
         self.generators = [g for g in generators if not g.is_identity]
         self._chain = _StabilizerChain(degree, self.generators)
+        self._chain.complete(_order_bound)
         self._order = self._chain.order()
         self._elements: list[Permutation] | None = None
 
@@ -246,16 +326,18 @@ class GeneratedGroup:
 
     def elements(self) -> list[Permutation]:
         """Every element, sorted; cached.  Listed from the stabilizer
-        chain: each element is one product t_k * ... * t_1 of transversal
-        elements, one per level from the deepest up, so the list costs
-        about |G| products and needs no membership test."""
+        chain: G is the disjoint union of the cosets t^-1 * G_1, t^-1 in
+        the first level's inverse transversal, so each element is one
+        product of inverse transversal elements, one per level from the
+        top down.  The list costs about |G| products and needs no
+        membership test."""
         if self._elements is None:
             _check_listing(self._order, "group elements")
             found = [identity(self.degree)]
-            for lvl in reversed(self._chain.levels):
-                if len(lvl.transversal) > 1:
-                    coset_reps = list(lvl.transversal.values())
-                    found = [x * u for x in found for u in coset_reps]
+            for lvl in self._chain.levels:
+                if len(lvl.inverses) > 1:
+                    coset_reps = list(lvl.inverses.values())
+                    found = [x * v for x in found for v in coset_reps]
             self._elements = sorted(found)
         return self._elements
 
@@ -283,7 +365,8 @@ class GeneratedGroup:
     # -- stabilizers ----------------------------------------------------
 
     def point_stabilizer(self, letter: int) -> "GeneratedGroup":
-        """Stabilizer of one letter, generated by Schreier generators."""
+        """Stabilizer of one letter, generated by Schreier generators.
+        Its order is |G| / |orbit|, so its chain stops there."""
         if not 1 <= letter <= self.degree:
             raise ValueError(f"letter {letter} out of range")
         transversal = orbit_transversal(letter, self.generators, self.degree)
@@ -296,7 +379,9 @@ class GeneratedGroup:
                 if not schreier.is_identity and schreier not in seen:
                     seen.add(schreier)
                     gens.append(schreier)
-        return GeneratedGroup(self.degree, gens)
+        return GeneratedGroup(
+            self.degree, gens, _order_bound=self._order // len(transversal)
+        )
 
     # -- block systems --------------------------------------------------
 

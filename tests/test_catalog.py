@@ -11,7 +11,7 @@ from fibercover import catalog
 from fibercover.cover import Cover
 from fibercover.fiberprod import PairedCover
 from fibercover.nielsen import coalesce
-from fibercover.permcore import identity
+from fibercover.permcore import identity, parse_cycles
 from fibercover.permgroup import GeneratedGroup
 
 
@@ -180,6 +180,44 @@ class TestSmSeries:
         assert [(c.deg_over_z, c.genus_method1) for c in comps] == expected
         assert [c.genus_method2 for c in comps] == [g for _, g in expected]
 
+    @pytest.mark.parametrize("m", range(5, 21))
+    def test_closed_form_genus(self, m):
+        """The large component has genus floor((m-4)^2 / 4), the small
+        one genus 0; both genus methods agree.
+
+        The tensor letters (x, {a, b}) split into the small orbit
+        x in {a, b}, of N_s = m(m-1) letters (ordered pairs (x, b)), and
+        the large orbit x not in {a, b}, of N = m(m-1)(m-2)/2 letters.  By
+        Riemann-Hurwitz, 2g - 2 = -2N + sum of (N - cycles) over the three
+        entries: the transposition t = (1 2), the (m-1)-cycle c fixing 2,
+        and the m-cycle z.
+
+        Large orbit.  t fixes (x, {a, b}) when x >= 3 and {a, b} = {1, 2}
+        or {a, b} lies in {3..m} - {x}: F = (m-2)(1 + (m-3)(m-4)/2)
+        letters, so t has index (N - F)/2, with N - F = (m-2)(3m-7).  z
+        rotates Z/m freely and fixes no letter of a triple: N/m =
+        (m-1)(m-2)/2 cycles.  c rotates its m-1 letters freely: the
+        letters with 2 not in {x, a, b} give (m-2)(m-3)/2 cycles, those
+        with 2 in {a, b} give m-2 (ordered pairs of moved letters), and
+        those with x = 2 are the 2-sets of Z/(m-1) under rotation, which
+        form floor((m-1)/2) cycles.  Summing,
+        2g - 2 = (m-2)(3m-7)/2 - (m-1)(m-2) - floor((m-1)/2)
+               = (m-2)(m-5)/2 - floor((m-1)/2),
+        which gives g = (k-2)^2 for m = 2k and g = (k-1)(k-2) for
+        m = 2k+1: floor((m-4)^2 / 4) in both cases.
+
+        Small orbit.  t: N_s - (m-2)(m-3) = 4m - 6 letters move, in
+        2m - 3 swaps; c: m cycles (m-2 on pairs of moved letters, plus
+        (2, y) and (y, 2)); z: m-1 cycles.  So 2g - 2 = -2N_s + (2m-3)
+        + (N_s - m) + (N_s - m + 1) = -2 and g = 0."""
+        comps = sorted(catalog.build_sm_pair(m).components, key=lambda c: len(c.orbit))
+        small, large = comps
+        assert small.deg_over_z == m * (m - 1)
+        assert large.deg_over_z == m * (m - 1) * (m - 2) // 2
+        assert small.genus_method1 == small.genus_method2 == 0
+        expected = (m - 4) ** 2 // 4
+        assert large.genus_method1 == large.genus_method2 == expected
+
     def test_m_below_4_rejected(self):
         with pytest.raises(ValueError):
             catalog.build_sm_pair(3)
@@ -213,6 +251,25 @@ class TestMetadata:
         assert catalog.has_second_representation(catalog.get("deg7-cover-1"))
         cheb = catalog.build_chebyshev_cover(7)
         assert not catalog.has_second_representation(cheb)
+
+    @pytest.mark.parametrize("m", [9, 10, 11])
+    def test_second_representation_of_sm_pair(self, m):
+        """Both sides of the S_m pair, on m and m(m-1)/2 letters, for m
+        past the old fixed range 4..9."""
+        pair = catalog.build_sm_pair(m)
+        assert catalog.has_second_representation(pair.sigma_cover())
+        assert catalog.has_second_representation(pair.tau_cover())
+
+    def test_a5_on_pairs_has_no_second_representation(self):
+        """Degree 10 = 5*4/2, but A_5 has order 60, not 5!."""
+        a, b = parse_cycles("(1 2 3)", 5), parse_cycles("(3 4 5)", 5)
+        cycles = tuple(
+            catalog.pairs_permutation(p, 5) for p in (a, b, (a * b).inverse())
+        )
+        cover = Cover(10, ("t1", "t2", "t3"), cycles)
+        assert cover.validate().valid
+        assert cover.group().order() == 60
+        assert not catalog.has_second_representation(cover)
 
 
 class TestCoalesceTuples:

@@ -210,6 +210,19 @@ class TestPairValidation:
                 3,
             )
 
+    def test_group_order_mismatch_names_the_orders(self):
+        """Entry orders match (all 2), but the x-side is C_2 while the
+        y-side and the joint group are the Klein four-group.  The y-side
+        build stops at the joint order 4; the x-side never reaches it and
+        is verified in full, so the message names the true orders."""
+        x = parse_cycles("(1 2)", 2)
+        a = parse_cycles("(1 2)(3 4)", 4)
+        b = parse_cycles("(1 3)(2 4)", 4)
+        with pytest.raises(
+            InvalidCoverError, match=r"\(orders 2, 4, joint 4\)"
+        ):
+            PairedCover(("a", "b", "c", "d"), (x, x, x, x), (a, b, a, b), 2, 4)
+
     def test_identity_entries_rejected_in_strong_pairing(self):
         with pytest.raises(InvalidCoverError):
             PairedCover(

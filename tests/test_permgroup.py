@@ -2,6 +2,7 @@
 
 import random
 from collections import deque
+from math import factorial
 
 import pytest
 from sympy.combinatorics import Permutation as SymPerm
@@ -25,8 +26,10 @@ DEG7_GENS = [p7("(1 3)(4 5)"), p7("(1 4 6 7)(2 3)"), p7("(1 7 6 5 4 3 2)")]
 
 
 def to_sympy_group(g: GeneratedGroup) -> PermutationGroup:
+    # The identity fixes sympy's degree when every generator is trivial.
     return PermutationGroup(
-        [SymPerm([i - 1 for i in gen.images]) for gen in g.generators]
+        [SymPerm(list(range(g.degree)))]
+        + [SymPerm([i - 1 for i in gen.images]) for gen in g.generators]
     )
 
 
@@ -70,6 +73,17 @@ class TestOrderAndMembership:
                 img = list(range(1, n + 1))
                 rng.shuffle(img)
                 gens.append(Permutation(tuple(img)))
+            ours = GeneratedGroup(n, gens)
+            assert ours.order() == to_sympy_group(ours).order()
+
+    def test_order_on_sparse_generating_sets_matches_sympy(self):
+        """Small and intransitive groups, such as the cyclic group of one
+        element of cycle type (2, 3, 5): every residue must send the
+        Schreier check back to the level that received it."""
+        rng = random.Random(3001)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            gens = [_random_sparse_perm(rng, n) for _ in range(rng.randint(1, 4))]
             ours = GeneratedGroup(n, gens)
             assert ours.order() == to_sympy_group(ours).order()
 
@@ -120,17 +134,7 @@ class TestOrbitsAndStabilizers:
         rng = random.Random(6007)
         for _ in range(300):
             n = rng.randint(1, 12)
-            gens = []
-            for _ in range(rng.randint(1, 3)):
-                # A random permutation of a random subset of the letters,
-                # so that many generator sets are intransitive.
-                support = rng.sample(range(1, n + 1), rng.randint(1, n))
-                moved = support[:]
-                rng.shuffle(moved)
-                img = list(range(1, n + 1))
-                for a, b in zip(support, moved):
-                    img[a - 1] = b
-                gens.append(Permutation(tuple(img)))
+            gens = [_random_sparse_perm(rng, n) for _ in range(rng.randint(1, 3))]
             ours = orbits(gens, n)
             sym = PermutationGroup([SymPerm([i - 1 for i in g.images]) for g in gens])
             assert ours == sorted(sorted(i + 1 for i in o) for o in sym.orbits())
@@ -149,6 +153,76 @@ class TestOrbitsAndStabilizers:
         stab = deg7.point_stabilizer(1)
         assert sorted(len(o) for o in stab.orbits()) == [1, 6]
 
+
+def _random_sparse_perm(rng: random.Random, n: int) -> Permutation:
+    """A random permutation of a random subset of the letters, so that
+    many generated groups are intransitive or small."""
+    support = rng.sample(range(1, n + 1), rng.randint(1, n))
+    moved = support[:]
+    rng.shuffle(moved)
+    images = list(range(1, n + 1))
+    for a, b in zip(support, moved):
+        images[a - 1] = b
+    return Permutation(tuple(images))
+
+
+def _random_group(rng: random.Random, max_degree: int) -> GeneratedGroup:
+    n = rng.randint(1, max_degree)
+    draw = rng.choice([_random_perm, _random_sparse_perm])
+    return GeneratedGroup(n, [draw(rng, n) for _ in range(rng.randint(1, 3))])
+
+
+class TestOrderBound:
+    """A chain may stop once the product of its orbit lengths reaches a
+    proved upper bound on the group order; the answers must be those of
+    a full build."""
+
+    def test_point_stabilizer_order_matches_sympy(self):
+        rng = random.Random(7919)
+        for _ in range(40):
+            g = _random_group(rng, 8)
+            sym = to_sympy_group(g)
+            for letter in range(1, g.degree + 1):
+                expected = sym.stabilizer(letter - 1).order()
+                assert g.point_stabilizer(letter).order() == expected
+
+    def test_point_stabilizer_membership_over_group_elements(self):
+        rng = random.Random(104729)
+        checked = 0
+        while checked < 25:
+            g = _random_group(rng, 8)
+            if g.order() > 5040:
+                continue
+            letter = rng.randint(1, g.degree)
+            stab = g.point_stabilizer(letter)
+            for x in g.elements():
+                assert stab.contains(x) == (x.apply(letter) == letter)
+            checked += 1
+
+    def test_bounded_build_matches_full_build(self):
+        rng = random.Random(1299709)
+        for _ in range(60):
+            g = _random_group(rng, 8)
+            n = g.degree
+            for bound in (g.order(), factorial(n)):
+                bounded = GeneratedGroup(n, g.generators, _order_bound=bound)
+                assert bounded.order() == g.order()
+                for _ in range(20):
+                    x = _random_perm(rng, n)
+                    assert bounded.contains(x) == g.contains(x)
+
+    def test_bound_reached_while_sifting_generators_skips_verify(self, monkeypatch):
+        def refuse(chain, bound):
+            raise AssertionError("Schreier generators checked after the bound")
+
+        monkeypatch.setattr(permgroup._StabilizerChain, "_verify", refuse)
+        s3 = [parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3)]
+        assert GeneratedGroup(3, s3, _order_bound=6).order() == 6
+
+    def test_bound_below_the_order_is_refused(self):
+        s4 = [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 2)", 4)]
+        with pytest.raises(RuntimeError, match="exceeds its bound"):
+            GeneratedGroup(4, s4, _order_bound=5)
 
 class TestBlocks:
     def test_deg7_group_primitive(self, deg7):
