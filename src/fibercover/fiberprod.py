@@ -22,6 +22,7 @@ from math import gcd, lcm
 from .permcore import (
     Permutation,
     _from_images,
+    _realizations,
     direct_sum,
     dominates,
     identity,
@@ -29,7 +30,7 @@ from .permcore import (
     product,
     split,
 )
-from .permgroup import CapExceededError, GeneratedGroup, orbit_transversal, orbits
+from .permgroup import CapExceededError, GeneratedGroup, _Level, orbits
 from .cover import Cover, InvalidCoverError, equivalent_tuples, genus_from_tuple
 
 __all__ = [
@@ -60,7 +61,7 @@ def _restrict(perm: Permutation, letters: tuple[int, ...]) -> Permutation:
     in the order given."""
     position = {x: i for i, x in enumerate(letters, start=1)}
     try:
-        return Permutation(tuple(position[perm.apply(x)] for x in letters))
+        return _from_images(tuple([position[perm.apply(x)] for x in letters]))
     except KeyError:
         raise RuntimeError(f"{perm} does not preserve {letters}") from None
 
@@ -404,18 +405,19 @@ class Component:
         pair = self.pair
         m, n = pair.degree_x, pair.degree_y
         joint = pair.joint_group
-        # carrier[y] maps the y-letter 1 to y (in joint coordinates); the
-        # joint group preserves the x/y split, so the orbit is all y-letters.
-        carrier = orbit_transversal(m + 1, joint.generators, m + n)
+        # carrier.transversal[y] carries the y-letter 1 to y; the joint
+        # group preserves the x/y split, so the orbit is all y-letters.
+        carrier = _Level(m + 1, m + n)
+        carrier.add_generators(joint.generators)
         J = self.x_orbit_over_y1
         out: list[tuple[str, Permutation]] = []
         for i, (label, b) in enumerate(zip(pair.branch_points, pair.tau)):
             for cyc in b.cycles(include_fixed=True):
                 t = len(cyc)
                 y_b = m + min(cyc)
-                u = carrier[y_b]
+                u = carrier.transversal[y_b]
                 gamma = joint.generators[i]
-                delta = u * (gamma**t) * u.inverse()
+                delta = u * (gamma**t) * carrier.inverses[y_b]
                 if delta.apply(m + 1) != m + 1:
                     raise RuntimeError("conjugated cycle fails to fix y-letter 1")
                 out.append((f"{label}/y{min(cyc)}", _restrict(delta, J)))
@@ -528,54 +530,6 @@ def _product_one_adjust(
     raise RuntimeError(
         "no generating product-one realization found in these classes"
     )
-
-
-def _realizations(choices: list[list[Permutation]], degree: int):
-    """Every choice of one entry per position whose ordered product is
-    the identity, in lexicographic order of the positions' lists.
-
-    A lazy depth-first search on an explicit stack.  The last entry is
-    forced: the inverse of the product before it.  A (position, partial
-    product) state is recorded as dead once it has been explored in full
-    without a completion, and is never entered again; a state that did
-    complete may be entered again under another prefix, whose
-    completions are new choices.  Not a recursive closure: that is a
-    reference cycle, which keeps the search state alive."""
-    one = identity(degree)
-    last = set(choices[-1])
-    if len(choices) == 1:
-        if one in last:
-            yield [one]
-        return
-    final = len(choices) - 2
-    dead: list[set[Permutation]] = [set() for _ in choices]
-    prefixes = [one]
-    chosen: list[Permutation] = []
-    frames = [iter(choices[0])]
-    # Frames below ``live`` have seen a completion since they were entered.
-    live = 0
-    while frames:
-        j = len(frames) - 1
-        q = next(frames[j], None)
-        if q is None:
-            frames.pop()
-            if j >= live:
-                dead[j].add(prefixes[j])
-            live = min(live, j)
-            prefixes.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        nxt = prefixes[j] * q
-        if j == final:
-            closing = nxt.inverse()
-            if closing in last:
-                live = len(frames)
-                yield chosen + [q, closing]
-        elif nxt not in dead[j + 1]:
-            chosen.append(q)
-            prefixes.append(nxt)
-            frames.append(iter(choices[j + 1]))
 
 
 # -- whole-pair operations ---------------------------------------------------

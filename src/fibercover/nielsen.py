@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .permcore import Permutation, identity, product
+from .permcore import Permutation, _realizations, identity
 from .permgroup import CapExceededError, GeneratedGroup
 
 __all__ = [
@@ -171,10 +171,11 @@ def _orbit_table(spec: NielsenClassSpec) -> _OrbitTable:
 
 
 def enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
-    """All canonical representatives, sorted: backtrack over the first
-    r-1 positions, force the last entry by product-one, check class
-    membership, then reduce modulo the equivalence and test generation
-    once per orbit.  Results are cached on the spec instance."""
+    """All canonical representatives, sorted: the product-one choices of
+    each class ordering come from ``permcore._realizations``, the lazy
+    search the projection adjustment uses too; each is reduced modulo the
+    equivalence and generation is tested once per orbit.  Results are
+    cached on the spec instance."""
     cached = getattr(spec, "_enumeration_cache", None)
     if cached is not None:
         return cached
@@ -206,17 +207,14 @@ def _enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
     tested: set[NielsenElement] = set()
     found: list[NielsenElement] = []
     for ordering in orderings:
-        classes = [base_classes[i] for i in ordering]
-        last_class = set(classes[-1])
-        for prefix in itertools.product(*classes[:-1]):
-            last = product(prefix, degree).inverse()
-            if last not in last_class:
-                continue
-            rep = canonical(prefix + (last,))
+        for chosen in _realizations([base_classes[i] for i in ordering], degree):
+            rep = canonical(tuple(chosen))
             if rep in tested:
                 continue
             tested.add(rep)
-            if GeneratedGroup(degree, list(rep)).order() == target_order:
+            # The entries are class members of G, so |G| bounds their group.
+            group = GeneratedGroup(degree, chosen, _order_bound=target_order)
+            if group.order() == target_order:
                 found.append(rep)
     return sorted(found)
 

@@ -76,15 +76,15 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Right-action composition: apply ``self`` first, then ``other``."""
-        if self.degree != other.degree:
+        other_images = other.images
+        if len(self.images) != len(other_images):
             raise ValueError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
-        other_images = other.images
         return _from_images(tuple([other_images[i - 1] for i in self.images]))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
+        inv = [0] * len(self.images)
         for i, img in enumerate(self.images, start=1):
             inv[img - 1] = i
         return _from_images(tuple(inv))
@@ -104,10 +104,10 @@ class Permutation:
     def conjugate(self, h: "Permutation") -> "Permutation":
         """``h^-1 * self * h`` — moves the support of ``self`` by ``h``:
         the image of ``(j)h`` is ``((j)self)h``."""
-        if self.degree != h.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {h.degree}")
         h_images = h.images
-        images = [0] * self.degree
+        if len(self.images) != len(h_images):
+            raise ValueError(f"degree mismatch: {self.degree} vs {h.degree}")
+        images = [0] * len(h_images)
         for hj, pj in zip(h_images, self.images):
             images[hj - 1] = h_images[pj - 1]
         return _from_images(tuple(images))
@@ -196,6 +196,56 @@ def product(perms, degree: int) -> Permutation:
     """The ordered product ``perms[0] * perms[1] * ...``; the identity
     of ``degree`` when ``perms`` is empty."""
     return reduce(Permutation.__mul__, perms, identity(degree))
+
+
+def _realizations(choices: list[list[Permutation]], degree: int):
+    """Every choice of one entry per position whose ordered product is
+    the identity, in lexicographic order of the positions' lists.
+
+    A lazy depth-first search on an explicit stack.  The last entry is
+    forced: the inverse of the product before it.  A (position, partial
+    product) state is recorded as dead once it has been explored in full
+    without a completion, and is never entered again; a state that did
+    complete may be entered again under another prefix, whose
+    completions are new choices.  Not a recursive closure: that is a
+    reference cycle, which keeps the search state alive.  Nielsen
+    enumeration and the projection's product-one adjustment both walk
+    it."""
+    one = identity(degree)
+    last = set(choices[-1])
+    if len(choices) == 1:
+        if one in last:
+            yield [one]
+        return
+    final = len(choices) - 2
+    dead: list[set[Permutation]] = [set() for _ in choices]
+    prefixes = [one]
+    chosen: list[Permutation] = []
+    frames = [iter(choices[0])]
+    # Frames below ``live`` have seen a completion since they were entered.
+    live = 0
+    while frames:
+        j = len(frames) - 1
+        q = next(frames[j], None)
+        if q is None:
+            frames.pop()
+            if j >= live:
+                dead[j].add(prefixes[j])
+            live = min(live, j)
+            prefixes.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        nxt = prefixes[j] * q
+        if j == final:
+            closing = nxt.inverse()
+            if closing in last:
+                live = len(frames)
+                yield chosen + [q, closing]
+        elif nxt not in dead[j + 1]:
+            chosen.append(q)
+            prefixes.append(nxt)
+            frames.append(iter(choices[j + 1]))
 
 
 def direct_sum(a: Permutation, b: Permutation) -> Permutation:

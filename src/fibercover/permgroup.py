@@ -4,7 +4,8 @@ Membership and order come from a deterministic stabilizer chain with
 base (1, 2, 3, ...), built at any group order by Schreier–Sims that
 repeats no finished work: a new strong generator extends each level's
 orbit without changing an existing transversal entry (each level keeps
-the inverses too), the generators are sifted in first, and the
+the inverses too; ``_Level`` is the package's one transversal walk, in
+and outside the chain), the generators are sifted in first, and the
 Schreier generators are checked from the deepest level up, resuming at
 the level that received a residue and sifting each (letter, generator)
 pair once.  A build stops when the product of the orbit lengths reaches
@@ -31,7 +32,6 @@ __all__ = [
     "BlockSystem",
     "CapExceededError",
     "orbits",
-    "orbit_transversal",
     "LISTING_CAP",
     "NORMALIZER_DEGREE_CAP",
 ]
@@ -77,33 +77,16 @@ def orbits(generators, degree: int) -> list[list[int]]:
     return out
 
 
-def orbit_transversal(
-    point: int, generators: list[Permutation], degree: int
-) -> dict[int, Permutation]:
-    """Breadth-first (FIFO) transversal of the orbit of ``point``: maps
-    each letter q of the orbit to a word in ``generators`` carrying
-    ``point`` to q.  Letters appear in discovery order, which fixes the
-    Schreier generators built from the transversal."""
-    transversal = {point: identity(degree)}
-    queue = deque([point])
-    while queue:
-        p = queue.popleft()
-        u = transversal[p]
-        for g in generators:
-            q = g.apply(p)
-            if q not in transversal:
-                transversal[q] = u * g
-                queue.append(q)
-    return transversal
-
-
 class _Level:
     """One level of the stabilizer chain: a base point, the strong
     generators fixing every earlier base point, and a breadth-first
     transversal of the base point's orbit under them, with the inverse
     of each entry.  Entries are only ever added, never changed.  The
     generators and the transversal itself are build state, dropped once
-    the chain is complete; the inverses stay."""
+    the chain is complete; the inverses stay.  A fresh level given all
+    generators at once holds the breadth-first transversal of its point,
+    letters in discovery order: ``point_stabilizer`` and the projection's
+    carrier read it so."""
 
     __slots__ = ("point", "gens", "transversal", "inverses")
 
@@ -114,19 +97,20 @@ class _Level:
         self.transversal: dict[int, Permutation] = {point: one}
         self.inverses: dict[int, Permutation] = {point: one}
 
-    def add_generator(self, g: Permutation) -> None:
-        """Append ``g`` and extend the orbit: the known letters were
-        closed under the old generators, so they need only ``g``; each
-        new letter needs every generator."""
-        self.gens.append(g)
+    def add_generators(self, added: list[Permutation]) -> None:
+        """Append ``added`` and extend the orbit: the known letters were
+        closed under the old generators, so they need only the added
+        ones; each new letter needs every generator."""
+        self.gens.extend(added)
         transversal, inverses, gens = self.transversal, self.inverses, self.gens
         new: list[int] = []
         for p in list(transversal):
-            q = g.apply(p)
-            if q not in transversal:
-                u = transversal[q] = transversal[p] * g
-                inverses[q] = u.inverse()
-                new.append(q)
+            for g in added:
+                q = g.apply(p)
+                if q not in transversal:
+                    u = transversal[q] = transversal[p] * g
+                    inverses[q] = u.inverse()
+                    new.append(q)
         # ``new`` doubles as the FIFO queue of letters to act on.
         for p in new:
             for s in gens:
@@ -189,7 +173,7 @@ class _StabilizerChain:
         sufficient."""
         for idx, lvl in enumerate(self.levels):
             before = len(lvl.transversal)
-            lvl.add_generator(g)
+            lvl.add_generators([g])
             self._size = self._size // before * len(lvl.transversal)
             if g.apply(lvl.point) != lvl.point:
                 return idx
@@ -369,13 +353,14 @@ class GeneratedGroup:
         Its order is |G| / |orbit|, so its chain stops there."""
         if not 1 <= letter <= self.degree:
             raise ValueError(f"letter {letter} out of range")
-        transversal = orbit_transversal(letter, self.generators, self.degree)
+        level = _Level(letter, self.degree)
+        level.add_generators(self.generators)
+        transversal, inverses = level.transversal, level.inverses
         gens: list[Permutation] = []
         seen: set[Permutation] = set()
         for p, u in transversal.items():
             for g in self.generators:
-                q = g.apply(p)
-                schreier = u * g * transversal[q].inverse()
+                schreier = u * g * inverses[g.apply(p)]
                 if not schreier.is_identity and schreier not in seen:
                     seen.add(schreier)
                     gens.append(schreier)
@@ -488,7 +473,7 @@ class GeneratedGroup:
                 images[gi].append(target)
         if len(reps) != index:
             raise RuntimeError("coset enumeration mismatch")
-        perms = [Permutation(tuple(img)) for img in images]
+        perms = [_from_images(tuple(img)) for img in images]
         return perms, index
 
     # -- conjugacy ------------------------------------------------------

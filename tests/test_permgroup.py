@@ -224,6 +224,66 @@ class TestOrderBound:
         with pytest.raises(RuntimeError, match="exceeds its bound"):
             GeneratedGroup(4, s4, _order_bound=5)
 
+
+def _bfs_transversal(point, generators, degree):
+    """Breadth-first (FIFO) transversal of the orbit of ``point``, letters
+    in discovery order: the oracle for ``_Level.add_generators``."""
+    transversal = {point: identity(degree)}
+    queue = deque([point])
+    while queue:
+        p = queue.popleft()
+        for g in generators:
+            q = g.apply(p)
+            if q not in transversal:
+                transversal[q] = transversal[p] * g
+                queue.append(q)
+    return transversal
+
+
+class TestLevelTransversal:
+    """``_Level.add_generators`` is the one transversal walk: the chain
+    extends its levels with it, and ``point_stabilizer`` and the
+    projection's carrier read a fresh level."""
+
+    @staticmethod
+    def _generator_sets(seed):
+        rng = random.Random(seed)
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            draw = rng.choice([_random_perm, _random_sparse_perm])
+            yield n, rng.randint(1, n), [draw(rng, n) for _ in range(rng.randint(1, 4))]
+
+    def test_fresh_level_is_the_breadth_first_transversal(self):
+        intransitive = 0
+        for n, point, gens in self._generator_sets(2741):
+            level = permgroup._Level(point, n)
+            level.add_generators(gens)
+            expected = _bfs_transversal(point, gens, n)
+            assert list(level.transversal) == list(expected)
+            assert level.transversal == expected
+            intransitive += len(expected) < n
+        assert intransitive > 20
+
+    def test_entries_carry_the_point_and_inverses_undo_them(self):
+        for n, point, gens in self._generator_sets(3323):
+            level = permgroup._Level(point, n)
+            level.add_generators(gens)
+            assert level.inverses.keys() == level.transversal.keys()
+            for q, u in level.transversal.items():
+                assert u.apply(point) == q
+                assert (level.inverses[q] * u).is_identity
+
+    def test_one_generator_at_a_time_reaches_the_same_orbit(self):
+        for n, point, gens in self._generator_sets(4391):
+            level = permgroup._Level(point, n)
+            for g in gens:
+                level.add_generators([g])
+            assert sorted(level.transversal) == sorted(_bfs_transversal(point, gens, n))
+            for q, u in level.transversal.items():
+                assert u.apply(point) == q
+                assert (level.inverses[q] * u).is_identity
+
+
 class TestBlocks:
     def test_deg7_group_primitive(self, deg7):
         assert deg7.is_primitive()

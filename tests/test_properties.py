@@ -35,7 +35,6 @@ from fibercover.fiberprod import (
     PairedCover,
     _product_one_adjust,
     _quotient_covers,
-    _realizations,
     pair_covers_over_common_points,
 )
 from fibercover.nielsen import (
@@ -47,6 +46,7 @@ from fibercover.nielsen import (
 )
 from fibercover.permcore import (
     Permutation,
+    _realizations,
     direct_sum,
     identity,
     parse_cycles,
@@ -432,6 +432,26 @@ class TestNielsenCounts:
             nonempty += _check_nielsen_counts(group, reps) > 0
         # Some of the random classes must be nonempty for the check to bite.
         assert nonempty >= 5
+
+    def test_short_classes(self):
+        """r = 1, where the search has one position and no prefix, and
+        r = 2, where the first entry forces the second: only the identity
+        class of the trivial group has a one-entry tuple, and two entries
+        generate only a cyclic group."""
+        trivial = GeneratedGroup(3, [])
+        assert _check_nielsen_counts(trivial, (identity(3),)) == 1
+        s3 = GeneratedGroup(3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)])
+        for rep in ("()", "(1 2)", "(1 2 3)"):
+            assert _check_nielsen_counts(s3, (parse_cycles(rep, 3),)) == 0
+        for first, second in [("(1 2)", "(2 3)"), ("(1 2 3)", "(1 3 2)")]:
+            reps = (parse_cycles(first, 3), parse_cycles(second, 3))
+            assert _check_nielsen_counts(s3, reps) == 0
+        g = parse_cycles("(1 2 3 4 5 6)", 6)
+        c6 = GeneratedGroup(6, [g])
+        assert _check_nielsen_counts(c6, (g, g**5)) == 1
+        assert _check_nielsen_counts(c6, (g**5, g)) == 1
+        assert _check_nielsen_counts(c6, (g**2, g**4)) == 0
+        assert _check_nielsen_counts(c6, (g, g)) == 0
 
 
 # -- normalizer and class stabilizer against a sweep over S_n --------------------
