@@ -30,7 +30,8 @@ from .permcore import (
     product,
     split,
 )
-from .permgroup import CapExceededError, GeneratedGroup, _Level, orbits
+from .permgroup import CapExceededError, GeneratedGroup, orbits
+from .permgroup import _letter_image, _orbit_stabilizer, _orbit_walk
 from .cover import Cover, InvalidCoverError, equivalent_tuples, genus_from_tuple
 
 __all__ = [
@@ -405,19 +406,18 @@ class Component:
         pair = self.pair
         m, n = pair.degree_x, pair.degree_y
         joint = pair.joint_group
-        # carrier.transversal[y] carries the y-letter 1 to y; the joint
-        # group preserves the x/y split, so the orbit is all y-letters.
-        carrier = _Level(m + 1, m + n)
-        carrier.add_generators(joint.generators)
+        # carrier[y] carries the y-letter 1 to y; the joint group
+        # preserves the x/y split, so the orbit is all y-letters.
+        carrier = _orbit_walk(joint, m + 1, _letter_image, "letters")
         J = self.x_orbit_over_y1
         out: list[tuple[str, Permutation]] = []
         for i, (label, b) in enumerate(zip(pair.branch_points, pair.tau)):
             for cyc in b.cycles(include_fixed=True):
                 t = len(cyc)
                 y_b = m + min(cyc)
-                u = carrier.transversal[y_b]
+                u = carrier[y_b]
                 gamma = joint.generators[i]
-                delta = u * (gamma**t) * carrier.inverses[y_b]
+                delta = u * (gamma**t) * u.inverse()
                 if delta.apply(m + 1) != m + 1:
                     raise RuntimeError("conjugated cycle fails to fix y-letter 1")
                 out.append((f"{label}/y{min(cyc)}", _restrict(delta, J)))
@@ -497,14 +497,14 @@ def _product_one_adjust(
     ordered product is the identity and the entries generate the image
     group.
 
-    Each entry's class is listed once per distinct entry, in order of
-    the first conjugator among the sorted group elements, so the entry
-    itself comes first.  ``_realizations`` yields the product-one
-    choices lazily in lexicographic order of those lists; the first one
-    that generates the image group is returned.  The search visits at
-    most |image group| partial products per position, so that product
-    with the number of entries is checked against ``search_cap`` before
-    any element is listed.
+    Each entry's class is listed once per distinct entry by
+    ``_class_by_least_conjugator``, so the entry itself comes first.
+    ``_realizations`` yields the product-one choices lazily in
+    lexicographic order of those lists; the first one that generates the
+    image group is returned.  The search visits at most |image group|
+    partial products per position, so that product with the number of
+    entries is checked against ``search_cap`` before any class is
+    listed.  No group element is listed.
     """
     order = image_group.order()
     estimate = order * len(perms)
@@ -514,11 +514,10 @@ def _product_one_adjust(
             f"order {order} x {len(perms)} entries) exceeds cap {search_cap}; "
             "raise the search_cap parameter of Component.pry_branch_cycles"
         )
-    elements = image_group.elements()
     classes: dict[Permutation, list[Permutation]] = {}
     for p in perms:
         if p not in classes:
-            classes[p] = list(dict.fromkeys(p.conjugate(h) for h in elements))
+            classes[p] = _class_by_least_conjugator(image_group, p)
     found = False
     for chosen in _realizations([classes[p] for p in perms], image_group.degree):
         found = True
@@ -530,6 +529,22 @@ def _product_one_adjust(
     raise RuntimeError(
         "no generating product-one realization found in these classes"
     )
+
+
+def _class_by_least_conjugator(
+    group: GeneratedGroup, p: Permutation
+) -> list[Permutation]:
+    """The ``group``-class of ``p``, each member c listed in order of the
+    least h (images compared lexicographically) with p^h = c, so ``p``
+    comes first.  Those h form the right coset C(p) * t_c of the
+    centralizer, t_c the conjugator the class walk found for c; the
+    walk's stabilizer chain is that of C(p), and its ``coset_minimum``
+    reads the least element off the coset directly."""
+    conjugators, centralizer, _ = _orbit_stabilizer(
+        group, p, Permutation.conjugate, "class members"
+    )
+    least = {c: centralizer.coset_minimum(t) for c, t in conjugators.items()}
+    return sorted(least, key=least.__getitem__)
 
 
 # -- whole-pair operations ---------------------------------------------------

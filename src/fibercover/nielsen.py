@@ -72,7 +72,15 @@ class NielsenClassSpec:
         return len(self.class_reps)
 
     def classes(self) -> list[list[Permutation]]:
-        return [self.group.conjugacy_class(rep) for rep in self.class_reps]
+        """The class of each representative, in order; listed once per
+        distinct representative and cached on the instance."""
+        cached = getattr(self, "_classes_cache", None)
+        if cached is None:
+            distinct = dict.fromkeys(self.class_reps)
+            listed = {rep: self.group.conjugacy_class(rep) for rep in distinct}
+            cached = [listed[rep] for rep in self.class_reps]
+            object.__setattr__(self, "_classes_cache", cached)
+        return cached
 
     def class_orderings(self) -> list[tuple[int, ...]]:
         """Distinct orderings of the class multiset, as index tuples into
@@ -80,7 +88,7 @@ class NielsenClassSpec:
         excluded)."""
         if not self.include_reorderings:
             return [tuple(range(self.r))]
-        ids = [min(self.group.conjugacy_class(rep)) for rep in self.class_reps]
+        ids = [cls[0] for cls in self.classes()]
         seen: set[tuple[Permutation, ...]] = set()
         out: list[tuple[int, ...]] = []
         for perm in itertools.permutations(range(self.r)):
@@ -113,10 +121,7 @@ class NielsenClassSpec:
             )
             return extra.elements()
         normalizer = self.group.normalizer_in_symmetric()
-        stab = self.group.class_stabilizer(
-            [self.group.conjugacy_class(rep) for rep in self.class_reps],
-            ambient=normalizer,
-        )
+        stab = self.group.class_stabilizer(self.classes(), ambient=normalizer)
         return stab.elements()
 
 
@@ -311,7 +316,7 @@ def h3_structure(spec: NielsenClassSpec) -> dict:
     # Induced action on the ordering of the three classes: q1 swaps the
     # first two slots, sh rotates; the orbit of the initial ordering
     # has size 6, 3, 2 or 1 depending on repeats among the classes.
-    reps = [min(spec.group.conjugacy_class(c)) for c in spec.class_reps]
+    reps = [cls[0] for cls in spec.classes()]
     orderings = {tuple(reps)}
     queue = deque([tuple(reps)])
     while queue:

@@ -4,14 +4,18 @@ Membership and order come from a deterministic stabilizer chain with
 base (1, 2, 3, ...), built at any group order by Schreier–Sims that
 repeats no finished work: a new strong generator extends each level's
 orbit without changing an existing transversal entry (each level keeps
-the inverses too; ``_Level`` is the package's one transversal walk, in
-and outside the chain), the generators are sifted in first, and the
+the inverses too), the generators are sifted in first, and the
 Schreier generators are checked from the deepest level up, resuming at
 the level that received a residue and sifting each (letter, generator)
 pair once.  A build stops when the product of the orbit lengths reaches
 an order bound the caller has proved: each orbit of a partial chain lies
 in the true basic orbit, so the product is at most the group order, with
 equality only for a complete chain.
+
+Outside the chain, ``_orbit_walk`` is the one breadth-first walk of an
+orbit under any action, and ``_orbit_stabilizer`` streams that orbit's
+Schreier generators into a chain bounded by |G| / |orbit|: point
+stabilizers on letters, and centralizers on a conjugacy class.
 
 Caps sit at the work that grows with the group: ``LISTING_CAP`` bounds
 every listing of group elements, class members or cosets, and
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import factorial
 
@@ -85,8 +90,7 @@ class _Level:
     generators and the transversal itself are build state, dropped once
     the chain is complete; the inverses stay.  A fresh level given all
     generators at once holds the breadth-first transversal of its point,
-    letters in discovery order: ``point_stabilizer`` and the projection's
-    carrier read it so."""
+    letters in discovery order, as ``_orbit_walk`` does."""
 
     __slots__ = ("point", "gens", "transversal", "inverses")
 
@@ -125,23 +129,31 @@ class _StabilizerChain:
     """Deterministic Schreier–Sims with base (1, 2, ..., n), built by
     ``complete``."""
 
-    def __init__(self, degree: int, generators: list[Permutation]) -> None:
+    def __init__(self, degree: int, generators: Iterable[Permutation]) -> None:
         self.degree = degree
         self.levels = [_Level(i, degree) for i in range(1, degree + 1)]
         self._size = 1  # the product of the orbit lengths
         self._generators = generators
 
-    def complete(self, bound: int | None = None) -> None:
+    def complete(self, bound: int | None = None) -> list[Permutation]:
         """Sift the generators in, then close under Schreier generators.
         Stop once the product of the orbit lengths reaches ``bound``, a
         proved upper bound on |<generators>|: that product never exceeds
-        the group order and equals it only for a complete chain."""
+        the group order and equals it only for a complete chain.  The
+        generators may be an iterator, read no further than that.
+
+        Returns the generators whose residue extended the chain.  They
+        generate the whole group: every other one sifted to the identity
+        through their residues, or was never read because the chain
+        already had the bound's order."""
+        kept: list[Permutation] = []
         for g in self._generators:
             if self._size == bound:
                 break
             residue = self._sift(g)
             if residue is not None:
                 self._add_strong_generator(residue)
+                kept.append(g)
         if self._size != bound:
             self._verify(bound)
         # Membership, listing and coset minima read only the inverses.
@@ -150,6 +162,7 @@ class _StabilizerChain:
             del lvl.gens, lvl.transversal
         if bound is not None and self._size > bound:
             raise RuntimeError(f"group order {self._size} exceeds its bound {bound}")
+        return kept
 
     def _sift(self, g: Permutation, start: int = 0) -> Permutation | None:
         """Reduce ``g``, which fixes the base points before ``start``,
@@ -236,6 +249,58 @@ class _StabilizerChain:
                 q = min(lvl.inverses, key=x.apply)
                 x = lvl.inverses[q].inverse() * x
         return x
+
+
+def _letter_image(p: int, g: Permutation) -> int:
+    return g.images[p - 1]
+
+
+def _orbit_walk(group: "GeneratedGroup", start, act, what: str) -> dict:
+    """The orbit of ``start`` under ``group``, ``act(x, g)`` the image of
+    ``x`` under the generator ``g``: a breadth-first transversal mapping
+    each member y, in discovery order, to a t with ``act(start, t) == y``.
+    ``what`` names the members in the ``LISTING_CAP`` refusal."""
+    transversal = {start: identity(group.degree)}
+    # ``members`` doubles as the FIFO queue of members to act on.
+    members = [start]
+    for x in members:
+        t = transversal[x]
+        for g in group.generators:
+            y = act(x, g)
+            if y not in transversal:
+                transversal[y] = t * g
+                members.append(y)
+                _check_listing(len(members), what)
+    return transversal
+
+
+def _orbit_stabilizer(
+    group: "GeneratedGroup", start, act, what: str
+) -> tuple[dict, _StabilizerChain, list[Permutation]]:
+    """The orbit of ``start`` (as ``_orbit_walk``) and the stabilizer of
+    ``start`` in ``group``.  The Schreier generators t_x * g * t_y^-1,
+    y = act(x, g), are formed only as the chain reads them, and the chain
+    stops at |G| / |orbit|, the stabilizer's order.  Returns the
+    transversal, the complete stabilizer chain, and the Schreier
+    generators whose residue extended it, which generate the stabilizer."""
+    transversal = _orbit_walk(group, start, act, what)
+    inverses: dict = {}
+
+    def schreier():
+        for x, t in transversal.items():
+            for g in group.generators:
+                y = act(x, g)
+                tg, u = t * g, transversal[y]
+                if tg.images == u.images:
+                    continue  # the edge that found y: a trivial generator
+                u_inverse = inverses.get(y)
+                if u_inverse is None:
+                    u_inverse = inverses[y] = u.inverse()
+                yield tg * u_inverse
+
+    chain = _StabilizerChain(group.degree, schreier())
+    kept = chain.complete(group.order() // len(transversal))
+    return transversal, chain, kept
 
 
 @dataclass(frozen=True)
@@ -349,24 +414,14 @@ class GeneratedGroup:
     # -- stabilizers ----------------------------------------------------
 
     def point_stabilizer(self, letter: int) -> "GeneratedGroup":
-        """Stabilizer of one letter, generated by Schreier generators.
-        Its order is |G| / |orbit|, so its chain stops there."""
+        """Stabilizer of one letter.  Its Schreier generators are streamed
+        into a chain that stops at |G| / |orbit|, the stabilizer's order;
+        its generators are those whose residue extended that chain, in
+        the order of the breadth-first orbit walk."""
         if not 1 <= letter <= self.degree:
             raise ValueError(f"letter {letter} out of range")
-        level = _Level(letter, self.degree)
-        level.add_generators(self.generators)
-        transversal, inverses = level.transversal, level.inverses
-        gens: list[Permutation] = []
-        seen: set[Permutation] = set()
-        for p, u in transversal.items():
-            for g in self.generators:
-                schreier = u * g * inverses[g.apply(p)]
-                if not schreier.is_identity and schreier not in seen:
-                    seen.add(schreier)
-                    gens.append(schreier)
-        return GeneratedGroup(
-            self.degree, gens, _order_bound=self._order // len(transversal)
-        )
+        _, chain, kept = _orbit_stabilizer(self, letter, _letter_image, "letters")
+        return GeneratedGroup(self.degree, kept, _order_bound=chain.order())
 
     # -- block systems --------------------------------------------------
 
@@ -479,20 +534,11 @@ class GeneratedGroup:
     # -- conjugacy ------------------------------------------------------
 
     def conjugacy_class(self, x: Permutation) -> list[Permutation]:
-        """The G-class of ``x`` by conjugation orbit, sorted."""
+        """The G-class of ``x``, sorted: its conjugation orbit over the
+        generators, refused past ``LISTING_CAP`` members."""
         if not self.contains(x):
             raise ValueError("element not in group")
-        seen = {x}
-        queue = deque([x])
-        while queue:
-            y = queue.popleft()
-            for g in self.generators:
-                z = y.conjugate(g)
-                if z not in seen:
-                    seen.add(z)
-                    _check_listing(len(seen), "class members")
-                    queue.append(z)
-        return sorted(seen)
+        return sorted(_orbit_walk(self, x, Permutation.conjugate, "class members"))
 
     def class_representative(self, x: Permutation) -> Permutation:
         return min(self.conjugacy_class(x))

@@ -483,6 +483,32 @@ class TestProjectionAdjustment:
         expected = (GOLDEN / "pry_sm-pair-9.json").read_text(encoding="utf-8")
         assert json.dumps(covers, indent=2) + "\n" == expected
 
+    def test_sm_pair_10_projections_match_golden(self):
+        """Every projection of ``sm-pair-10`` (S8 over 29 entries, above
+        the default cap), byte for byte as captured when each class was
+        listed by conjugating with every element of the image group."""
+        pair = catalog.build_sm_pair(10)
+        covers = [
+            c.pry_branch_cycles(search_cap=10**8).to_json_dict()
+            for c in pair.components
+        ]
+        expected = (GOLDEN / "pry_sm-pair-10.json").read_text(encoding="utf-8")
+        assert json.dumps(covers, indent=2) + "\n" == expected
+
+    @pytest.mark.parametrize("m", [8, 9, 10])
+    def test_projections_list_no_group_elements(self, m, monkeypatch):
+        """The adjustment orders each class by the centralizer's coset
+        minima, so no projection lists the elements of any group."""
+
+        def refuse(group):
+            raise AssertionError("group elements listed")
+
+        monkeypatch.setattr(permgroup.GeneratedGroup, "elements", refuse)
+        pair = catalog.build_sm_pair(m)
+        for component in pair.components:
+            cover = component.pry_branch_cycles(search_cap=10**8)
+            assert cover.degree == component.deg_over_y
+
 
 def test_pair_freed_without_cycle_collector():
     """Components refer to their pair, and the pair caches only the orbits,

@@ -1,7 +1,9 @@
 """Unit tests for Nielsen classes: enumeration, equivalence, braid
 action, coalescing."""
 
+import dataclasses
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,27 @@ class TestBraidAction:
         h = p7("(1 2 3 4 5 6 7)")
         conj = tuple(x.conjugate(h) for x in e)
         assert canonical_form(conj, conjugators) in set(ni_2227_braid_orbits[0])
+
+    def test_classes_listed_once_per_representative(self, monkeypatch):
+        """Enumeration, the class orderings and the class stabilizer all
+        read the spec's class lists, so ``braid_orbits`` lists the class of
+        each distinct representative at most once."""
+        calls = Counter()
+        original = GeneratedGroup.conjugacy_class
+
+        def counting(group, x):
+            calls[x] += 1
+            return original(group, x)
+
+        monkeypatch.setattr(GeneratedGroup, "conjugacy_class", counting)
+        # A fresh spec, so nothing is read from a cache filled elsewhere.
+        spec = dataclasses.replace(catalog.get("deg7-class-2^3.7"))
+        assert [len(o) for o in nielsen.braid_orbits(spec)] == [7]
+        distinct = set(spec.class_reps)
+        assert len(distinct) < spec.r
+        for rep in distinct:
+            assert calls[rep] <= 1
+        assert sum(calls[rep] for rep in distinct) == len(distinct)
 
 
 class TestH3Structure:

@@ -241,9 +241,10 @@ def _bfs_transversal(point, generators, degree):
 
 
 class TestLevelTransversal:
-    """``_Level.add_generators`` is the one transversal walk: the chain
-    extends its levels with it, and ``point_stabilizer`` and the
-    projection's carrier read a fresh level."""
+    """``_Level.add_generators`` is the chain's incremental transversal
+    walk; a fresh level given all generators is the breadth-first
+    transversal, the one ``_orbit_walk`` gives ``point_stabilizer`` and
+    the projection's carrier."""
 
     @staticmethod
     def _generator_sets(seed):
@@ -261,6 +262,11 @@ class TestLevelTransversal:
             expected = _bfs_transversal(point, gens, n)
             assert list(level.transversal) == list(expected)
             assert level.transversal == expected
+            walked = permgroup._orbit_walk(
+                GeneratedGroup(n, gens), point, permgroup._letter_image, "letters"
+            )
+            assert list(walked) == list(expected)
+            assert walked == expected
             intransitive += len(expected) < n
         assert intransitive > 20
 
@@ -282,6 +288,42 @@ class TestLevelTransversal:
             for q, u in level.transversal.items():
                 assert u.apply(point) == q
                 assert (level.inverses[q] * u).is_identity
+
+
+def _all_schreier_generators(g: GeneratedGroup, letter: int) -> list[Permutation]:
+    """Every Schreier generator u * s * v^-1 of the stabilizer of
+    ``letter``, over the breadth-first transversal."""
+    transversal = _bfs_transversal(letter, g.generators, g.degree)
+    return [
+        u * s * transversal[s.apply(p)].inverse()
+        for p, u in transversal.items()
+        for s in g.generators
+    ]
+
+
+class TestStabilizerGenerators:
+    """``point_stabilizer`` keeps only the Schreier generators whose
+    residue extended its chain; they must generate the stabilizer that
+    all the Schreier generators generate."""
+
+    def test_kept_generators_generate_the_schreier_group(self):
+        rng = random.Random(6007)
+        intransitive = fewer = 0
+        for _ in range(80):
+            g = _random_group(rng, 8)
+            letter = rng.randint(1, g.degree)
+            stab = g.point_stabilizer(letter)
+            assert all(s.apply(letter) == letter for s in stab.generators)
+            schreier = _all_schreier_generators(g, letter)
+            full = GeneratedGroup(g.degree, schreier)
+            assert all(full.contains(s) for s in stab.generators)
+            assert all(stab.contains(s) for s in schreier)
+            expected = to_sympy_group(g).stabilizer(letter - 1).order()
+            assert stab.order() == full.order() == expected
+            intransitive += not g.is_transitive()
+            fewer += len(stab.generators) < len(full.generators)
+        assert intransitive > 10
+        assert fewer > 15
 
 
 class TestBlocks:

@@ -16,6 +16,9 @@
 * group elements listed from the stabilizer chain equal a closure walk;
 * the lazy product-one adjustment returns what the backward-table
   search returns, and yields every product-one choice in its order;
+* each class is listed in order of least conjugator, read from the
+  centralizer's chain, exactly as conjugating by every sorted element
+  lists it, and the centralizer has sympy's order;
 * quotient covers never have larger genus than the cover they come
   from.
 """
@@ -28,11 +31,14 @@ from itertools import product as cartesian
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.combinatorics import Permutation as SymPerm
+from sympy.combinatorics.perm_groups import PermutationGroup
 
 from fibercover import catalog, nielsen
 from fibercover.cover import Cover
 from fibercover.fiberprod import (
     PairedCover,
+    _class_by_least_conjugator,
     _product_one_adjust,
     _quotient_covers,
     pair_covers_over_common_points,
@@ -53,7 +59,7 @@ from fibercover.permcore import (
     product,
     split,
 )
-from fibercover.permgroup import GeneratedGroup
+from fibercover.permgroup import GeneratedGroup, _orbit_stabilizer
 
 # -- random element generators ------------------------------------------------
 
@@ -558,6 +564,42 @@ class TestElementListing:
                 _closure([g.images for g in gens], n)
             )
             assert len(listed) == group.order()
+
+
+# -- class order from the centralizer against conjugation by every element ----
+
+
+def _sympy_perm(p):
+    return SymPerm([i - 1 for i in p.images])
+
+
+class TestClassByLeastConjugator:
+    def test_random_generator_sets(self):
+        rng = random.Random(5527)
+        trivial = intransitive = both_nontrivial = 0
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            group = GeneratedGroup(n, _random_generators(rng, n))
+            sym = PermutationGroup(
+                [SymPerm(list(range(n)))] + [_sympy_perm(g) for g in group.generators]
+            )
+            elements = group.elements()
+            for p in rng.sample(elements, min(3, len(elements))):
+                # The order the adjustment used to list: each member c
+                # once, at the first sorted h with p^h = c.
+                expected = list(dict.fromkeys(p.conjugate(h) for h in elements))
+                assert _class_by_least_conjugator(group, p) == expected
+                members, centralizer, _ = _orbit_stabilizer(
+                    group, p, Permutation.conjugate, "class members"
+                )
+                assert centralizer.order() * len(members) == group.order()
+                assert centralizer.order() == sym.centralizer(_sympy_perm(p)).order()
+                both_nontrivial += len(members) > 1 and centralizer.order() > 1
+            trivial += group.order() == 1
+            intransitive += len(group.orbits()) > 1
+        assert trivial > 5
+        assert intransitive > 50
+        assert both_nontrivial > 50
 
 
 # -- product-one adjustment against the backward-table search -----------------
