@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import catalog, nielsen
 from .cover import Cover, InvalidCoverError
@@ -260,10 +261,8 @@ def _cmd_screen(args) -> int:
 
 
 def _catalog_json(value) -> str:
-    if isinstance(value, Cover):
+    if isinstance(value, (Cover, CoverPair)):
         return value.to_json()
-    if isinstance(value, CoverPair):
-        return json.dumps(value.to_json_dict(), indent=2, sort_keys=True)
     if isinstance(value, NielsenClassSpec):
         payload = {
             "degree": value.group.degree,
@@ -346,7 +345,9 @@ def _cmd_growth(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="fibercover",
         description=(

@@ -31,7 +31,7 @@ from .permcore import (
     split,
 )
 from .permgroup import CapExceededError, GeneratedGroup, orbits
-from .permgroup import _letter_image, _orbit_stabilizer, _orbit_walk
+from .permgroup import _letter_image, _orbit_stabilizer
 from .cover import Cover, InvalidCoverError, equivalent_tuples, genus_from_tuple
 
 __all__ = [
@@ -172,10 +172,15 @@ class CoverPair:
         return self.joint_group.point_stabilizer(1)
 
     @cached_property
-    def y1_stabilizer(self) -> GeneratedGroup:
-        """Stab(m+1) in the joint group: the stabilizer of the y-letter 1,
-        shared by every component's projection to the y-line."""
-        return self.joint_group.point_stabilizer(self.degree_x + 1)
+    def y1_orbit_stabilizer(self) -> tuple[dict[int, Permutation], GeneratedGroup]:
+        """One walk of the orbit of the y-letter 1 (letter m+1) in the
+        joint group, shared by every component's projection to the
+        y-line: the carrier, whose entry for y carries m+1 to y, and
+        Stab(m+1).  The joint group preserves the x/y split, so the orbit
+        is all y-letters."""
+        return _orbit_stabilizer(
+            self.joint_group, self.degree_x + 1, _letter_image, "letters"
+        )
 
     @cached_property
     def tensor_cycles(self) -> tuple[Permutation, ...]:
@@ -406,9 +411,7 @@ class Component:
         pair = self.pair
         m, n = pair.degree_x, pair.degree_y
         joint = pair.joint_group
-        # carrier[y] carries the y-letter 1 to y; the joint group
-        # preserves the x/y split, so the orbit is all y-letters.
-        carrier = _orbit_walk(joint, m + 1, _letter_image, "letters")
+        carrier, _ = pair.y1_orbit_stabilizer
         J = self.x_orbit_over_y1
         out: list[tuple[str, Permutation]] = []
         for i, (label, b) in enumerate(zip(pair.branch_points, pair.tau)):
@@ -428,9 +431,8 @@ class Component:
         """The stabilizer of the y-letter 1 in the joint group, restricted
         to J — the monodromy group of the projection to the y-line."""
         J = self.x_orbit_over_y1
-        return GeneratedGroup(
-            len(J), [_restrict(g, J) for g in self.pair.y1_stabilizer.generators]
-        )
+        _, stabilizer = self.pair.y1_orbit_stabilizer
+        return GeneratedGroup(len(J), [_restrict(g, J) for g in stabilizer.generators])
 
     @cached_property
     def genus_method2(self) -> int:
@@ -538,9 +540,9 @@ def _class_by_least_conjugator(
     least h (images compared lexicographically) with p^h = c, so ``p``
     comes first.  Those h form the right coset C(p) * t_c of the
     centralizer, t_c the conjugator the class walk found for c; the
-    walk's stabilizer chain is that of C(p), and its ``coset_minimum``
-    reads the least element off the coset directly."""
-    conjugators, centralizer, _ = _orbit_stabilizer(
+    walk's stabilizer is C(p), and its ``coset_minimum`` reads the least
+    element off the coset directly."""
+    conjugators, centralizer = _orbit_stabilizer(
         group, p, Permutation.conjugate, "class members"
     )
     least = {c: centralizer.coset_minimum(t) for c, t in conjugators.items()}
@@ -610,17 +612,16 @@ def double_transitive_complement(c: Cover) -> int:
 
 
 def _quotient_covers(c: Cover) -> list[tuple[str, Cover]]:
-    """The cover itself plus its quotients through every nontrivial block
-    system (degree = number of blocks); degree-1 quotients are excluded."""
+    """The cover itself plus its quotient through each nontrivial block
+    system (degree = number of blocks), one per system: a system has more
+    than one block, and the cover's group acts transitively on them, so
+    some branch cycle moves a block."""
     out: list[tuple[str, Cover]] = [("identity-quotient", c)]
     for bs in c.group().block_systems():
-        if bs.num_blocks <= 1:
-            continue
         quotient = Cover.from_aligned(
             bs.num_blocks, c.branch_points, [bs.quotient(p) for p in c.cycles]
         )
-        if quotient.cycles:
-            out.append((f"blocks-of-size-{bs.block_size}", quotient))
+        out.append((f"blocks-of-size-{bs.block_size}", quotient))
     return out
 
 
@@ -715,12 +716,9 @@ def screen_g1(
             f"galois closure of the projection has genus {ghat} (<= 1)"
         )
 
-    fail2b: list[str] = []
-    for name, q in _quotient_covers(pr_w):
-        if name == "identity-quotient":
-            continue
-        if q.genus() == 0:
-            fail2b.append(f"{name}:degree-{q.degree}")
+    # One quotient per nontrivial block system, after the cover itself.
+    quotients = _quotient_covers(pr_w)[1:]
+    fail2b = [f"{name}:degree-{q.degree}" for name, q in quotients if q.genus() == 0]
 
     fail2c: bool | None = None
     fail2c_notes = ""
@@ -753,7 +751,7 @@ def screen_g1(
                 "the fiber product of the projection with g1 is reducible"
             )
 
-    dec_var = bool(pr_w.group().block_systems())
+    dec_var = bool(quotients)
     if dec_var:
         notes.append("dec-var not excluded")
 

@@ -1,7 +1,8 @@
 """Groups generated by permutations.
 
-Membership and order come from a deterministic stabilizer chain with
-base (1, 2, 3, ...), built at any group order by Schreier–Sims that
+A ``GeneratedGroup`` is its stabilizer chain with base (1, 2, 3, ...):
+order, membership, element listing and coset minima read the chain's
+levels.  The chain is built at any group order by Schreier–Sims that
 repeats no finished work: a new strong generator extends each level's
 orbit without changing an existing transversal entry (each level keeps
 the inverses too), the generators are sifted in first, and the
@@ -14,8 +15,9 @@ equality only for a complete chain.
 
 Outside the chain, ``_orbit_walk`` is the one breadth-first walk of an
 orbit under any action, and ``_orbit_stabilizer`` streams that orbit's
-Schreier generators into a chain bounded by |G| / |orbit|: point
-stabilizers on letters, and centralizers on a conjugacy class.
+Schreier generators into the stabilizer's own build, bounded by
+|G| / |orbit|, so each stabilizer is built once: point stabilizers on
+letters, and centralizers on a conjugacy class.
 
 Caps sit at the work that grows with the group: ``LISTING_CAP`` bounds
 every listing of group elements, class members or cosets, and
@@ -125,132 +127,6 @@ class _Level:
                     new.append(q)
 
 
-class _StabilizerChain:
-    """Deterministic Schreier–Sims with base (1, 2, ..., n), built by
-    ``complete``."""
-
-    def __init__(self, degree: int, generators: Iterable[Permutation]) -> None:
-        self.degree = degree
-        self.levels = [_Level(i, degree) for i in range(1, degree + 1)]
-        self._size = 1  # the product of the orbit lengths
-        self._generators = generators
-
-    def complete(self, bound: int | None = None) -> list[Permutation]:
-        """Sift the generators in, then close under Schreier generators.
-        Stop once the product of the orbit lengths reaches ``bound``, a
-        proved upper bound on |<generators>|: that product never exceeds
-        the group order and equals it only for a complete chain.  The
-        generators may be an iterator, read no further than that.
-
-        Returns the generators whose residue extended the chain.  They
-        generate the whole group: every other one sifted to the identity
-        through their residues, or was never read because the chain
-        already had the bound's order."""
-        kept: list[Permutation] = []
-        for g in self._generators:
-            if self._size == bound:
-                break
-            residue = self._sift(g)
-            if residue is not None:
-                self._add_strong_generator(residue)
-                kept.append(g)
-        if self._size != bound:
-            self._verify(bound)
-        # Membership, listing and coset minima read only the inverses.
-        del self._generators
-        for lvl in self.levels:
-            del lvl.gens, lvl.transversal
-        if bound is not None and self._size > bound:
-            raise RuntimeError(f"group order {self._size} exceeds its bound {bound}")
-        return kept
-
-    def _sift(self, g: Permutation, start: int = 0) -> Permutation | None:
-        """Reduce ``g``, which fixes the base points before ``start``,
-        through the chain.  Returns ``None`` if ``g`` sifts to the
-        identity (membership), else the residue, which moves its level's
-        base point outside that level's orbit."""
-        levels = self.levels
-        for idx in range(start, self.degree):
-            p = g.images[idx]
-            if p != idx + 1:
-                inverse = levels[idx].inverses.get(p)
-                if inverse is None:
-                    return g
-                g = g * inverse
-        return None
-
-    def _add_strong_generator(self, g: Permutation) -> int:
-        """Add ``g`` to every level from the top down to the first base
-        point it moves, inclusive, and return that level.  Keeping the
-        level sets nested is what makes the Schreier-generator check
-        sufficient."""
-        for idx, lvl in enumerate(self.levels):
-            before = len(lvl.transversal)
-            lvl.add_generators([g])
-            self._size = self._size // before * len(lvl.transversal)
-            if g.apply(lvl.point) != lvl.point:
-                return idx
-
-    def _verify(self, bound: int | None) -> None:
-        """Close under Schreier generators, from the deepest level up.
-
-        Leaving level i, every Schreier generator u*s*v^-1 of level i has
-        sifted to the identity or to a residue that became a strong
-        generator below i, so it lies in the group of the levels below,
-        which are complete; by Schreier's lemma level i is then complete
-        too.  A residue changes only the levels down to the one that
-        received it, so the check resumes there.  Transversal entries
-        never change, so a (letter, generator) pair once sifted stays
-        sifted and is never sifted again."""
-        sifted: list[set[tuple[int, int]]] = [set() for _ in self.levels]
-        idx = self.degree - 1
-        while idx >= 0:
-            lvl = self.levels[idx]
-            done = sifted[idx]
-            transversal, inverses = lvl.transversal, lvl.inverses
-            residue = None
-            for p, u in list(transversal.items()):
-                for gi, g in enumerate(lvl.gens):
-                    if (p, gi) in done:
-                        continue
-                    done.add((p, gi))
-                    ug = u * g
-                    q = g.apply(p)
-                    if ug.images == transversal[q].images:
-                        continue  # the edge that found q: a trivial generator
-                    residue = self._sift(ug * inverses[q], idx + 1)
-                    if residue is not None:
-                        break
-                if residue is not None:
-                    break
-            if residue is None:
-                idx -= 1
-                continue
-            idx = self._add_strong_generator(residue)
-            if self._size == bound:
-                return
-
-    def order(self) -> int:
-        return self._size
-
-    def contains(self, g: Permutation) -> bool:
-        if g.degree != self.degree:
-            return False
-        return self._sift(g) is None
-
-    def coset_minimum(self, x: Permutation) -> Permutation:
-        """The least element of the right coset H*x, H this chain's group,
-        by one greedy transversal choice per level: s*u*x, with u in the
-        first level's transversal and s fixing the first base point, sends
-        that point where x sends its image under u.  The base is 1, ..., n,
-        so each level fixes the next image of the least element."""
-        for lvl in self.levels:
-            if len(lvl.inverses) > 1:
-                q = min(lvl.inverses, key=x.apply)
-                x = lvl.inverses[q].inverse() * x
-        return x
-
-
 def _letter_image(p: int, g: Permutation) -> int:
     return g.images[p - 1]
 
@@ -276,13 +152,13 @@ def _orbit_walk(group: "GeneratedGroup", start, act, what: str) -> dict:
 
 def _orbit_stabilizer(
     group: "GeneratedGroup", start, act, what: str
-) -> tuple[dict, _StabilizerChain, list[Permutation]]:
+) -> tuple[dict, "GeneratedGroup"]:
     """The orbit of ``start`` (as ``_orbit_walk``) and the stabilizer of
     ``start`` in ``group``.  The Schreier generators t_x * g * t_y^-1,
-    y = act(x, g), are formed only as the chain reads them, and the chain
-    stops at |G| / |orbit|, the stabilizer's order.  Returns the
-    transversal, the complete stabilizer chain, and the Schreier
-    generators whose residue extended it, which generate the stabilizer."""
+    y = act(x, g), are formed only as the stabilizer's chain reads them,
+    and the build stops at |G| / |orbit|, the stabilizer's order.  Returns
+    the transversal and the stabilizer, whose generators are the Schreier
+    generators that extended its chain."""
     transversal = _orbit_walk(group, start, act, what)
     inverses: dict = {}
 
@@ -298,9 +174,8 @@ def _orbit_stabilizer(
                     u_inverse = inverses[y] = u.inverse()
                 yield tg * u_inverse
 
-    chain = _StabilizerChain(group.degree, schreier())
-    kept = chain.complete(group.order() // len(transversal))
-    return transversal, chain, kept
+    bound = group.order() // len(transversal)
+    return transversal, GeneratedGroup._streamed(group.degree, schreier(), bound)
 
 
 @dataclass(frozen=True)
@@ -342,11 +217,12 @@ class BlockSystem:
 
 
 class GeneratedGroup:
-    """A permutation group given by generators; immutable after build.
+    """A permutation group given by generators, held as its stabilizer
+    chain with base (1, 2, ..., n); immutable after build.
 
     ``_order_bound`` is private to the package: a caller that has proved
-    |<generators>| <= ``_order_bound`` passes it, and the stabilizer chain
-    stops as soon as its order reaches the bound."""
+    |<generators>| <= ``_order_bound`` passes it, and the build stops as
+    soon as the chain's order reaches the bound."""
 
     def __init__(
         self,
@@ -358,12 +234,119 @@ class GeneratedGroup:
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
-        self.degree = degree
         self.generators = [g for g in generators if not g.is_identity]
-        self._chain = _StabilizerChain(degree, self.generators)
-        self._chain.complete(_order_bound)
-        self._order = self._chain.order()
+        self._build(degree, self.generators, _order_bound)
+
+    @classmethod
+    def _streamed(
+        cls, degree: int, generators: Iterable[Permutation], bound: int
+    ) -> "GeneratedGroup":
+        """The group of ``generators``, an iterator of non-identity
+        permutations of ``degree`` read no further than the proved order
+        ``bound``; its generators are those whose residue extended the
+        chain."""
+        group = cls.__new__(cls)
+        group.generators = group._build(degree, generators, bound)
+        return group
+
+    def _build(
+        self, degree: int, generators: Iterable[Permutation], bound: int | None
+    ) -> list[Permutation]:
+        """Sift the generators in, then close under Schreier generators.
+        Stop once the product of the orbit lengths reaches ``bound``, a
+        proved upper bound on |<generators>|: that product never exceeds
+        the group order and equals it only for a complete chain.
+
+        Returns the generators whose residue extended the chain.  They
+        generate the whole group: every other one sifted to the identity
+        through their residues, or was never read because the chain
+        already had the bound's order."""
+        self.degree = degree
+        self._levels = [_Level(i, degree) for i in range(1, degree + 1)]
+        self._order = 1  # the product of the orbit lengths
         self._elements: list[Permutation] | None = None
+        kept: list[Permutation] = []
+        for g in generators:
+            if self._order == bound:
+                break
+            residue = self._sift(g)
+            if residue is not None:
+                self._add_strong_generator(residue)
+                kept.append(g)
+        if self._order != bound:
+            self._verify(bound)
+        # Membership, listing and coset minima read only the inverses.
+        for lvl in self._levels:
+            del lvl.gens, lvl.transversal
+        if bound is not None and self._order > bound:
+            raise RuntimeError(f"group order {self._order} exceeds its bound {bound}")
+        return kept
+
+    def _sift(self, g: Permutation, start: int = 0) -> Permutation | None:
+        """Reduce ``g``, which fixes the base points before ``start``,
+        through the chain.  Returns ``None`` if ``g`` sifts to the
+        identity (membership), else the residue, which moves its level's
+        base point outside that level's orbit."""
+        levels = self._levels
+        for idx in range(start, self.degree):
+            p = g.images[idx]
+            if p != idx + 1:
+                inverse = levels[idx].inverses.get(p)
+                if inverse is None:
+                    return g
+                g = g * inverse
+        return None
+
+    def _add_strong_generator(self, g: Permutation) -> int:
+        """Add ``g`` to every level from the top down to the first base
+        point it moves, inclusive, and return that level.  Keeping the
+        level sets nested is what makes the Schreier-generator check
+        sufficient."""
+        for idx, lvl in enumerate(self._levels):
+            before = len(lvl.transversal)
+            lvl.add_generators([g])
+            self._order = self._order // before * len(lvl.transversal)
+            if g.apply(lvl.point) != lvl.point:
+                return idx
+
+    def _verify(self, bound: int | None) -> None:
+        """Close under Schreier generators, from the deepest level up.
+
+        Leaving level i, every Schreier generator u*s*v^-1 of level i has
+        sifted to the identity or to a residue that became a strong
+        generator below i, so it lies in the group of the levels below,
+        which are complete; by Schreier's lemma level i is then complete
+        too.  A residue changes only the levels down to the one that
+        received it, so the check resumes there.  Transversal entries
+        never change, so a (letter, generator) pair once sifted stays
+        sifted and is never sifted again."""
+        sifted: list[set[tuple[int, int]]] = [set() for _ in self._levels]
+        idx = self.degree - 1
+        while idx >= 0:
+            lvl = self._levels[idx]
+            done = sifted[idx]
+            transversal, inverses = lvl.transversal, lvl.inverses
+            residue = None
+            for p, u in list(transversal.items()):
+                for gi, g in enumerate(lvl.gens):
+                    if (p, gi) in done:
+                        continue
+                    done.add((p, gi))
+                    ug = u * g
+                    q = g.apply(p)
+                    if ug.images == transversal[q].images:
+                        continue  # the edge that found q: a trivial generator
+                    residue = self._sift(ug * inverses[q], idx + 1)
+                    if residue is not None:
+                        break
+                if residue is not None:
+                    break
+            if residue is None:
+                idx -= 1
+                continue
+            idx = self._add_strong_generator(residue)
+            if self._order == bound:
+                return
 
     # -- basic queries --------------------------------------------------
 
@@ -371,7 +354,19 @@ class GeneratedGroup:
         return self._order
 
     def contains(self, g: Permutation) -> bool:
-        return self._chain.contains(g)
+        return g.degree == self.degree and self._sift(g) is None
+
+    def coset_minimum(self, x: Permutation) -> Permutation:
+        """The least element of the right coset H*x, H this group, by one
+        greedy transversal choice per level: s*u*x, with u in the first
+        level's transversal and s fixing the first base point, sends that
+        point where x sends its image under u.  The base is 1, ..., n, so
+        each level fixes the next image of the least element."""
+        for lvl in self._levels:
+            if len(lvl.inverses) > 1:
+                q = min(lvl.inverses, key=x.apply)
+                x = lvl.inverses[q].inverse() * x
+        return x
 
     def elements(self) -> list[Permutation]:
         """Every element, sorted; cached.  Listed from the stabilizer
@@ -383,7 +378,7 @@ class GeneratedGroup:
         if self._elements is None:
             _check_listing(self._order, "group elements")
             found = [identity(self.degree)]
-            for lvl in self._chain.levels:
+            for lvl in self._levels:
                 if len(lvl.inverses) > 1:
                     coset_reps = list(lvl.inverses.values())
                     found = [x * v for x in found for v in coset_reps]
@@ -414,14 +409,14 @@ class GeneratedGroup:
     # -- stabilizers ----------------------------------------------------
 
     def point_stabilizer(self, letter: int) -> "GeneratedGroup":
-        """Stabilizer of one letter.  Its Schreier generators are streamed
-        into a chain that stops at |G| / |orbit|, the stabilizer's order;
-        its generators are those whose residue extended that chain, in
-        the order of the breadth-first orbit walk."""
+        """Stabilizer of one letter, built once: its Schreier generators
+        are streamed into its chain, which stops at |G| / |orbit|, the
+        stabilizer's order; its generators are those whose residue
+        extended that chain, in the order of the breadth-first orbit
+        walk."""
         if not 1 <= letter <= self.degree:
             raise ValueError(f"letter {letter} out of range")
-        _, chain, kept = _orbit_stabilizer(self, letter, _letter_image, "letters")
-        return GeneratedGroup(self.degree, kept, _order_bound=chain.order())
+        return _orbit_stabilizer(self, letter, _letter_image, "letters")[1]
 
     # -- block systems --------------------------------------------------
 
@@ -520,7 +515,7 @@ class GeneratedGroup:
         # ``reps`` doubles as the FIFO queue of cosets to act on.
         for rep in reps:
             for gi, g in enumerate(self.generators):
-                least = h._chain.coset_minimum(rep * g)
+                least = h.coset_minimum(rep * g)
                 target = labels.get(least)
                 if target is None:
                     target = labels[least] = len(reps) + 1

@@ -355,22 +355,47 @@ class TestScreening:
         report = screen_g1(f, g1)
         assert report.fail2b_quotients
 
+    def test_block_systems_computed_once(self, pair1, monkeypatch):
+        """The quotients and the dec-var flag read one list of the
+        projection's block systems; calls on the quotient groups, made
+        while the systems are found, are not counted."""
+        rot = parse_cycles("(1 2 3 4)", 4)
+        refl = parse_cycles("(1 3)", 4)
+        dihedral = Cover(4, ("a", "b", "c"), (rot, refl, (rot * refl).inverse()))
+        _, large = by_size(pair1)
+        original = permgroup.GeneratedGroup.block_systems
+        for pr_w, imprimitive in ((dihedral, True), (large.pry_branch_cycles(), False)):
+            calls = []
+
+            def recording(group):
+                calls.append(group is pr_w.group())
+                return original(group)
+
+            monkeypatch.setattr(permgroup.GeneratedGroup, "block_systems", recording)
+            g1 = catalog.build_cyclic_cover(2, (pr_w.branch_points[0], "t2"))
+            report = screen_g1(pr_w, g1)
+            assert calls.count(True) == 1
+            assert report.dec_var_not_excluded == imprimitive
+            assert bool(report.fail2b_quotients) == imprimitive
+
 
 class TestNoTensorChain:
     """Components, both genus methods and the subgroup witness come from
     generator orbits and groups on m + n letters: no stabilizer chain on
-    the m*n tensor letters is built, and validating a cover builds none."""
+    the m*n tensor letters is built, and validating a cover builds none.
+    Every chain, of a public group, a point stabilizer or a centralizer,
+    is built by ``GeneratedGroup._build``, which the fixture records."""
 
     @pytest.fixture
     def chain_degrees(self, monkeypatch):
         degrees = []
-        original = permgroup._StabilizerChain.__init__
+        original = permgroup.GeneratedGroup._build
 
-        def recording(chain, degree, generators):
+        def recording(group, degree, generators, bound):
             degrees.append(degree)
-            original(chain, degree, generators)
+            return original(group, degree, generators, bound)
 
-        monkeypatch.setattr(permgroup._StabilizerChain, "__init__", recording)
+        monkeypatch.setattr(permgroup.GeneratedGroup, "_build", recording)
         return degrees
 
     @pytest.mark.parametrize("key", ["sm-pair-7", "deg7-pair-1"])
@@ -395,23 +420,28 @@ class TestNoTensorChain:
 
 
 def test_y1_stabilizer_built_once_per_pair(monkeypatch):
-    """Every component's projection to the y-line reads Stab(m+1) of the
-    joint group from the pair, so it is built once, not per component."""
-    letters = []
-    original = permgroup.GeneratedGroup.point_stabilizer
+    """Every component's projection to the y-line reads the carrier of
+    the y-letter 1 and Stab(m+1) of the joint group from the pair's one
+    walk of that orbit, so the orbit is walked once, not per component.
+    Each module's reference to the walk is recorded, so a walk through
+    a name imported from ``permgroup`` is counted too."""
+    starts = []
+    original = permgroup._orbit_walk
 
-    def recording(group, letter):
-        letters.append((group.degree, letter))
-        return original(group, letter)
+    def recording(group, start, act, what):
+        starts.append((group.degree, start))
+        return original(group, start, act, what)
 
-    monkeypatch.setattr(permgroup.GeneratedGroup, "point_stabilizer", recording)
+    for module in (permgroup, fiberprod):
+        if hasattr(module, "_orbit_walk"):
+            monkeypatch.setattr(module, "_orbit_walk", recording)
     source = catalog.get("sm-pair-7")
     m, n = source.degree_x, source.degree_y
     pair = PairedCover(source.branch_points, source.sigma, source.tau, m, n)
     assert len(pair.components) == 2
     for component in pair.components:
         assert component.pry_branch_cycles().validate().valid
-    assert letters.count((m + n, m + 1)) == 1
+    assert starts.count((m + n, m + 1)) == 1
 
 
 class TestAboveOrderCap:

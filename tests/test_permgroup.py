@@ -212,10 +212,10 @@ class TestOrderBound:
                     assert bounded.contains(x) == g.contains(x)
 
     def test_bound_reached_while_sifting_generators_skips_verify(self, monkeypatch):
-        def refuse(chain, bound):
+        def refuse(group, bound):
             raise AssertionError("Schreier generators checked after the bound")
 
-        monkeypatch.setattr(permgroup._StabilizerChain, "_verify", refuse)
+        monkeypatch.setattr(permgroup.GeneratedGroup, "_verify", refuse)
         s3 = [parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3)]
         assert GeneratedGroup(3, s3, _order_bound=6).order() == 6
 
@@ -325,6 +325,25 @@ class TestStabilizerGenerators:
         assert intransitive > 10
         assert fewer > 15
 
+    def test_point_stabilizer_builds_one_chain(self, monkeypatch):
+        built = []
+        original = GeneratedGroup._build
+
+        def recording(group, degree, generators, bound):
+            built.append((group, degree))
+            return original(group, degree, generators, bound)
+
+        rng = random.Random(7207)
+        for _ in range(80):
+            g = _random_group(rng, 8)
+            letter = rng.randint(1, g.degree)
+            monkeypatch.setattr(GeneratedGroup, "_build", recording)
+            stab = g.point_stabilizer(letter)
+            monkeypatch.undo()
+            assert built == [(stab, g.degree)]
+            assert stab.order() * len(g.orbit(letter)) == g.order()
+            built.clear()
+
 
 class TestBlocks:
     def test_deg7_group_primitive(self, deg7):
@@ -405,7 +424,7 @@ class TestCosetAction:
             n = rng.randint(1, 6)
             h = GeneratedGroup(n, [_random_perm(rng, n) for _ in range(rng.randint(0, 2))])
             x = _random_perm(rng, n)
-            assert h._chain.coset_minimum(x) == min(y * x for y in h.elements())
+            assert h.coset_minimum(x) == min(y * x for y in h.elements())
 
 
 def _random_perm(rng: random.Random, n: int) -> Permutation:
@@ -460,10 +479,10 @@ class TestListingCap:
             s8.elements()
 
     def test_coset_index_refused_before_listing(self, s8, monkeypatch):
-        def refuse(chain, x):
+        def refuse(group, x):
             raise AssertionError("a coset was listed before the cap check")
 
-        monkeypatch.setattr(permgroup._StabilizerChain, "coset_minimum", refuse)
+        monkeypatch.setattr(permgroup.GeneratedGroup, "coset_minimum", refuse)
         cyclic = GeneratedGroup(8, [parse_cycles("(1 2 3 4 5 6 7 8)", 8)])
         with pytest.raises(CapExceededError, match="5040 cosets"):
             s8.coset_action(cyclic)

@@ -589,7 +589,7 @@ class TestClassByLeastConjugator:
                 # once, at the first sorted h with p^h = c.
                 expected = list(dict.fromkeys(p.conjugate(h) for h in elements))
                 assert _class_by_least_conjugator(group, p) == expected
-                members, centralizer, _ = _orbit_stabilizer(
+                members, centralizer = _orbit_stabilizer(
                     group, p, Permutation.conjugate, "class members"
                 )
                 assert centralizer.order() * len(members) == group.order()
