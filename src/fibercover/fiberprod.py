@@ -31,7 +31,7 @@ from .permcore import (
     split,
 )
 from .permgroup import CapExceededError, GeneratedGroup, orbits
-from .permgroup import _letter_image, _orbit_stabilizer
+from .permgroup import _generates, _letter_image, _orbit_stabilizer
 from .cover import Cover, InvalidCoverError, equivalent_tuples, genus_from_tuple
 
 __all__ = [
@@ -523,8 +523,7 @@ def _product_one_adjust(
     found = False
     for chosen in _realizations([classes[p] for p in perms], image_group.degree):
         found = True
-        chosen_group = GeneratedGroup(image_group.degree, chosen, _order_bound=order)
-        if chosen_group.order() == order:
+        if _generates(image_group, chosen):
             return chosen
     if not found:
         raise RuntimeError("no product-one realization exists in these classes")
@@ -629,10 +628,13 @@ def detect_clc(f: Cover, g: Cover) -> dict | None:
     """Search for a common left composite: a shared quotient cover of
     degree at least 2 through which both covers factor.  Returns a
     witness description or None."""
+    quotients_g = None  # listed on first need: f of degree 1 never needs them
     for name_f, qf in _quotient_covers(f):
         if qf.degree < 2:
             continue
-        for name_g, qg in _quotient_covers(g):
+        if quotients_g is None:
+            quotients_g = _quotient_covers(g)
+        for name_g, qg in quotients_g:
             if qg.degree != qf.degree:
                 continue
             if qf.branch_points != qg.branch_points:

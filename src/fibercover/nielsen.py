@@ -14,9 +14,11 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from math import prod
 
-from .permcore import Permutation, _realizations, identity
+from .permcore import Permutation, _realizations
 from .permgroup import CapExceededError, GeneratedGroup
+from .permgroup import _generates, _orbit_stabilizer
 
 __all__ = [
     "EquivalenceMode",
@@ -99,30 +101,24 @@ class NielsenClassSpec:
         return out
 
     def equivalence_conjugators(self) -> list[Permutation]:
-        """The conjugators realizing the declared equivalence, as the
-        sorted elements of a group; cached on the instance."""
-        cached = getattr(self, "_conjugators_cache", None)
-        if cached is not None:
-            return cached
-        result = self._compute_conjugators()
-        object.__setattr__(self, "_conjugators_cache", result)
-        return result
+        """The conjugators realizing the declared equivalence: the sorted
+        elements of the group the spec's orbit table reduces by."""
+        return _orbit_table(self).group.elements()
 
-    def _compute_conjugators(self) -> list[Permutation]:
+    def _conjugator_group(self) -> GeneratedGroup:
+        """The group N of conjugators: trivial in raw mode, else a group
+        containing G."""
         if self.mode == EquivalenceMode.RAW:
-            return [identity(self.group.degree)]
-        inner = self.group.elements()
+            return GeneratedGroup(self.group.degree, [])
         if self.mode == EquivalenceMode.INNER:
-            return inner
+            return self.group
         if self.outer_elements:
-            extra = GeneratedGroup(
+            return GeneratedGroup(
                 self.group.degree,
                 list(self.group.generators) + list(self.outer_elements),
             )
-            return extra.elements()
         normalizer = self.group.normalizer_in_symmetric()
-        stab = self.group.class_stabilizer(self.classes(), ambient=normalizer)
-        return stab.elements()
+        return self.group.class_stabilizer(self.classes(), ambient=normalizer)
 
 
 NielsenElement = tuple[Permutation, ...]
@@ -144,25 +140,44 @@ def _key(element: NielsenElement) -> bytes:
 
 
 class _OrbitTable:
-    """Canonical forms modulo a group of conjugators, one orbit at a time.
+    """Canonical forms modulo a group N of conjugators.
 
-    The first tuple met from an orbit has its whole orbit built and every
-    member mapped to the orbit's least tuple; later members are a dict
-    lookup.  Because the conjugators form a group, the orbit of any
-    member is the same set, so the result equals ``canonical_form``.
-    Members are keyed by packed images, which take a small fraction of
-    the memory of tuples of ``Permutation`` objects."""
+    The least member of an N-orbit of tuples starts with c0, the least
+    member of the N-orbit of its first entry, and the members that start
+    with c0 form one orbit of the centralizer C_N(c0).  So a tuple is
+    conjugated once onto c0 and its least form is taken over C_N(c0)
+    only; those members are keyed, and a later one is a dict lookup.  The
+    result equals ``canonical_form`` over the elements of N.  Members are
+    keyed by packed images, which take a small fraction of the memory of
+    tuples of ``Permutation`` objects."""
 
-    def __init__(self, conjugators: list[Permutation]) -> None:
-        self.conjugators = conjugators
+    def __init__(self, group: GeneratedGroup) -> None:
+        self.group = group
+        # first entry -> (a conjugator onto c0, the elements of C_N(c0))
+        self.onto: dict[Permutation, tuple[Permutation, list[Permutation]]] = {}
         self.canonical: dict[bytes, NielsenElement] = {}
 
     def __call__(self, element: NielsenElement) -> NielsenElement:
-        rep = self.canonical.get(_key(element))
+        x = element[0]
+        if x not in self.onto:
+            # One walk per N-orbit of first entries: x^t_y = y, x^u = c0,
+            # and C_N(c0) = u^-1 C_N(x) u.
+            walk, stabilizer = _orbit_stabilizer(
+                self.group, x, Permutation.conjugate, "class members"
+            )
+            u = walk[min(walk)]
+            centralizer = [h.conjugate(u) for h in stabilizer.elements()]
+            for y, t in walk.items():
+                self.onto[y] = (t.inverse() * u, centralizer)
+        onto, centralizer = self.onto[x]
+        moved = element  # the enumeration's first entries are mostly c0 itself
+        if not onto.is_identity:
+            moved = tuple(p.conjugate(onto) for p in element)
+        rep = self.canonical.get(_key(moved))
         if rep is None:
-            orbit = [tuple(p.conjugate(h) for p in element) for h in self.conjugators]
-            rep = min(orbit)
-            self.canonical.update(dict.fromkeys(map(_key, orbit), rep))
+            members = [tuple(p.conjugate(h) for p in moved) for h in centralizer]
+            rep = min(members)
+            self.canonical.update(dict.fromkeys(map(_key, members), rep))
         return rep
 
 
@@ -170,7 +185,7 @@ def _orbit_table(spec: NielsenClassSpec) -> _OrbitTable:
     """The spec's orbit table, shared by enumeration and braid walks."""
     table = getattr(spec, "_orbit_table_cache", None)
     if table is None:
-        table = _OrbitTable(spec.equivalence_conjugators())
+        table = _OrbitTable(spec._conjugator_group())
         object.__setattr__(spec, "_orbit_table_cache", table)
     return table
 
@@ -178,8 +193,9 @@ def _orbit_table(spec: NielsenClassSpec) -> _OrbitTable:
 def enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
     """All canonical representatives, sorted: the product-one choices of
     each class ordering come from ``permcore._realizations``, the lazy
-    search the projection adjustment uses too; each is reduced modulo the
-    equivalence and generation is tested once per orbit.  Results are
+    search the projection adjustment uses too, with the first entry fixed
+    to its class's least member outside raw mode; each is reduced modulo
+    the equivalence and generation is tested once per orbit.  Results are
     cached on the spec instance."""
     cached = getattr(spec, "_enumeration_cache", None)
     if cached is not None:
@@ -193,33 +209,32 @@ def _enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
     base_classes = spec.classes()
     if not base_classes:
         return []
-    orderings = spec.class_orderings()
-    cost = 0
-    for ordering in orderings:
-        per = 1
-        for i in ordering[:-1]:
-            per *= len(base_classes[i])
-        cost += per
-        if cost > spec.search_cap:
-            raise CapExceededError(
-                f"enumeration search space exceeds cap {spec.search_cap}"
-            )
-    target_order = spec.group.order()
-    degree = spec.group.degree
+    walks = []
+    for ordering in spec.class_orderings():
+        choices = [base_classes[i] for i in ordering]
+        if spec.mode != EquivalenceMode.RAW:
+            # N contains G, so every orbit that meets this ordering meets
+            # the tuples that start with the least member of the first
+            # class (class lists are sorted).
+            choices[0] = choices[0][:1]
+        walks.append(choices)
+    cost = sum(prod(len(c) for c in choices[:-1]) for choices in walks)
+    if cost > spec.search_cap:
+        raise CapExceededError(
+            f"enumeration search space exceeds cap {spec.search_cap}"
+        )
     canonical = _orbit_table(spec)
     # Generation is invariant under conjugation, so it is tested once per
     # orbit: ``tested`` holds the representative of every orbit met.
     tested: set[NielsenElement] = set()
     found: list[NielsenElement] = []
-    for ordering in orderings:
-        for chosen in _realizations([base_classes[i] for i in ordering], degree):
+    for choices in walks:
+        for chosen in _realizations(choices, spec.group.degree):
             rep = canonical(tuple(chosen))
             if rep in tested:
                 continue
             tested.add(rep)
-            # The entries are class members of G, so |G| bounds their group.
-            group = GeneratedGroup(degree, chosen, _order_bound=target_order)
-            if group.order() == target_order:
+            if _generates(spec.group, chosen):
                 found.append(rep)
     return sorted(found)
 

@@ -178,6 +178,17 @@ def _orbit_stabilizer(
     return transversal, GeneratedGroup._streamed(group.degree, schreier(), bound)
 
 
+def _generates(group: "GeneratedGroup", candidates: list[Permutation]) -> bool:
+    """Whether ``candidates``, elements of ``group``, generate it.  Their
+    orbits are compared with the group's first, so a chain, bounded by
+    |G|, is built only for candidates with the group's orbits."""
+    degree = group.degree
+    if orbits(candidates, degree) != orbits(group.generators, degree):
+        return False
+    order = group.order()
+    return GeneratedGroup(degree, candidates, _order_bound=order).order() == order
+
+
 @dataclass(frozen=True)
 class BlockSystem:
     """A group-invariant partition of {1..n} into blocks of equal size.

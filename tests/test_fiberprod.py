@@ -319,6 +319,22 @@ class TestCommonComposite:
         )
         assert detect_clc(f, g) is None
 
+    def test_quotients_of_g_listed_once(self, monkeypatch):
+        """g's quotients are listed on first need and once, not again for
+        every quotient of f."""
+        f = catalog.build_dihedral(12, "2^4")
+        g = catalog.build_cyclic_cover(12, ("t1", "t2"))
+        calls = []
+        original = permgroup.GeneratedGroup.block_systems
+
+        def counting(group):
+            calls.append(group)
+            return original(group)
+
+        monkeypatch.setattr(permgroup.GeneratedGroup, "block_systems", counting)
+        detect_clc(f, g)
+        assert sum(group is g.group() for group in calls) == 1
+
 
 class TestScreening:
     def test_dihedral_projection_flagged(self, pair2):

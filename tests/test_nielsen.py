@@ -102,6 +102,82 @@ class TestEnumeration:
             NielsenClassSpec(DEG7_GROUP, (p7("(1 2)"),), EquivalenceMode.RAW)
 
 
+def alternating(n):
+    """A_n from (1 2 3) and an n-cycle (odd n) or an (n-1)-cycle on 2..n."""
+    long_cycle = " ".join(map(str, range(1 if n % 2 else 2, n + 1)))
+    return GeneratedGroup(
+        n, [parse_cycles("(1 2 3)", n), parse_cycles(f"({long_cycle})", n)]
+    )
+
+
+def three_cycle_spec(n, r, mode):
+    """The Nielsen class of r 3-cycles in A_n, one ordering of classes."""
+    t = parse_cycles("(1 2 3)", n)
+    return NielsenClassSpec(alternating(n), (t,) * r, mode, include_reorderings=False)
+
+
+class TestThreeCycleClasses:
+    """A_n with 3-cycles, the classes the lifting invariant separates.
+    The counts were produced by the enumeration over whole orbits."""
+
+    @pytest.mark.parametrize(
+        "n, r, mode, count, orbit_sizes",
+        [
+            (5, 4, EquivalenceMode.ABSOLUTE, 9, [9]),
+            (5, 4, EquivalenceMode.INNER, 18, [18]),
+            (5, 5, EquivalenceMode.ABSOLUTE, 342, [126, 216]),
+            (6, 5, EquivalenceMode.ABSOLUTE, 96, [96]),
+            (6, 5, EquivalenceMode.INNER, 192, [192]),
+        ],
+    )
+    def test_counts_and_braid_orbits(self, n, r, mode, count, orbit_sizes):
+        spec = three_cycle_spec(n, r, mode)
+        assert len(enumerate_class(spec)) == count
+        assert sorted(len(o) for o in nielsen.braid_orbits(spec)) == orbit_sizes
+
+    @pytest.mark.parametrize("mode", list(EquivalenceMode))
+    def test_first_position_is_the_class_minimum(self, mode, monkeypatch):
+        """Outside raw mode the walk fixes position 1 to the least member
+        of the first class; raw mode walks the whole class."""
+        walked = []
+        original = nielsen._realizations
+
+        def recording(choices, degree):
+            walked.append(choices)
+            return original(choices, degree)
+
+        monkeypatch.setattr(nielsen, "_realizations", recording)
+        spec = dataclasses.replace(catalog.get("deg7-class-3.2.7"), mode=mode)
+        enumerate_class(spec)
+        classes = spec.classes()
+        assert len(walked) == len(spec.class_orderings()) == 6
+        for choices, ordering in zip(walked, spec.class_orderings()):
+            first = classes[ordering[0]]
+            if mode == EquivalenceMode.RAW:
+                assert choices[0] == first
+            else:
+                assert choices[0] == [min(first)]
+            assert choices[1:] == [classes[i] for i in ordering[1:]]
+
+    @pytest.mark.slow
+    def test_a6_six_three_cycles_absolute(self):
+        """A6 3^6 fits the default caps once the first factor is dropped;
+        two braid orbits, as for every r >= n (Fried 2010)."""
+        spec = three_cycle_spec(6, 6, EquivalenceMode.ABSOLUTE)
+        reps = enumerate_class(spec)
+        assert len(reps) == len(set(reps)) == 8980
+        one = tuple(range(1, 7))
+        for e in reps:
+            images = one
+            for p in e:
+                assert sorted(map(len, p.cycles())) == [3]
+                images = tuple(p.images[i - 1] for i in images)
+            assert images == one
+            assert GeneratedGroup(6, list(e)).order() == 360
+        orbits = nielsen.braid_orbits(spec)
+        assert sorted(len(o) for o in orbits) == [3040, 5940]
+
+
 class TestBraidAction:
     def test_q1_definition(self):
         a, b, c = p7("(1 3)(4 5)"), p7("(1 4 6 7)(2 3)"), p7("(1 7 6 5 4 3 2)")

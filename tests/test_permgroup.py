@@ -1,7 +1,7 @@
 """Unit tests for generated groups, cross-checked against sympy."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 from math import factorial
 
 import pytest
@@ -14,6 +14,7 @@ from fibercover.permgroup import (
     BlockSystem,
     CapExceededError,
     GeneratedGroup,
+    _generates,
     orbits,
 )
 
@@ -343,6 +344,42 @@ class TestStabilizerGenerators:
             assert built == [(stab, g.degree)]
             assert stab.order() * len(g.orbit(letter)) == g.order()
             built.clear()
+
+
+class TestGenerationTest:
+    """``_generates`` compares the candidates' orbits with the group's
+    before it builds a chain; its answer is the order comparison's."""
+
+    def test_intransitive_candidates_build_no_chain(self, deg7, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a stabilizer chain was built")
+
+        monkeypatch.setattr(GeneratedGroup, "_build", refuse)
+        # Both move only the letters 1..5 of the transitive deg7 group.
+        assert not _generates(deg7, [p7("(1 3)(4 5)"), p7("(1 5 4)(2 3)")])
+
+    def test_matches_the_order_comparison(self):
+        rng = random.Random(8123)
+        agreed = Counter()
+        for _ in range(150):
+            g = _random_group(rng, 7)
+            elements = g.elements()
+            candidates = [rng.choice(elements) for _ in range(rng.randint(1, 3))]
+            expected = GeneratedGroup(g.degree, candidates).order() == g.order()
+            assert _generates(g, candidates) == expected
+            same_orbits = orbits(candidates, g.degree) == g.orbits()
+            agreed[expected, same_orbits] += 1
+        assert agreed[True, True] > 10
+        assert agreed[False, True] > 10
+        assert agreed[False, False] > 10
+
+    def test_intransitive_joint_group(self):
+        """The paired S5 on 5 + 10 letters has two orbits; its own
+        generators generate it, one of them alone does not."""
+        group = catalog.get("hilbert-siegel-m5").joint_spec.group
+        assert len(group.orbits()) == 2
+        assert _generates(group, group.generators)
+        assert not _generates(group, group.generators[:1])
 
 
 class TestBlocks:

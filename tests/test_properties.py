@@ -12,6 +12,9 @@
 * Nielsen counts: a class-algebra count of product-one tuples equals a
   plain loop, raw enumeration lists exactly the generating tuples the
   loop finds, and raw = inner representatives times |G : Z(G)|;
+* in every mode, with and without reorderings and with outer elements
+  that fuse classes, the representatives are the canonical forms over
+  all conjugators of the generating tuples the plain loop finds;
 * the normalizer and class stabilizer equal a sweep over all of S_n;
 * group elements listed from the stabilizer chain equal a closure walk;
 * the lazy product-one adjustment returns what the backward-table
@@ -458,6 +461,88 @@ class TestNielsenCounts:
         assert _check_nielsen_counts(c6, (g**5, g)) == 1
         assert _check_nielsen_counts(c6, (g**2, g**4)) == 0
         assert _check_nielsen_counts(c6, (g, g)) == 0
+
+
+def _random_generating_tuple(rng, group, r):
+    """A product-one tuple of r elements that generates ``group``, or None
+    after 50 draws; its entries name classes that are not empty."""
+    n, order = group.degree, group.order()
+    elements = group.elements()
+    for _ in range(50):
+        prefix = [rng.choice(elements).images for _ in range(r - 1)]
+        last = tuple(range(1, n + 1))
+        for x in prefix:
+            last = _mul(last, x)
+        element = prefix + [_inv(last)]
+        if len(_closure(element, n, stop=order // 2)) > order // 2:
+            return tuple(Permutation(x) for x in element)
+    return None
+
+
+def _check_canonical_enumeration(spec) -> int:
+    """``enumerate_class`` is the sorted set of ``canonical_form`` over
+    every generating product-one tuple of every class ordering, the tuples
+    found by a plain loop; returns the number of representatives."""
+    n = spec.group.degree
+    gens = [g.images for g in spec.group.generators]
+    elements = _closure(gens, n)
+    classes = _conjugacy_classes(elements, gens)
+    slots = [next(c for c in classes if rep.images in c) for rep in spec.class_reps]
+    if spec.include_reorderings:
+        orderings = {tuple(slots[i] for i in p) for p in permutations(range(spec.r))}
+    else:
+        orderings = {tuple(slots)}
+    conjugators = spec.equivalence_conjugators()
+    expected = set()
+    for ordering in orderings:
+        _, generating = _plain_count(list(ordering), n, len(elements))
+        for element in generating:
+            element = tuple(Permutation(x) for x in element)
+            expected.add(canonical_form(element, conjugators))
+    found = enumerate_class(spec)
+    assert found == sorted(expected)
+    return len(found)
+
+
+class TestCanonicalEnumeration:
+    """Outside raw mode the walk fixes the first entry and reduces over its
+    centralizer; the representatives must be the canonical forms over all
+    conjugators of every generating tuple."""
+
+    def _check_all_modes(self, group, reps, outer=()) -> int:
+        counts = 0
+        for mode in EquivalenceMode:
+            for reorder in (True, False):
+                spec = NielsenClassSpec(group, reps, mode, outer, reorder)
+                counts += _check_canonical_enumeration(spec) > 0
+        return counts
+
+    def test_random_small_groups(self):
+        rng = random.Random(9157)
+        nonempty = 0
+        for _ in range(30):
+            n = rng.randint(3, 4)
+            group = GeneratedGroup(n, [_random_symmetric(rng, n) for _ in range(2)])
+            reps = _random_generating_tuple(rng, group, rng.randint(2, 4))
+            if reps is not None:
+                nonempty += self._check_all_modes(group, reps)
+        assert nonempty >= 120
+
+    def test_outer_element_fusing_two_classes(self):
+        """(1 2) fuses the two classes of 3-cycles of A4, so the least
+        member of the first entry's orbit can lie outside its class."""
+        three, pair = parse_cycles("(1 2 3)", 4), parse_cycles("(1 2)(3 4)", 4)
+        a4 = GeneratedGroup(4, [three, pair])
+        outer = (parse_cycles("(1 2)", 4),)
+        fused = sorted(a4.conjugacy_class(three) + a4.conjugacy_class(three.inverse()))
+        rng = random.Random(2203)
+        starts_outside = 0
+        for _ in range(8):
+            reps = _random_generating_tuple(rng, a4, rng.randint(3, 4))
+            assert reps is not None
+            assert self._check_all_modes(a4, reps, outer) == 6
+            starts_outside += a4.conjugacy_class(reps[0])[0] != fused[0]
+        assert starts_outside > 0
 
 
 # -- normalizer and class stabilizer against a sweep over S_n --------------------
