@@ -107,12 +107,18 @@ class Cover:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> ValidityReport:
-        return ValidityReport(
-            product_one=product(self.cycles, self.degree).is_identity,
-            transitive=len(orbits(self.cycles, self.degree)) == 1,
-            no_identity_entries=all(not c.is_identity for c in self.cycles),
-            cycle_types=tuple(c.cycle_type() for c in self.cycles),
-        )
+        """The validity report; computed on the first call and kept on
+        the instance, which is immutable."""
+        report = self.__dict__.get("_validity")
+        if report is None:
+            report = ValidityReport(
+                product_one=product(self.cycles, self.degree).is_identity,
+                transitive=len(orbits(self.cycles, self.degree)) == 1,
+                no_identity_entries=all(not c.is_identity for c in self.cycles),
+                cycle_types=tuple(c.cycle_type() for c in self.cycles),
+            )
+            object.__setattr__(self, "_validity", report)
+        return report
 
     def require_valid(self) -> None:
         rep = self.validate()

@@ -5,8 +5,8 @@ components are the orbits of the joint monodromy group on the m*n
 tensor letters, and each component's genus is computed by two
 independent routes that must agree —
 
-* method 1 restricts the joint branch cycles to the orbit and applies
-  Riemann–Hurwitz at degree |orbit|;
+* method 1 counts the joint branch cycles' disjoint cycles on the
+  orbit and applies Riemann–Hurwitz at degree |orbit|;
 * method 2 derives branch cycles for the component's projection to the
   y-line (a cover of degree |orbit|/n) and applies Riemann–Hurwitz there.
 """
@@ -62,7 +62,8 @@ def _restrict(perm: Permutation, letters: tuple[int, ...]) -> Permutation:
     in the order given."""
     position = {x: i for i, x in enumerate(letters, start=1)}
     try:
-        return _from_images(tuple([position[perm.apply(x)] for x in letters]))
+        images = perm.images
+        return _from_images(tuple([position[images[x - 1]] for x in letters]))
     except KeyError:
         raise RuntimeError(f"{perm} does not preserve {letters}") from None
 
@@ -184,18 +185,15 @@ class CoverPair:
 
     @cached_property
     def tensor_cycles(self) -> tuple[Permutation, ...]:
-        """The branch cycles acting on the m*n tensor letters."""
-        m, n = self.degree_x, self.degree_y
-        out = []
-        for a, b in zip(self.sigma, self.tau):
-            images = [0] * (m * n)
-            for x in range(1, m + 1):
-                for y in range(1, n + 1):
-                    images[_tensor_letter(x, y, n) - 1] = _tensor_letter(
-                        a.apply(x), b.apply(y), n
-                    )
-            out.append(_from_images(tuple(images)))
-        return tuple(out)
+        """The branch cycles acting on the m*n tensor letters: (x, y)
+        goes to (a(x), b(y)), both encoded x-major."""
+        n = self.degree_y
+        return tuple(
+            _from_images(
+                tuple([(ax - 1) * n + by for ax in a.images for by in b.images])
+            )
+            for a, b in zip(self.sigma, self.tau)
+        )
 
     # -- components -------------------------------------------------------
 
@@ -205,6 +203,24 @@ class CoverPair:
         read off the tensor cycles without building their group."""
         found = orbits(self.tensor_cycles, self.degree_x * self.degree_y)
         return tuple(tuple(o) for o in found)
+
+    @cached_property
+    def _orbit_index_sums(self) -> dict[int, int]:
+        """Least letter of each component orbit -> the sum over the tensor
+        cycles of their indices on that orbit.  The index of a cycle on an
+        orbit of size s is s minus its disjoint cycles there, so the sum is
+        r·s (r tensor cycles) minus the cycles lying in the orbit, counted
+        in one walk of each tensor cycle."""
+        owner = [0] * (self.degree_x * self.degree_y)
+        sums = {}
+        for orbit in self.component_orbits:
+            for letter in orbit:
+                owner[letter - 1] = orbit[0]
+            sums[orbit[0]] = len(self.tensor_cycles) * len(orbit)
+        for p in self.tensor_cycles:
+            for cyc in p.cycles(include_fixed=True):
+                sums[owner[cyc[0] - 1]] -= 1
+        return sums
 
     @property
     def components(self) -> list["Component"]:
@@ -390,7 +406,9 @@ class Component:
 
     @cached_property
     def genus_method1(self) -> int:
-        index_sum = sum(p.index() for p in self.restricted_cycles)
+        """Riemann–Hurwitz at degree |orbit| on the joint cycles' indices
+        on the orbit, counted once per pair for all its orbits."""
+        index_sum = self.pair._orbit_index_sums[self.orbit[0]]
         return genus_from_tuple(self.deg_over_z, index_sum)
 
     # -- genus, method 2: branch cycles of the projection to the y-line ----
@@ -585,11 +603,10 @@ def double_transitive_complement(c: Cover) -> int:
     # subtracting the diagonal's contribution leaves the complement.
     index_sum = 0
     for p in c.cycles:
-        cycs = p.cycles(include_fixed=True)
+        lengths = p._cycle_lengths()
         tensor_index = 0
-        for ca in cycs:
-            for cb in cycs:
-                s, t = len(ca), len(cb)
+        for s in lengths:
+            for t in lengths:
                 tensor_index += s * t - gcd(s, t)
         index_sum += tensor_index - p.index()
     genus_ram = genus_from_tuple(m * (m - 1), index_sum)

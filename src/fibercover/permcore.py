@@ -118,35 +118,49 @@ class Permutation:
         """Disjoint cycles, each rotated to start at its least element,
         sorted by least element.  Fixed points are omitted unless asked for.
         """
-        seen = [False] * self.degree
+        images = self.images
+        seen = [False] * len(images)
         out: list[tuple[int, ...]] = []
-        for start in range(1, self.degree + 1):
+        for start in range(1, len(images) + 1):
             if seen[start - 1]:
                 continue
             cyc = [start]
             seen[start - 1] = True
-            j = self.apply(start)
+            j = images[start - 1]
             while j != start:
                 cyc.append(j)
                 seen[j - 1] = True
-                j = self.apply(j)
+                j = images[j - 1]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out
 
+    def _cycle_lengths(self) -> list[int]:
+        """The length of each disjoint cycle, fixed points included, in
+        order of least element; one walk that builds no cycle."""
+        images = self.images
+        seen = [False] * len(images)
+        out: list[int] = []
+        for start, j in enumerate(images, start=1):
+            if seen[start - 1]:
+                continue
+            length = 1
+            while j != start:
+                seen[j - 1] = True
+                length += 1
+                j = images[j - 1]
+            out.append(length)
+        return out
+
     def cycle_type(self) -> CycleType:
-        lengths = [len(c) for c in self.cycles(include_fixed=True)]
-        return tuple(sorted(lengths, reverse=True))
+        return tuple(sorted(self._cycle_lengths(), reverse=True))
 
     def order(self) -> int:
-        result = 1
-        for c in self.cycles():
-            result = lcm(result, len(c))
-        return result
+        return lcm(*self._cycle_lengths())
 
     def index(self) -> int:
         """n minus the number of disjoint cycles (fixed points counted)."""
-        return self.degree - len(self.cycles(include_fixed=True))
+        return self.degree - len(self._cycle_lengths())
 
     def fixed_points(self) -> list[int]:
         return [i for i in range(1, self.degree + 1) if self.apply(i) == i]
@@ -203,7 +217,8 @@ def _realizations(choices: list[list[Permutation]], degree: int):
     the identity, in lexicographic order of the positions' lists.
 
     A lazy depth-first search on an explicit stack.  The last entry is
-    forced: the inverse of the product before it.  A (position, partial
+    forced: the inverse of the product before it, found by looking that
+    product up among the inverses of the last list.  A (position, partial
     product) state is recorded as dead once it has been explored in full
     without a completion, and is never entered again; a state that did
     complete may be entered again under another prefix, whose
@@ -212,9 +227,9 @@ def _realizations(choices: list[list[Permutation]], degree: int):
     enumeration and the projection's product-one adjustment both walk
     it."""
     one = identity(degree)
-    last = set(choices[-1])
+    closing_for = {c.inverse(): c for c in choices[-1]}
     if len(choices) == 1:
-        if one in last:
+        if one in closing_for:
             yield [one]
         return
     final = len(choices) - 2
@@ -238,8 +253,8 @@ def _realizations(choices: list[list[Permutation]], degree: int):
             continue
         nxt = prefixes[j] * q
         if j == final:
-            closing = nxt.inverse()
-            if closing in last:
+            closing = closing_for.get(nxt)
+            if closing is not None:
                 live = len(frames)
                 yield chosen + [q, closing]
         elif nxt not in dead[j + 1]:
@@ -310,6 +325,4 @@ def dominates(s: Permutation, t: Permutation) -> bool:
     multiple of the order of ``t``.  Degrees may differ.
     """
     ord_t = t.order()
-    return all(
-        len(c) % ord_t == 0 for c in s.cycles(include_fixed=True)
-    )
+    return all(length % ord_t == 0 for length in s._cycle_lengths())

@@ -9,6 +9,7 @@ from fibercover.catalog import build_sm_pair, pairs_permutation
 from fibercover.cover import (
     Cover,
     InvalidCoverError,
+    ValidityReport,
     character_entanglement,
     equivalent_tuples,
     genus_from_tuple,
@@ -89,6 +90,28 @@ class TestValidity:
         assert not rep.valid
         with pytest.raises(InvalidCoverError):
             c.genus()
+
+    def test_require_valid_raises_on_every_call(self):
+        c = Cover.from_cycle_strings(3, ["a", "b"], ["(1 2)", "(1 3)"])
+        for _ in range(3):
+            with pytest.raises(InvalidCoverError):
+                c.require_valid()
+            with pytest.raises(InvalidCoverError):
+                c.orbifold_char()
+
+    def test_report_computed_once(self):
+        c = Cover(DEG7_1.degree, DEG7_1.branch_points, DEG7_1.cycles)
+        rep = c.validate()
+        assert c.validate() is rep
+        assert rep == ValidityReport(
+            product_one=True,
+            transitive=True,
+            no_identity_entries=True,
+            cycle_types=((2, 2, 1, 1, 1), (4, 2, 1), (7,)),
+        )
+        bad = Cover.from_cycle_strings(4, ["a", "b"], ["(1 2)", "(1 2)"])
+        assert bad.validate() is bad.validate()
+        assert bad.validate() == ValidityReport(True, False, True, ((2, 1, 1),) * 2)
 
     def test_intransitive_tuple_reported(self):
         c = Cover.from_cycle_strings(4, ["a", "b"], ["(1 2)", "(1 2)"])

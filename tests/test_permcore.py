@@ -1,5 +1,8 @@
 """Unit tests for permutation primitives and the right-action convention."""
 
+import random
+from math import lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +137,31 @@ class TestTrustedKernel:
     def test_conjugate_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             p("(1 2)").conjugate(parse_cycles("(1 2)", 3))
+
+
+class TestCycleStructure:
+    """``cycle_type``, ``order`` and ``index`` read the cycle lengths
+    without listing the cycles; they must match the listed cycles."""
+
+    def test_against_listed_cycles(self):
+        rng = random.Random(6121)
+        for n in range(1, 31):
+            images = list(range(1, n + 1))
+            cases = [identity(n)]
+            for _ in range(12):
+                rng.shuffle(images)
+                cases.append(Permutation(tuple(images)))
+            for x in cases:
+                cycles = x.cycles(include_fixed=True)
+                assert sorted(a for c in cycles for a in c) == list(range(1, n + 1))
+                for c in cycles:
+                    assert c[0] == min(c)
+                    assert [x.apply(a) for a in c] == list(c[1:] + c[:1])
+                lengths = [len(c) for c in cycles]
+                assert x.cycle_type() == tuple(sorted(lengths, reverse=True))
+                assert x.order() == lcm(*lengths)
+                assert x.index() == n - len(lengths)
+                assert x.cycles() == [c for c in cycles if len(c) > 1]
 
 
 class TestParse:

@@ -40,6 +40,7 @@ from sympy.combinatorics.perm_groups import PermutationGroup
 from fibercover import catalog, nielsen
 from fibercover.cover import Cover
 from fibercover.fiberprod import (
+    CoverPair,
     PairedCover,
     _class_by_least_conjugator,
     _product_one_adjust,
@@ -255,6 +256,47 @@ class TestTensorGroupOracle:
         rng = random.Random(5273)
         for _ in range(25):
             _check_against_tensor_group(_random_weak_pair(rng))
+
+
+def _tensor_cycles_by_double_loop(pair) -> tuple[Permutation, ...]:
+    """The tensor branch cycles letter by letter: (x, y) goes to
+    (a(x), b(y)), both encoded x-major as (x - 1)·n + y."""
+    m, n = pair.degree_x, pair.degree_y
+    out = []
+    for a, b in zip(pair.sigma, pair.tau):
+        images = [0] * (m * n)
+        for x in range(1, m + 1):
+            for y in range(1, n + 1):
+                images[(x - 1) * n + y - 1] = (a.apply(x) - 1) * n + b.apply(y)
+        out.append(Permutation(tuple(images)))
+    return tuple(out)
+
+
+def _check_orbit_index_sums(pair) -> None:
+    sums = pair._orbit_index_sums
+    assert list(sums) == [orbit[0] for orbit in pair.component_orbits]
+    for c in pair.components:
+        assert sums[c.orbit[0]] == sum(p.index() for p in c.restricted_cycles)
+
+
+class TestTensorCycles:
+    def test_random_weak_pairs_match_double_loop(self):
+        rng = random.Random(7703)
+        for _ in range(100):
+            pair = _random_weak_pair(rng)
+            assert pair.tensor_cycles == _tensor_cycles_by_double_loop(pair)
+
+    def test_orbit_index_sums_on_catalog_pairs(self):
+        pairs = [catalog.get(key) for key in catalog.list_keys()]
+        pairs = [v for v in pairs if isinstance(v, CoverPair)]
+        assert len(pairs) == 8
+        for pair in pairs:
+            _check_orbit_index_sums(pair)
+
+    def test_orbit_index_sums_on_random_weak_pairs(self):
+        rng = random.Random(8291)
+        for _ in range(200):
+            _check_orbit_index_sums(_random_weak_pair(rng))
 
 
 # -- braid moves preserve Nielsen membership -----------------------------------
