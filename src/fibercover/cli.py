@@ -5,7 +5,8 @@ fiber-product analysis, Nielsen enumeration / braid orbits / coalescing,
 genus-growth screening, catalog access, and an empirical growth table.
 
 Exit codes: 0 success, 2 validation failure, 3 cap exceeded, 4 bad
-input format.  All numeric output is exact (rationals print as "p/q").
+input format, 5 internal error (a failed consistency check).  All
+numeric output is exact (rationals print as "p/q").
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CAP = 3
 EXIT_BAD_INPUT = 4
+EXIT_INTERNAL = 5
 
 SEARCH_CAP_ENV = "FIBERCOVER_SEARCH_CAP"
 
@@ -432,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RuntimeError as exc:  # a consistency check; caps are caught above
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

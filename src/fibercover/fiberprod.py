@@ -167,7 +167,8 @@ class CoverPair:
 
     @cached_property
     def x1_stabilizer(self) -> GeneratedGroup:
-        """Stab(1) in the joint group.  Tensor letters are x-major and the
+        """Stab(1) in the joint group, the tail of the joint chain, which
+        builds no chain of its own.  Tensor letters are x-major and the
         x-side is transitive, so the least letter of every component is
         (1, y) and every subgroup witness lies in this group."""
         return self.joint_group.point_stabilizer(1)
@@ -182,6 +183,35 @@ class CoverPair:
         return _orbit_stabilizer(
             self.joint_group, self.degree_x + 1, _letter_image, "letters"
         )
+
+    @cached_property
+    def _y1_local_cycles(self) -> tuple[tuple[str, Permutation], ...]:
+        """The local branch cycles at the y-points on the m + n letters,
+        shared by every component's projection to the y-line: one per
+        (branch point, disjoint y-cycle), labelled by the y-point.
+
+        For the y-cycle c of the joint cycle gamma = (sigma_i, tau_i),
+        with t = len(c) and base point y_b = min(c), this is
+        u * gamma^t * u^-1 for the carrier entry u of y_b; gamma^t is
+        computed once per cycle length.  Its tau-part fixes the y-letter
+        1, so its sigma-part preserves each component's J."""
+        m = self.degree_x
+        carrier, _ = self.y1_orbit_stabilizer
+        out: list[tuple[str, Permutation]] = []
+        for label, a, b in zip(self.branch_points, self.sigma, self.tau):
+            gamma = direct_sum(a, b)
+            powers: dict[int, Permutation] = {}
+            for cyc in b.cycles(include_fixed=True):
+                t = len(cyc)
+                power = powers.get(t)
+                if power is None:
+                    power = powers[t] = gamma**t
+                # conjugate(h) is h^-1 * power * h; here h = u^-1.
+                delta = power.conjugate(carrier[m + cyc[0]].inverse())
+                if delta.apply(m + 1) != m + 1:
+                    raise RuntimeError("conjugated cycle fails to fix y-letter 1")
+                out.append((f"{label}/y{cyc[0]}", delta))
+        return tuple(out)
 
     @cached_property
     def tensor_cycles(self) -> tuple[Permutation, ...]:
@@ -272,7 +302,9 @@ class PairedCover(CoverPair):
     On top of the weak pairing this checks: no identity entries,
     matching entry orders, and that the joint diagonal group projects
     isomorphically onto both factors (equal orders) — certifying that
-    the two covers have equivalent Galois closures.
+    the two covers have equivalent Galois closures.  The x-side order is
+    read off the joint chain, whose first m levels act on the x-letters;
+    only the y-side builds a chain of its own.
     """
 
     def __init__(
@@ -291,14 +323,16 @@ class PairedCover(CoverPair):
                 raise InvalidCoverError(
                     f"entry orders differ: {a.order()} vs {b.order()}"
                 )
-        # Each side is a quotient of the joint group.
+        # Each side is a quotient of the joint group.  The first m orbit
+        # lengths of the joint chain multiply to |G| / |kernel on the
+        # x-letters|, the order of the x-side.
         joint_order = self.joint_group.order()
-        g1 = GeneratedGroup(degree_x, list(sigma), _order_bound=joint_order)
+        g1_order = self.joint_group._leading_order(degree_x)
         g2 = GeneratedGroup(degree_y, list(tau), _order_bound=joint_order)
-        if not (joint_order == g1.order() == g2.order()):
+        if not (joint_order == g1_order == g2.order()):
             raise InvalidCoverError(
                 "joint group does not project isomorphically to both sides "
-                f"(orders {g1.order()}, {g2.order()}, "
+                f"(orders {g1_order}, {g2.order()}, "
                 f"joint {joint_order})"
             )
 
@@ -417,32 +451,12 @@ class Component:
     def _pry_entry_data(self) -> list[tuple[str, Permutation]]:
         """Raw branch-cycle representatives of the projection to the
         y-line, one per (branch point, disjoint y-cycle), before the
-        product-one adjustment.  Labels identify the y-point.
-
-        For the y-cycle c of the branch cycle pair (sigma_i, tau_i),
-        with t = len(c) and base point y_b = min(c): conjugate the t-th
-        power of the joint cycle by a transversal element carrying y_b
-        to the y-letter 1; its tau-part then fixes 1, so its sigma-part
-        preserves J, and the restriction of that sigma-part to J is the
-        local branch cycle at the y-point.
-        """
-        pair = self.pair
-        m, n = pair.degree_x, pair.degree_y
-        joint = pair.joint_group
-        carrier, _ = pair.y1_orbit_stabilizer
+        product-one adjustment.  Labels identify the y-point.  Each is
+        the pair's local cycle at that y-point (``_y1_local_cycles``),
+        whose sigma-part preserves J, restricted to J."""
         J = self.x_orbit_over_y1
-        out: list[tuple[str, Permutation]] = []
-        for i, (label, b) in enumerate(zip(pair.branch_points, pair.tau)):
-            for cyc in b.cycles(include_fixed=True):
-                t = len(cyc)
-                y_b = m + min(cyc)
-                u = carrier[y_b]
-                gamma = joint.generators[i]
-                delta = u * (gamma**t) * u.inverse()
-                if delta.apply(m + 1) != m + 1:
-                    raise RuntimeError("conjugated cycle fails to fix y-letter 1")
-                out.append((f"{label}/y{min(cyc)}", _restrict(delta, J)))
-        return out
+        local = self.pair._y1_local_cycles
+        return [(label, _restrict(delta, J)) for label, delta in local]
 
     @cached_property
     def _pry_image_group(self) -> GeneratedGroup:
@@ -517,8 +531,9 @@ def _product_one_adjust(
     ordered product is the identity and the entries generate the image
     group.
 
-    Each entry's class is listed once per distinct entry by
-    ``_class_by_least_conjugator``, so the entry itself comes first.
+    ``_classes_by_least_conjugator`` orders each entry's class from the
+    entry, walking each image-group class once, so the entry itself
+    comes first.
     ``_realizations`` yields the product-one choices lazily in
     lexicographic order of those lists; the first one that generates the
     image group is returned.  The search visits at most |image group|
@@ -534,10 +549,7 @@ def _product_one_adjust(
             f"order {order} x {len(perms)} entries) exceeds cap {search_cap}; "
             "raise the search_cap parameter of Component.pry_branch_cycles"
         )
-    classes: dict[Permutation, list[Permutation]] = {}
-    for p in perms:
-        if p not in classes:
-            classes[p] = _class_by_least_conjugator(image_group, p)
+    classes = _classes_by_least_conjugator(image_group, perms)
     found = False
     for chosen in _realizations([classes[p] for p in perms], image_group.degree):
         found = True
@@ -550,20 +562,47 @@ def _product_one_adjust(
     )
 
 
-def _class_by_least_conjugator(
-    group: GeneratedGroup, p: Permutation
-) -> list[Permutation]:
-    """The ``group``-class of ``p``, each member c listed in order of the
-    least h (images compared lexicographically) with p^h = c, so ``p``
-    comes first.  Those h form the right coset C(p) * t_c of the
-    centralizer, t_c the conjugator the class walk found for c; the
-    walk's stabilizer is C(p), and its ``coset_minimum`` reads the least
-    element off the coset directly."""
-    conjugators, centralizer = _orbit_stabilizer(
-        group, p, Permutation.conjugate, "class members"
-    )
-    least = {c: centralizer.coset_minimum(t) for c, t in conjugators.items()}
-    return sorted(least, key=least.__getitem__)
+def _classes_by_least_conjugator(
+    group: GeneratedGroup, perms: list[Permutation]
+) -> dict[Permutation, list[Permutation]]:
+    """Each distinct entry p of ``perms`` -> its ``group``-class, each
+    member c listed in order of the least h (images compared
+    lexicographically) with p^h = c, so ``p`` comes first.
+
+    Each class is walked once, from its first entry p0: the walk finds a
+    conjugator t_c with p0^t_c = c for each member, and its stabilizer
+    is the centralizer C(p0).  The h with p0^h = c form the right coset
+    C(p0) * t_c, whose least element ``coset_minimum`` reads off the
+    chain.  A later entry q of the class reuses the walk: C(q) is
+    t_q^-1 * C(p0) * t_q, built from the conjugated generators and
+    stopped at the proved order |C(p0)|, and the h with q^h = c form the
+    coset C(q) * t_q^-1 * t_c."""
+    walks: list[tuple[dict[Permutation, Permutation], GeneratedGroup]] = []
+    ordered: dict[Permutation, list[Permutation]] = {}
+    for p in perms:
+        if p in ordered:
+            continue
+        for conjugators, centralizer in walks:
+            if p in conjugators:
+                break
+        else:
+            conjugators, centralizer = _orbit_stabilizer(
+                group, p, Permutation.conjugate, "class members"
+            )
+            walks.append((conjugators, centralizer))
+        t_p = conjugators[p]
+        cosets = conjugators
+        if not t_p.is_identity:  # p did not start the walk
+            centralizer = GeneratedGroup(
+                group.degree,
+                [g.conjugate(t_p) for g in centralizer.generators],
+                _order_bound=centralizer.order(),
+            )
+            back = t_p.inverse()
+            cosets = {c: back * t for c, t in conjugators.items()}
+        least = {c: centralizer.coset_minimum(t) for c, t in cosets.items()}
+        ordered[p] = sorted(least, key=least.__getitem__)
+    return ordered
 
 
 # -- whole-pair operations ---------------------------------------------------

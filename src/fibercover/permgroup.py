@@ -13,11 +13,12 @@ an order bound the caller has proved: each orbit of a partial chain lies
 in the true basic orbit, so the product is at most the group order, with
 equality only for a complete chain.
 
-Outside the chain, ``_orbit_walk`` is the one breadth-first walk of an
-orbit under any action, and ``_orbit_stabilizer`` streams that orbit's
-Schreier generators into the stabilizer's own build, bounded by
-|G| / |orbit|, so each stabilizer is built once: point stabilizers on
-letters, and centralizers on a conjugacy class.
+Stab(1) is the chain's own tail and builds nothing.  Outside the
+chain, ``_orbit_walk`` is the one breadth-first walk of an orbit under
+any action, and ``_orbit_stabilizer`` streams that orbit's Schreier
+generators into the stabilizer's own build, bounded by |G| / |orbit|,
+so every other stabilizer is built once: point stabilizers on letters,
+and centralizers on a conjugacy class.
 
 Caps sit at the work that grows with the group: ``LISTING_CAP`` bounds
 every listing of group elements, class members or cosets, and
@@ -32,7 +33,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import factorial
 
-from .permcore import Permutation, _from_images, identity
+from .permcore import _IDENTITY_IMAGES, Permutation, _from_images, identity
 
 __all__ = [
     "GeneratedGroup",
@@ -286,7 +287,9 @@ class GeneratedGroup:
                 kept.append(g)
         if self._order != bound:
             self._verify(bound)
-        # Membership, listing and coset minima read only the inverses.
+        # The strong generators fixing 1 generate Stab(1), the chain's
+        # tail; membership, listing and coset minima read only the inverses.
+        self._tail_generators = self._levels[1].gens if degree > 1 else []
         for lvl in self._levels:
             del lvl.gens, lvl.transversal
         if bound is not None and self._order > bound:
@@ -332,22 +335,25 @@ class GeneratedGroup:
         never change, so a (letter, generator) pair once sifted stays
         sifted and is never sifted again."""
         sifted: list[set[tuple[int, int]]] = [set() for _ in self._levels]
+        one = _IDENTITY_IMAGES[self.degree]
         idx = self.degree - 1
         while idx >= 0:
             lvl = self._levels[idx]
             done = sifted[idx]
-            transversal, inverses = lvl.transversal, lvl.inverses
+            inverses = lvl.inverses
             residue = None
-            for p, u in list(transversal.items()):
+            for p, u in list(lvl.transversal.items()):
                 for gi, g in enumerate(lvl.gens):
                     if (p, gi) in done:
                         continue
                     done.add((p, gi))
-                    ug = u * g
-                    q = g.apply(p)
-                    if ug.images == transversal[q].images:
-                        continue  # the edge that found q: a trivial generator
-                    residue = self._sift(ug * inverses[q], idx + 1)
+                    # u * g * v^-1, v the entry for p's image, in one pass.
+                    g_images = g.images
+                    v_inverse = inverses[g_images[p - 1]].images
+                    images = tuple([v_inverse[g_images[x - 1] - 1] for x in u.images])
+                    if images == one:
+                        continue  # the edge that found p's image: trivial
+                    residue = self._sift(_from_images(images), idx + 1)
                     if residue is not None:
                         break
                 if residue is not None:
@@ -363,6 +369,15 @@ class GeneratedGroup:
 
     def order(self) -> int:
         return self._order
+
+    def _leading_order(self, k: int) -> int:
+        """The product of the first ``k`` orbit lengths of the chain:
+        |G| over the order of the pointwise stabilizer of 1..k, so the
+        order of the action on 1..k when G preserves that set."""
+        result = 1
+        for lvl in self._levels[:k]:
+            result *= len(lvl.inverses)
+        return result
 
     def contains(self, g: Permutation) -> bool:
         return g.degree == self.degree and self._sift(g) is None
@@ -420,14 +435,27 @@ class GeneratedGroup:
     # -- stabilizers ----------------------------------------------------
 
     def point_stabilizer(self, letter: int) -> "GeneratedGroup":
-        """Stabilizer of one letter, built once: its Schreier generators
-        are streamed into its chain, which stops at |G| / |orbit|, the
-        stabilizer's order; its generators are those whose residue
-        extended that chain, in the order of the breadth-first orbit
-        walk."""
+        """Stabilizer of one letter.  Stab(1) is the chain's own tail and
+        builds nothing: a trivial first level over the later levels, of
+        order |G| / |1^G|, generated by the strong generators fixing 1.
+        Any other letter's stabilizer is built once: its Schreier
+        generators are streamed into its chain, which stops at
+        |G| / |orbit|, the stabilizer's order; its generators are those
+        whose residue extended that chain, in the order of the
+        breadth-first orbit walk."""
         if not 1 <= letter <= self.degree:
             raise ValueError(f"letter {letter} out of range")
-        return _orbit_stabilizer(self, letter, _letter_image, "letters")[1]
+        if letter > 1:
+            return _orbit_stabilizer(self, letter, _letter_image, "letters")[1]
+        first = _Level(1, self.degree)
+        del first.gens, first.transversal
+        tail = GeneratedGroup.__new__(GeneratedGroup)
+        tail.degree = self.degree
+        tail.generators = tail._tail_generators = self._tail_generators
+        tail._levels = [first] + self._levels[1:]
+        tail._order = self._order // len(self._levels[0].inverses)
+        tail._elements = None
+        return tail
 
     # -- block systems --------------------------------------------------
 

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibercover import catalog, permgroup
+from fibercover import catalog, fiberprod, permgroup
 from fibercover.cli import main
 from fibercover.cover import Cover
 from fibercover.permcore import parse_cycles
+from fibercover.permgroup import CapExceededError
 
 
 @pytest.fixture
@@ -178,6 +179,31 @@ class TestFiberCommand:
         err = capsys.readouterr().err
         assert "(image group order 362880 x 37 entries)" in err
         assert "search_cap parameter" in err
+
+    @pytest.mark.parametrize(
+        "error, code, line",
+        [
+            (RuntimeError("no generating product-one realization found"), 5,
+             "error: internal: no generating product-one realization found\n"),
+            (CapExceededError("listing 3 cosets exceeds the listing cap 2"), 3,
+             "error: listing 3 cosets exceeds the listing cap 2\n"),
+        ],
+        ids=["internal", "cap"],
+    )
+    def test_failed_check_exit_code(
+        self, error, code, line, deg7_pair_file, monkeypatch, capsys
+    ):
+        """A failed consistency check is one ``error: internal:`` line and
+        exit 5; a cap error, also a ``RuntimeError``, still exits 3."""
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(fiberprod, "_product_one_adjust", fail)
+        assert main(["fiber", deg7_pair_file]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line
 
 
 class TestNielsenCommands:
@@ -593,7 +619,7 @@ class TestFuzz:
                     code = main(argv)
                 except SystemExit as exc:  # argparse's usage error
                     code = exc.code
-        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
     def test_infinite_degree_exit_4(self, tmp_path, capsys):

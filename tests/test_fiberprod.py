@@ -20,7 +20,7 @@ from fibercover.fiberprod import (
     pair_covers_over_common_points,
     screen_g1,
 )
-from fibercover.permcore import identity, parse_cycles
+from fibercover.permcore import Permutation, identity, parse_cycles
 from fibercover.permgroup import CapExceededError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -428,6 +428,16 @@ class TestNoTensorChain:
         assert m + n in chain_degrees
         assert m * n not in chain_degrees
 
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_paired_cover_builds_two_chains(self, m, chain_degrees):
+        """The joint group and the y-side: the x-side order is read off
+        the joint chain's first m levels."""
+        source = catalog.build_sm_pair(m)
+        n = source.degree_y
+        chain_degrees.clear()  # the catalog's own pair
+        PairedCover(source.branch_points, source.sigma, source.tau, m, n)
+        assert chain_degrees == [m + n, n]
+
     def test_validate_builds_no_chain(self, chain_degrees):
         source = catalog.get("deg7-cover-1")
         cover = Cover(source.degree, source.branch_points, source.cycles)
@@ -458,6 +468,52 @@ def test_y1_stabilizer_built_once_per_pair(monkeypatch):
     for component in pair.components:
         assert component.pry_branch_cycles().validate().valid
     assert starts.count((m + n, m + 1)) == 1
+
+
+def test_projection_walks_each_class_once(monkeypatch):
+    """On ``sm-pair-8`` the nine distinct local entries of the degree-6
+    projection fall into two S6-classes; the product-one adjustment walks
+    each class once, and later entries of a class reuse the walk."""
+    pair = catalog.build_sm_pair(8)
+    counts = []
+    for component in pair.components:
+        entries = {p for _, p in component._pry_entry_data if not p.is_identity}
+        group = component._pry_image_group
+        classes = {min(group.conjugacy_class(p)) for p in entries}
+        counts.append((len(entries), len(classes)))
+    walks = []
+    original = fiberprod._orbit_stabilizer
+
+    def recording(group, start, act, what):
+        if act is Permutation.conjugate:
+            walks.append(start)
+        return original(group, start, act, what)
+
+    monkeypatch.setattr(fiberprod, "_orbit_stabilizer", recording)
+    for component, (_, classes) in zip(pair.components, counts):
+        walks.clear()
+        assert component.pry_branch_cycles().validate().valid
+        assert len(walks) == classes
+    assert sorted(counts) == [(1, 1), (9, 2)]
+
+
+def test_projection_with_a_label_unbranched_on_both_sides():
+    """A weak pair may carry a label where both entries are the identity;
+    the local cycles there are fixed points, and both genus methods
+    agree with the pair without that label."""
+    a = parse_cycles("(1 2)", 3)
+    b = parse_cycles("(1 2 3)", 3)
+    c = (a * b).inverse()
+    one = identity(3)
+    padded = CoverPair(("z0", "z1", "z2", "z3"), (one, a, b, c), (one, a, b, c), 3, 3)
+    plain = CoverPair(("z1", "z2", "z3"), (a, b, c), (a, b, c), 3, 3)
+    for with_pad, without in zip(padded.components, plain.components):
+        assert with_pad.genus_method2 == with_pad.genus_method1
+        assert with_pad.genus_method2 == without.genus_method2
+        assert (
+            with_pad.pry_branch_cycles().to_json_dict()
+            == without.pry_branch_cycles().to_json_dict()
+        )
 
 
 class TestAboveOrderCap:

@@ -303,9 +303,11 @@ def _all_schreier_generators(g: GeneratedGroup, letter: int) -> list[Permutation
 
 
 class TestStabilizerGenerators:
-    """``point_stabilizer`` keeps only the Schreier generators whose
-    residue extended its chain; they must generate the stabilizer that
-    all the Schreier generators generate."""
+    """``point_stabilizer`` generates Stab(1) by the strong generators
+    fixing 1, the chain's tail, and any other letter's stabilizer by the
+    Schreier generators whose residue extended its chain; either way they
+    must generate the stabilizer that all the Schreier generators
+    generate.  Stab(1) builds no chain, any other stabilizer one."""
 
     def test_kept_generators_generate_the_schreier_group(self):
         rng = random.Random(6007)
@@ -326,6 +328,30 @@ class TestStabilizerGenerators:
         assert intransitive > 10
         assert fewer > 15
 
+    def test_first_letter_stabilizer_is_the_chain_tail(self):
+        """Stab(1) shares the group's levels below the first; it answers
+        membership, coset minima, listing and its own stabilizers as a
+        chain built from its generators does."""
+        rng = random.Random(5039)
+        for _ in range(60):
+            g = _random_group(rng, 8)
+            n = g.degree
+            tail = g.point_stabilizer(1)
+            fresh = GeneratedGroup(n, tail.generators)
+            assert tail.order() == fresh.order() == g.order() // len(g.orbit(1))
+            assert tail.point_stabilizer(1).order() == tail.order()
+            for letter in range(2, n + 1):
+                assert (
+                    tail.point_stabilizer(letter).order()
+                    == fresh.point_stabilizer(letter).order()
+                )
+            for _ in range(10):
+                x = _random_perm(rng, n)
+                assert tail.contains(x) == fresh.contains(x)
+                assert tail.coset_minimum(x) == fresh.coset_minimum(x)
+            if tail.order() <= 720:
+                assert tail.elements() == fresh.elements()
+
     def test_point_stabilizer_builds_one_chain(self, monkeypatch):
         built = []
         original = GeneratedGroup._build
@@ -335,15 +361,18 @@ class TestStabilizerGenerators:
             return original(group, degree, generators, bound)
 
         rng = random.Random(7207)
+        first = 0
         for _ in range(80):
             g = _random_group(rng, 8)
-            letter = rng.randint(1, g.degree)
+            letter = rng.choice([1, rng.randint(1, g.degree)])
             monkeypatch.setattr(GeneratedGroup, "_build", recording)
             stab = g.point_stabilizer(letter)
             monkeypatch.undo()
-            assert built == [(stab, g.degree)]
+            assert built == ([] if letter == 1 else [(stab, g.degree)])
             assert stab.order() * len(g.orbit(letter)) == g.order()
             built.clear()
+            first += letter == 1
+        assert first > 30
 
 
 class TestGenerationTest:

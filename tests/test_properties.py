@@ -21,7 +21,10 @@
   search returns, and yields every product-one choice in its order;
 * each class is listed in order of least conjugator, read from the
   centralizer's chain, exactly as conjugating by every sorted element
-  lists it, and the centralizer has sympy's order;
+  lists it, also for members that reuse another member's class walk,
+  and the centralizer has sympy's order;
+* the x-side order of a paired cover, read off the joint chain, is the
+  order of the x-side's own group;
 * quotient covers never have larger genus than the cover they come
   from.
 """
@@ -37,12 +40,12 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation as SymPerm
 from sympy.combinatorics.perm_groups import PermutationGroup
 
-from fibercover import catalog, nielsen
-from fibercover.cover import Cover
+from fibercover import catalog, fiberprod, nielsen
+from fibercover.cover import Cover, InvalidCoverError
 from fibercover.fiberprod import (
     CoverPair,
     PairedCover,
-    _class_by_least_conjugator,
+    _classes_by_least_conjugator,
     _product_one_adjust,
     _quotient_covers,
     pair_covers_over_common_points,
@@ -63,7 +66,7 @@ from fibercover.permcore import (
     product,
     split,
 )
-from fibercover.permgroup import GeneratedGroup, _orbit_stabilizer
+from fibercover.permgroup import BlockSystem, GeneratedGroup, _orbit_stabilizer, orbits
 
 # -- random element generators ------------------------------------------------
 
@@ -183,6 +186,57 @@ class TestGenusMethodsAgree:
             pair = _random_paired_cover(rng)
             for component in pair.components:
                 assert component.genus_method1 == component.genus_method2
+
+
+class TestPairedCoverOrders:
+    """``PairedCover`` reads the x-side order off the joint chain: the
+    product of its first m orbit lengths."""
+
+    def test_leading_orbit_lengths_give_the_x_side_order(self):
+        rng = random.Random(3079)
+        for _ in range(150):
+            pair = _random_weak_pair(rng)
+            m = pair.degree_x
+            expected = GeneratedGroup(m, list(pair.sigma)).order()
+            assert pair.joint_group._leading_order(m) == expected
+
+    def test_block_quotient_on_the_x_side_refused_with_its_orders(self):
+        """Reflections of a 2k-gon, k odd, paired with their action on the
+        k antipodal pairs: each entry keeps its order 2, and the joint
+        group is the y-side's.  The pair is refused exactly when the
+        quotient is not faithful, that is when the reflections generate
+        all of D_2k, and the message names the three orders."""
+        rng = random.Random(4177)
+        refused = accepted = 0
+        for _ in range(120):
+            k = rng.choice([3, 5, 7])
+            n = 2 * k
+            tau = [
+                Permutation(tuple((a - i) % n + 1 for i in range(n)))
+                for a in rng.choices(range(n), k=rng.choice([3, 5]))
+            ]
+            tau.append(product(tau, n).inverse())
+            if len(orbits(tau, n)) != 1:
+                continue
+            pairs = [[i, i + k] for i in range(1, k + 1)]
+            antipodal = BlockSystem.from_partition(pairs)
+            sigma = tuple(antipodal.quotient(p) for p in tau)
+            g1 = GeneratedGroup(k, list(sigma)).order()
+            g2 = GeneratedGroup(n, tau).order()
+            labels = tuple(f"z{i}" for i in range(len(tau)))
+            if g1 == g2:
+                PairedCover(labels, sigma, tuple(tau), k, n)
+                accepted += 1
+                continue
+            with pytest.raises(InvalidCoverError) as info:
+                PairedCover(labels, sigma, tuple(tau), k, n)
+            assert str(info.value) == (
+                "joint group does not project isomorphically to both sides "
+                f"(orders {g1}, {g2}, joint {g2})"
+            )
+            refused += 1
+        assert refused > 20
+        assert accepted > 5
 
 
 class TestRamificationSumsToDegree:
@@ -715,7 +769,7 @@ class TestClassByLeastConjugator:
                 # The order the adjustment used to list: each member c
                 # once, at the first sorted h with p^h = c.
                 expected = list(dict.fromkeys(p.conjugate(h) for h in elements))
-                assert _class_by_least_conjugator(group, p) == expected
+                assert _classes_by_least_conjugator(group, [p]) == {p: expected}
                 members, centralizer = _orbit_stabilizer(
                     group, p, Permutation.conjugate, "class members"
                 )
@@ -727,6 +781,46 @@ class TestClassByLeastConjugator:
         assert trivial > 5
         assert intransitive > 50
         assert both_nontrivial > 50
+
+    def test_shared_walk_orders_every_member(self, monkeypatch):
+        """Every member of a class, in a shuffled order and mixed with a
+        second class, is ordered as the brute force over the sorted
+        elements orders it, though each class is walked only once, from
+        its first member in the list.  Classes with |class|·|G| above
+        60,000 are skipped to keep the brute force short."""
+        walks = []
+        original = fiberprod._orbit_stabilizer
+
+        def recording(group, start, act, what):
+            walks.append(start)
+            return original(group, start, act, what)
+
+        monkeypatch.setattr(fiberprod, "_orbit_stabilizer", recording)
+        rng = random.Random(6113)
+        reused = 0
+        for _ in range(120):
+            n = rng.randint(1, 7)
+            group = GeneratedGroup(n, _random_generators(rng, n))
+            elements = group.elements()
+            classes = []
+            for p in rng.sample(elements, min(2, len(elements))):
+                members = group.conjugacy_class(p)
+                if len(members) * len(elements) <= 60_000 and members not in classes:
+                    classes.append(members)
+            perms = [q for members in classes for q in members]
+            rng.shuffle(perms)
+            walks.clear()
+            ordered = _classes_by_least_conjugator(group, perms + perms[:3])
+            assert len(walks) == len(classes)
+            assert ordered.keys() == set(perms)
+            for q in perms:
+                brute = list(dict.fromkeys(q.conjugate(h) for h in elements))
+                assert ordered[q] == brute
+            # Members past the first, with a nontrivial centralizer.
+            reused += sum(
+                len(members) - 1 for members in classes if len(members) < len(elements)
+            )
+        assert reused > 200
 
 
 # -- product-one adjustment against the backward-table search -----------------
