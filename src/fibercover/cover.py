@@ -222,6 +222,25 @@ def multipliers(group: GeneratedGroup, cycle_class: list[Permutation]) -> set[in
     }
 
 
+def _require_common_group(
+    joint: GeneratedGroup, m: int, y_gens, n: int
+) -> None:
+    """Check that ``joint``, the diagonal group on m x-letters followed by
+    n y-letters, projects isomorphically onto both sides.  Each side is a
+    quotient of it, so equal orders suffice.  The x-side order is the
+    product of the joint chain's first m orbit lengths, |G| over the
+    kernel on the x-letters; the y-side, generated by ``y_gens``, is
+    built with the joint order as its bound."""
+    joint_order = joint.order()
+    x_order = joint._leading_order(m)
+    y_order = GeneratedGroup(n, list(y_gens), _order_bound=joint_order).order()
+    if not (joint_order == x_order == y_order):
+        raise InvalidCoverError(
+            "joint group does not project isomorphically to both sides "
+            f"(orders {x_order}, {y_order}, joint {joint_order})"
+        )
+
+
 def character_entanglement(
     t1_gens: list[Permutation], t2_gens: list[Permutation]
 ) -> dict[str, bool]:
@@ -237,13 +256,7 @@ def character_entanglement(
     n = t2_gens[0].degree
     joint_gens = [direct_sum(a, b) for a, b in zip(t1_gens, t2_gens)]
     joint = GeneratedGroup(m + n, joint_gens)
-    g1 = GeneratedGroup(m, t1_gens)
-    g2 = GeneratedGroup(n, t2_gens)
-    if not (joint.order() == g1.order() == g2.order()):
-        raise ValueError(
-            "the two actions are not actions of a common group "
-            f"(orders {g1.order()}, {g2.order()}, joint {joint.order()})"
-        )
+    _require_common_group(joint, m, t2_gens, n)
     galois = True
     davenport = True
     for x in joint.elements():

@@ -33,6 +33,7 @@ from .permcore import (
 from .permgroup import CapExceededError, GeneratedGroup, orbits
 from .permgroup import _generates, _letter_image, _orbit_stabilizer
 from .cover import Cover, InvalidCoverError, equivalent_tuples, genus_from_tuple
+from .cover import _require_common_group
 
 __all__ = [
     "CoverPair",
@@ -323,18 +324,7 @@ class PairedCover(CoverPair):
                 raise InvalidCoverError(
                     f"entry orders differ: {a.order()} vs {b.order()}"
                 )
-        # Each side is a quotient of the joint group.  The first m orbit
-        # lengths of the joint chain multiply to |G| / |kernel on the
-        # x-letters|, the order of the x-side.
-        joint_order = self.joint_group.order()
-        g1_order = self.joint_group._leading_order(degree_x)
-        g2 = GeneratedGroup(degree_y, list(tau), _order_bound=joint_order)
-        if not (joint_order == g1_order == g2.order()):
-            raise InvalidCoverError(
-                "joint group does not project isomorphically to both sides "
-                f"(orders {g1_order}, {g2.order()}, "
-                f"joint {joint_order})"
-            )
+        _require_common_group(self.joint_group, degree_x, tau, degree_y)
 
     @staticmethod
     def from_joint_tuple(

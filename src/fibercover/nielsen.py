@@ -41,7 +41,7 @@ class EquivalenceMode(str, Enum):
     ABSOLUTE = "absolute"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NielsenClassSpec:
     """Group, class representatives (repetitions allowed, order fixed),
     and the declared equivalence.
@@ -55,6 +55,9 @@ class NielsenClassSpec:
     ``include_reorderings=False`` keeps the given ordering fixed (the
     convention used when representatives are listed with a designated
     class, say the one over infinity, in the last slot).
+
+    A spec is immutable, so the classes, orbit table and enumeration it
+    caches on itself stay valid; ``dataclasses.replace`` makes a variant.
     """
 
     group: GeneratedGroup
@@ -328,21 +331,11 @@ def h3_structure(spec: NielsenClassSpec) -> dict:
         for e in elements
         for i in (1, 2)
     )
-    # Induced action on the ordering of the three classes: q1 swaps the
-    # first two slots, sh rotates; the orbit of the initial ordering
-    # has size 6, 3, 2 or 1 depending on repeats among the classes.
+    # q1 swaps the first two slots and sh rotates them: together they
+    # generate S3 on the slots, so the orbit of the initial ordering is
+    # the set of its distinct rearrangements, of size 6, 3 or 1.
     reps = [cls[0] for cls in spec.classes()]
-    orderings = {tuple(reps)}
-    queue = deque([tuple(reps)])
-    while queue:
-        order = queue.popleft()
-        for moved in (
-            (order[1], order[0], order[2]),  # q1
-            (order[1], order[2], order[0]),  # sh
-        ):
-            if moved not in orderings:
-                orderings.add(moved)
-                queue.append(moved)
+    orderings = set(itertools.permutations(reps))
     return {
         "squared_twists_trivial": squares_trivial,
         "ordering_orbit_size": len(orderings),

@@ -18,7 +18,9 @@ chain, ``_orbit_walk`` is the one breadth-first walk of an orbit under
 any action, and ``_orbit_stabilizer`` streams that orbit's Schreier
 generators into the stabilizer's own build, bounded by |G| / |orbit|,
 so every other stabilizer is built once: point stabilizers on letters,
-and centralizers on a conjugacy class.
+centralizers on a conjugacy class, and class stabilizers on a class
+multiset.  Block systems are joins of Atkinson's minimal systems, seeded
+from the orbits of Stab(1), and build no group.
 
 Caps sit at the work that grows with the group: ``LISTING_CAP`` bounds
 every listing of group elements, class members or cosets, and
@@ -28,7 +30,7 @@ every listing of group elements, class members or cosets, and
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import factorial
@@ -161,19 +163,22 @@ def _orbit_stabilizer(
     the transversal and the stabilizer, whose generators are the Schreier
     generators that extended its chain."""
     transversal = _orbit_walk(group, start, act, what)
-    inverses: dict = {}
+    inverses: dict = {}  # y -> the images of t_y^-1
+    one = _IDENTITY_IMAGES[group.degree]
 
     def schreier():
         for x, t in transversal.items():
             for g in group.generators:
                 y = act(x, g)
-                tg, u = t * g, transversal[y]
-                if tg.images == u.images:
-                    continue  # the edge that found y: a trivial generator
                 u_inverse = inverses.get(y)
                 if u_inverse is None:
-                    u_inverse = inverses[y] = u.inverse()
-                yield tg * u_inverse
+                    u_inverse = inverses[y] = transversal[y].inverse().images
+                # t * g * u^-1 in one pass, as ``_verify`` forms it.
+                g_images = g.images
+                images = tuple([u_inverse[g_images[i - 1] - 1] for i in t.images])
+                if images == one:
+                    continue  # the edge that found y: a trivial generator
+                yield _from_images(images)
 
     bound = group.order() // len(transversal)
     return transversal, GeneratedGroup._streamed(group.degree, schreier(), bound)
@@ -391,7 +396,11 @@ class GeneratedGroup:
         for lvl in self._levels:
             if len(lvl.inverses) > 1:
                 q = min(lvl.inverses, key=x.apply)
-                x = lvl.inverses[q].inverse() * x
+                # u * x in one pass over v = u^-1: letter v(j) goes to x(j).
+                images = [0] * self.degree
+                for vj, xj in zip(lvl.inverses[q].images, x.images):
+                    images[vj - 1] = xj
+                x = _from_images(tuple(images))
         return x
 
     def elements(self) -> list[Permutation]:
@@ -459,12 +468,11 @@ class GeneratedGroup:
 
     # -- block systems --------------------------------------------------
 
-    def _minimal_block_through(self, other: int) -> BlockSystem | None:
+    def _minimal_block(self, seeds: Iterable[int]) -> BlockSystem | None:
         """Atkinson's algorithm: the finest block system whose block
-        through 1 contains ``other``.  Returns None for the trivial
-        one-block system."""
-        n = self.degree
-        parent = list(range(n + 1))
+        through 1 holds every letter of ``seeds``.  Returns None for the
+        trivial one-block system."""
+        parent = list(range(self.degree + 1))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -472,61 +480,48 @@ class GeneratedGroup:
                 x = parent[x]
             return x
 
-        def union(x: int, y: int) -> int:
-            rx, ry = find(x), find(y)
-            if rx == ry:
-                return rx
-            if rx > ry:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            return rx
-
-        queue = deque([(1, other)])
-        union(1, other)
-        while queue:
-            a, b = queue.popleft()
-            for g in self.generators:
-                ga, gb = g.apply(a), g.apply(b)
-                if find(ga) != find(gb):
-                    union(ga, gb)
-                    queue.append((ga, gb))
+        # ``pairs`` doubles as the FIFO queue: merging a pair queues its
+        # images, and each class stays rooted at its least letter.
+        pairs = [(1, s) for s in seeds]
+        for a, b in pairs:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+                pairs.extend((g.apply(a), g.apply(b)) for g in self.generators)
         classes: dict[int, list[int]] = {}
-        for i in range(1, n + 1):
+        for i in range(1, self.degree + 1):
             classes.setdefault(find(i), []).append(i)
-        parts = list(classes.values())
-        if len(parts) == 1:
+        if len(classes) == 1:
             return None
-        return BlockSystem.from_partition(parts)
+        return BlockSystem.from_partition(list(classes.values()))
 
     def block_systems(self) -> list[BlockSystem]:
         """All nontrivial block systems (block size > 1, more than one
-        block).  Requires transitivity."""
+        block).  Requires transitivity.
+
+        A system is fixed by its block through 1, the finest one holding
+        that block's letters, so every system is a join of minimal ones.
+        The minimal systems are seeded with one letter per orbit of
+        Stab(1), the chain's tail (letters of one orbit share their
+        minimal system); then each system found is joined with one letter
+        of each of its other blocks until no new system appears."""
         if not self.is_transitive():
             raise ValueError("block systems require a transitive group")
-        if self.degree == 1:
-            return []
         found: dict[BlockSystem, None] = {}
-        minimal: list[BlockSystem] = []
-        for other in range(2, self.degree + 1):
-            bs = self._minimal_block_through(other)
-            if bs is not None and bs.block_size < self.degree:
-                if bs not in found:
-                    found[bs] = None
-                    minimal.append(bs)
-        # Coarser systems: recurse on the quotient action on blocks.
-        for bs in minimal:
-            quotient_gens = [bs.quotient(g) for g in self.generators]
-            quotient = GeneratedGroup(bs.num_blocks, quotient_gens)
-            for sub in quotient.block_systems():
-                lifted = BlockSystem.from_partition(
-                    [
-                        [x for b in blk for x in bs.blocks[b - 1]]
-                        for blk in sub.blocks
-                    ]
-                )
-                if lifted.block_size < self.degree and lifted not in found:
-                    found[lifted] = None
-        return sorted(found.keys(), key=lambda b: (b.block_size, b.blocks))
+        for orbit in self.point_stabilizer(1).orbits()[1:]:
+            bs = self._minimal_block(orbit[:1])
+            if bs is not None:
+                found[bs] = None
+        # ``systems`` doubles as the FIFO queue of systems to join.
+        systems = list(found)
+        for bs in systems:
+            first = bs.blocks[0]
+            for blk in bs.blocks[1:]:
+                joined = self._minimal_block(first + blk[:1])
+                if joined is not None and joined not in found:
+                    found[joined] = None
+                    systems.append(joined)
+        return sorted(found, key=lambda b: (b.block_size, b.blocks))
 
     def is_primitive(self) -> bool:
         return not self.block_systems()
@@ -606,12 +601,17 @@ class GeneratedGroup:
             if t not in covered and t.cycle_type() == shape:
                 targets.append(t)
                 covered.update(self.conjugacy_class(t))
-        candidates = (h for t in targets for h in _conjugators_onto(g1, t))
-        return _subgroup_of(
-            self,
-            candidates,
-            lambda h: all(self.contains(g.conjugate(h)) for g in self.generators),
-        )
+        # A candidate is added only when the group so far lacks it, so the
+        # chain is rebuilt at most log2 of the index times; membership, one
+        # sift, is tested before the normalizing check.
+        group = self
+        for t in targets:
+            for h in _conjugators_onto(g1, t):
+                if not group.contains(h) and all(
+                    self.contains(g.conjugate(h)) for g in self.generators
+                ):
+                    group = GeneratedGroup(n, group.generators + [h])
+        return group
 
     def class_stabilizer(
         self,
@@ -619,43 +619,23 @@ class GeneratedGroup:
         ambient: "GeneratedGroup | None" = None,
     ) -> "GeneratedGroup":
         """Subgroup of ``ambient`` (default: N_{S_n}(G)) whose conjugation
-        preserves the given conjugacy-class multiset."""
+        preserves the given conjugacy-class multiset: the stabilizer of
+        that multiset, the sorted tuple of the sorted classes, under
+        conjugation, by one orbit walk whose Schreier generators stop at
+        |ambient| / |orbit|.  G fixes each of its own classes, so it is
+        the answer when it is the ambient group."""
         if ambient is None:
             ambient = self.normalizer_in_symmetric()
-        class_sets = [frozenset(c) for c in classes]
-        multiset = sorted(class_sets, key=lambda s: min(s))
-
-        def preserves(h: Permutation) -> bool:
-            mapped = sorted(
-                (frozenset(x.conjugate(h) for x in cs) for cs in class_sets),
-                key=lambda s: min(s),
-            )
-            return mapped == multiset
-
-        # G fixes each of its own classes, so it is a base to grow from
-        # whenever it lies in the ambient group, and the answer when it
-        # is the ambient group.
-        if not self.is_subgroup(ambient):
-            base = GeneratedGroup(self.degree, [])
-        elif self._order == ambient.order():
+        if ambient.order() == self._order and self.is_subgroup(ambient):
             return self
-        else:
-            base = self
-        return _subgroup_of(base, ambient.elements(), preserves)
 
+        def act(multiset, h: Permutation):
+            return tuple(
+                sorted(tuple(sorted(x.conjugate(h) for x in cls)) for cls in multiset)
+            )
 
-def _subgroup_of(base: GeneratedGroup, candidates, keep) -> GeneratedGroup:
-    """The group generated by ``base`` and the candidates ``h`` with
-    ``keep(h)``.  A candidate is added only when the group so far lacks
-    it and it passes ``keep``, so the chain is rebuilt at most log2 of the
-    index times.  Membership is tested first: one sift, where ``keep``
-    may conjugate whole classes, and most candidates of a class
-    stabilizer lie in G already."""
-    group = base
-    for h in candidates:
-        if not group.contains(h) and keep(h):
-            group = GeneratedGroup(base.degree, group.generators + [h])
-    return group
+        key = tuple(sorted(tuple(sorted(cls)) for cls in classes))
+        return _orbit_stabilizer(ambient, key, act, "class multisets")[1]
 
 
 def _symmetric_generators(n: int) -> list[Permutation]:

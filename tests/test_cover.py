@@ -193,10 +193,26 @@ class TestEntanglement:
         assert result["davenport_entangled"]
 
     def test_mismatched_group_orders_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCoverError, match="project isomorphically"):
             character_entanglement(
                 [parse_cycles("(1 2)", 3)], [parse_cycles("(1 2 3)", 3)]
             )
+
+    def test_common_group_check_builds_two_chains(self, monkeypatch):
+        """The joint chain gives the first action's order; only the second
+        action builds a chain of its own."""
+        builds = []
+        original = GeneratedGroup._build
+
+        def counting(self, degree, *args):
+            builds.append(degree)
+            return original(self, degree, *args)
+
+        monkeypatch.setattr(GeneratedGroup, "_build", counting)
+        t1 = [p7("(1 3)(4 5)"), p7("(1 4 6 7)(2 3)")]
+        t2 = [p7("(1 2)(3 5)"), p7("(1 3 6 7)(4 5)")]
+        character_entanglement(t1, t2)
+        assert builds == [14, 7]
 
 
 class TestEquivalentTuples:

@@ -101,6 +101,17 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             NielsenClassSpec(DEG7_GROUP, (p7("(1 2)"),), EquivalenceMode.RAW)
 
+    def test_spec_is_immutable(self):
+        """The enumeration cached on a spec cannot go stale: a field cannot
+        be reassigned, and a variant is a new spec with caches of its own."""
+        spec = catalog.get("deg7-class-3.2.7")
+        assert len(enumerate_class(spec)) == 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.mode = EquivalenceMode.RAW
+        raw = dataclasses.replace(spec, mode=EquivalenceMode.RAW)
+        assert len(enumerate_class(raw)) == 1008
+        assert len(enumerate_class(spec)) == 6
+
 
 def alternating(n):
     """A_n from (1 2 3) and an n-cycle (odd n) or an (n-1)-cycle on 2..n."""
@@ -278,6 +289,15 @@ class TestH3Structure:
             NielsenClassSpec(g3, (c, c, c), EquivalenceMode.INNER)
         )
         assert report["ordering_orbit_size"] == 1
+
+    def test_two_equal_classes_give_three_orderings(self):
+        t = p7("(1 3)(4 5)")
+        s = p7("(1 7 6 5 4 3 2)")
+        report = h3_structure(
+            NielsenClassSpec(DEG7_GROUP, (t, t, s), EquivalenceMode.INNER)
+        )
+        assert report["ordering_orbit_size"] == 3
+        assert not report["full_symmetric_on_orderings"]
 
     def test_requires_r3(self):
         spec = catalog.get("deg7-class-2^3.7")

@@ -1,5 +1,6 @@
 """Unit tests for generated groups, cross-checked against sympy."""
 
+import itertools
 import random
 from collections import Counter, deque
 from math import factorial
@@ -439,6 +440,98 @@ class TestBlocks:
         b = BlockSystem.from_partition([[1, 3], [2, 4]])
         assert a == b
 
+    def test_matches_brute_force_on_random_transitive_groups(self):
+        """Every block B through 1 whose images under G partition the
+        letters, found by trying the subsets through 1, on seeded random
+        transitive groups of degree <= 8: wreath-like ones, whose
+        generators keep a tower of runs of consecutive letters, and ones
+        from arbitrary generators (an empty tower)."""
+        rng = random.Random(3163)
+        checked = imprimitive = several = 0
+        while checked < 200:
+            n = rng.choice([4, 6, 8, rng.randint(2, 8)])
+            sizes = _run_tower(rng, n)
+            gens = [_tower_preserving(rng, n, sizes) for _ in range(rng.randint(1, 3))]
+            g = GeneratedGroup(n, gens)
+            if not g.is_transitive():
+                continue
+            expected = _brute_block_systems(g)
+            assert g.block_systems() == expected
+            assert g.is_primitive() == (not expected)
+            checked += 1
+            imprimitive += len(expected) > 0
+            several += len(expected) > 1
+        assert imprimitive > 80 and several > 20
+
+    def test_builds_no_chain(self, monkeypatch):
+        """Stab(1) is the chain's tail, and minimal blocks and joins are
+        union-find walks over the generators, so no group is built."""
+        groups = [
+            GeneratedGroup(12, [parse_cycles("(1 2 3 4 5 6 7 8 9 10 11 12)", 12)]),
+            GeneratedGroup(
+                8, [parse_cycles("(1 2)", 8), parse_cycles("(1 3 5 7)(2 4 6 8)", 8)]
+            ),
+        ]
+        builds = []
+        original = GeneratedGroup._build
+
+        def counting(self, *args):
+            builds.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(GeneratedGroup, "_build", counting)
+        assert [len(g.block_systems()) for g in groups] == [4, 2]
+        assert builds == []
+
+
+def _run_tower(rng, n):
+    """Random run sizes 1 < s1 < s2 < ... < n, each dividing the next
+    and n."""
+    sizes = []
+    while rng.random() < 0.7:
+        low = sizes[-1] if sizes else 1
+        choices = [m for m in range(low + 1, n) if n % m == 0 and m % low == 0]
+        if not choices:
+            break
+        sizes.append(rng.choice(choices))
+    return sizes
+
+
+def _tower_preserving(rng, n, sizes):
+    """A random permutation of 1..n that permutes the runs of s
+    consecutive letters for every s in ``sizes``."""
+
+    def offsets(n, sizes):
+        if not sizes:
+            return rng.sample(range(n), n)
+        s = sizes[-1]
+        runs = rng.sample(range(n // s), n // s)
+        return [r * s + i for r in runs for i in offsets(s, sizes[:-1])]
+
+    return Permutation(tuple(i + 1 for i in offsets(n, sizes)))
+
+
+def _brute_block_systems(g):
+    """The systems of every subset B through 1, 1 < |B| < n, whose images
+    (walked over the generators) pairwise coincide or are disjoint: the
+    images cover the letters, so they are disjoint when their sizes sum
+    to n."""
+    n = g.degree
+    found = set()
+    for size in range(2, n):
+        if n % size:
+            continue
+        for rest in itertools.combinations(range(2, n + 1), size - 1):
+            images = [frozenset((1, *rest))]
+            for b in images:
+                for x in g.generators:
+                    image = frozenset(x.apply(i) for i in b)
+                    if image not in images:
+                        images.append(image)
+            if len(images) * size == n:
+                found.add(BlockSystem.from_partition([list(b) for b in images]))
+    return sorted(found, key=lambda b: (b.block_size, b.blocks))
+
 
 class TestCosetAction:
     def test_coset_action_of_point_stabilizer_recovers_degree(self, deg7):
@@ -619,3 +712,21 @@ class TestNormalizer:
 
         monkeypatch.setattr(GeneratedGroup, "elements", refuse)
         assert s8.class_stabilizer(classes, ambient=s8).order() == 40320
+
+    def test_class_stabilizer_lists_no_ambient_element(self, monkeypatch):
+        """The 3-cycles of A7 in S7: the stabilizer of the class multiset,
+        S7 itself, comes from one orbit walk, not a sweep of S7."""
+        a7 = GeneratedGroup(
+            7, [parse_cycles("(1 2 3)", 7), parse_cycles("(3 4 5 6 7)", 7)]
+        )
+        s7 = GeneratedGroup(
+            7, [parse_cycles("(1 2)", 7), parse_cycles("(1 2 3 4 5 6 7)", 7)]
+        )
+        classes = [a7.conjugacy_class(parse_cycles("(1 2 3)", 7))]
+        assert a7.order() == 2520 and len(classes[0]) == 70
+
+        def refuse(group):
+            raise AssertionError("ambient elements listed")
+
+        monkeypatch.setattr(GeneratedGroup, "elements", refuse)
+        assert a7.class_stabilizer(classes, ambient=s7).order() == 5040
