@@ -522,8 +522,8 @@ def _product_one_adjust(
     group.
 
     ``_classes_by_least_conjugator`` orders each entry's class from the
-    entry, walking each image-group class once, so the entry itself
-    comes first.
+    entry, from the image group's one walk of the class, so the entry
+    itself comes first.
     ``_realizations`` yields the product-one choices lazily in
     lexicographic order of those lists; the first one that generates the
     image group is returned.  The search visits at most |image group|
@@ -559,27 +559,19 @@ def _classes_by_least_conjugator(
     member c listed in order of the least h (images compared
     lexicographically) with p^h = c, so ``p`` comes first.
 
-    Each class is walked once, from its first entry p0: the walk finds a
-    conjugator t_c with p0^t_c = c for each member, and its stabilizer
-    is the centralizer C(p0).  The h with p0^h = c form the right coset
+    Each class is read from the group's one walk of it, from its start
+    p0: a conjugator t_c with p0^t_c = c for each member, and the
+    centralizer C(p0).  The h with p0^h = c form the right coset
     C(p0) * t_c, whose least element ``coset_minimum`` reads off the
-    chain.  A later entry q of the class reuses the walk: C(q) is
+    chain.  Any other entry q of the class reuses the walk: C(q) is
     t_q^-1 * C(p0) * t_q, built from the conjugated generators and
     stopped at the proved order |C(p0)|, and the h with q^h = c form the
     coset C(q) * t_q^-1 * t_c."""
-    walks: list[tuple[dict[Permutation, Permutation], GeneratedGroup]] = []
     ordered: dict[Permutation, list[Permutation]] = {}
     for p in perms:
         if p in ordered:
             continue
-        for conjugators, centralizer in walks:
-            if p in conjugators:
-                break
-        else:
-            conjugators, centralizer = _orbit_stabilizer(
-                group, p, Permutation.conjugate, "class members"
-            )
-            walks.append((conjugators, centralizer))
+        conjugators, centralizer = group._class_walk(p)
         t_p = conjugators[p]
         cosets = conjugators
         if not t_p.is_identity:  # p did not start the walk

@@ -17,8 +17,7 @@ from enum import Enum
 from math import prod
 
 from .permcore import Permutation, _realizations
-from .permgroup import CapExceededError, GeneratedGroup
-from .permgroup import _generates, _orbit_stabilizer
+from .permgroup import CapExceededError, GeneratedGroup, _generates
 
 __all__ = [
     "EquivalenceMode",
@@ -77,13 +76,11 @@ class NielsenClassSpec:
         return len(self.class_reps)
 
     def classes(self) -> list[list[Permutation]]:
-        """The class of each representative, in order; listed once per
-        distinct representative and cached on the instance."""
+        """The class of each representative, in order, read off the
+        group's kept class walks; cached on the instance."""
         cached = getattr(self, "_classes_cache", None)
         if cached is None:
-            distinct = dict.fromkeys(self.class_reps)
-            listed = {rep: self.group.conjugacy_class(rep) for rep in distinct}
-            cached = [listed[rep] for rep in self.class_reps]
+            cached = [self.group.conjugacy_class(rep) for rep in self.class_reps]
             object.__setattr__(self, "_classes_cache", cached)
         return cached
 
@@ -163,11 +160,9 @@ class _OrbitTable:
     def __call__(self, element: NielsenElement) -> NielsenElement:
         x = element[0]
         if x not in self.onto:
-            # One walk per N-orbit of first entries: x^t_y = y, x^u = c0,
-            # and C_N(c0) = u^-1 C_N(x) u.
-            walk, stabilizer = _orbit_stabilizer(
-                self.group, x, Permutation.conjugate, "class members"
-            )
+            # N's one walk of the N-orbit of first entries, from its start
+            # s: s^t_y = y, s^u = c0, and C_N(c0) = u^-1 C_N(s) u.
+            walk, stabilizer = self.group._class_walk(x)
             u = walk[min(walk)]
             centralizer = [h.conjugate(u) for h in stabilizer.elements()]
             for y, t in walk.items():

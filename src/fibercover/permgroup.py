@@ -14,13 +14,14 @@ in the true basic orbit, so the product is at most the group order, with
 equality only for a complete chain.
 
 Stab(1) is the chain's own tail and builds nothing.  Outside the
-chain, ``_orbit_walk`` is the one breadth-first walk of an orbit under
-any action, and ``_orbit_stabilizer`` streams that orbit's Schreier
-generators into the stabilizer's own build, bounded by |G| / |orbit|,
-so every other stabilizer is built once: point stabilizers on letters,
-centralizers on a conjugacy class, and class stabilizers on a class
-multiset.  Block systems are joins of Atkinson's minimal systems, seeded
-from the orbits of Stab(1), and build no group.
+chain, ``_orbit_stabilizer`` is the one walk from scratch: it walks an
+orbit under any action breadth-first and streams its Schreier generators
+into the stabilizer's own build, bounded by |G| / |orbit|, for point
+stabilizers on letters, centralizers on a conjugacy class, and class
+stabilizers on a class multiset.  A group keeps its class walks
+(``_class_walk``), so each class is walked once for all its readers.
+Block systems are joins of Atkinson's minimal systems, seeded from the
+orbits of Stab(1), and build no group.
 
 Caps sit at the work that grows with the group: ``LISTING_CAP`` bounds
 every listing of group elements, class members or cosets, and
@@ -95,7 +96,7 @@ class _Level:
     generators and the transversal itself are build state, dropped once
     the chain is complete; the inverses stay.  A fresh level given all
     generators at once holds the breadth-first transversal of its point,
-    letters in discovery order, as ``_orbit_walk`` does."""
+    letters in discovery order, as ``_orbit_stabilizer`` walks it."""
 
     __slots__ = ("point", "gens", "transversal", "inverses")
 
@@ -134,11 +135,18 @@ def _letter_image(p: int, g: Permutation) -> int:
     return g.images[p - 1]
 
 
-def _orbit_walk(group: "GeneratedGroup", start, act, what: str) -> dict:
+def _orbit_stabilizer(
+    group: "GeneratedGroup", start, act, what: str
+) -> tuple[dict, "GeneratedGroup"]:
     """The orbit of ``start`` under ``group``, ``act(x, g)`` the image of
-    ``x`` under the generator ``g``: a breadth-first transversal mapping
-    each member y, in discovery order, to a t with ``act(start, t) == y``.
-    ``what`` names the members in the ``LISTING_CAP`` refusal."""
+    ``x`` under the generator ``g``, and the stabilizer of ``start``.  The
+    orbit is a breadth-first transversal mapping each member y, in
+    discovery order, to a t with ``act(start, t) == y``; ``what`` names
+    the members in the ``LISTING_CAP`` refusal.  The Schreier generators
+    t_x * g * t_y^-1, y = act(x, g), are formed only as the stabilizer's
+    chain reads them, and the build stops at |G| / |orbit|, the
+    stabilizer's order.  Returns the transversal and the stabilizer, whose
+    generators are the Schreier generators that extended its chain."""
     transversal = {start: identity(group.degree)}
     # ``members`` doubles as the FIFO queue of members to act on.
     members = [start]
@@ -150,19 +158,6 @@ def _orbit_walk(group: "GeneratedGroup", start, act, what: str) -> dict:
                 transversal[y] = t * g
                 members.append(y)
                 _check_listing(len(members), what)
-    return transversal
-
-
-def _orbit_stabilizer(
-    group: "GeneratedGroup", start, act, what: str
-) -> tuple[dict, "GeneratedGroup"]:
-    """The orbit of ``start`` (as ``_orbit_walk``) and the stabilizer of
-    ``start`` in ``group``.  The Schreier generators t_x * g * t_y^-1,
-    y = act(x, g), are formed only as the stabilizer's chain reads them,
-    and the build stops at |G| / |orbit|, the stabilizer's order.  Returns
-    the transversal and the stabilizer, whose generators are the Schreier
-    generators that extended its chain."""
-    transversal = _orbit_walk(group, start, act, what)
     inverses: dict = {}  # y -> the images of t_y^-1
     one = _IDENTITY_IMAGES[group.degree]
 
@@ -282,6 +277,7 @@ class GeneratedGroup:
         self._levels = [_Level(i, degree) for i in range(1, degree + 1)]
         self._order = 1  # the product of the orbit lengths
         self._elements: list[Permutation] | None = None
+        self._class_walks: dict[Permutation, tuple] = {}
         kept: list[Permutation] = []
         for g in generators:
             if self._order == bound:
@@ -464,6 +460,7 @@ class GeneratedGroup:
         tail._levels = [first] + self._levels[1:]
         tail._order = self._order // len(self._levels[0].inverses)
         tail._elements = None
+        tail._class_walks = {}
         return tail
 
     # -- block systems --------------------------------------------------
@@ -495,23 +492,24 @@ class GeneratedGroup:
             return None
         return BlockSystem.from_partition(list(classes.values()))
 
+    def _minimal_systems(self) -> Iterable[BlockSystem | None]:
+        """Lazily, the minimal system seeded with one letter of each orbit
+        of Stab(1), the chain's tail (the orbit's letters share it), or
+        None where it is trivial.  Requires transitivity."""
+        if not self.is_transitive():
+            raise ValueError("block systems require a transitive group")
+        for orbit in self.point_stabilizer(1).orbits()[1:]:
+            yield self._minimal_block(orbit[:1])
+
     def block_systems(self) -> list[BlockSystem]:
         """All nontrivial block systems (block size > 1, more than one
         block).  Requires transitivity.
 
         A system is fixed by its block through 1, the finest one holding
-        that block's letters, so every system is a join of minimal ones.
-        The minimal systems are seeded with one letter per orbit of
-        Stab(1), the chain's tail (letters of one orbit share their
-        minimal system); then each system found is joined with one letter
-        of each of its other blocks until no new system appears."""
-        if not self.is_transitive():
-            raise ValueError("block systems require a transitive group")
-        found: dict[BlockSystem, None] = {}
-        for orbit in self.point_stabilizer(1).orbits()[1:]:
-            bs = self._minimal_block(orbit[:1])
-            if bs is not None:
-                found[bs] = None
+        that block's letters, so every system is a join of minimal ones:
+        each system found, from ``_minimal_systems`` on, is joined with one
+        letter of each of its other blocks until no new system appears."""
+        found = dict.fromkeys(bs for bs in self._minimal_systems() if bs is not None)
         # ``systems`` doubles as the FIFO queue of systems to join.
         systems = list(found)
         for bs in systems:
@@ -524,7 +522,9 @@ class GeneratedGroup:
         return sorted(found, key=lambda b: (b.block_size, b.blocks))
 
     def is_primitive(self) -> bool:
-        return not self.block_systems()
+        """Whether there is no nontrivial block system: every system is a
+        join of minimal ones, so the minimal systems alone answer it."""
+        return all(bs is None for bs in self._minimal_systems())
 
     # -- coset actions --------------------------------------------------
 
@@ -562,37 +562,48 @@ class GeneratedGroup:
 
     # -- conjugacy ------------------------------------------------------
 
+    def _class_walk(self, x: Permutation) -> tuple[dict, GeneratedGroup]:
+        """The conjugation orbit of ``x`` over the generators, walked once
+        per class and kept under every member: each member c -> a t with
+        start^t = c, the start being the member the walk began at, and
+        the centralizer C(start).  Refused past ``LISTING_CAP`` members."""
+        walk = self._class_walks.get(x)
+        if walk is None:
+            walk = _orbit_stabilizer(self, x, Permutation.conjugate, "class members")
+            self._class_walks.update(dict.fromkeys(walk[0], walk))
+        return walk
+
     def conjugacy_class(self, x: Permutation) -> list[Permutation]:
-        """The G-class of ``x``, sorted: its conjugation orbit over the
-        generators, refused past ``LISTING_CAP`` members."""
+        """The G-class of ``x``, sorted, from its kept walk."""
         if not self.contains(x):
             raise ValueError("element not in group")
-        return sorted(_orbit_walk(self, x, Permutation.conjugate, "class members"))
+        return sorted(self._class_walk(x)[0])
 
     def class_representative(self, x: Permutation) -> Permutation:
         return min(self.conjugacy_class(x))
 
     def are_conjugate(self, x: Permutation, y: Permutation) -> bool:
-        cls = self.conjugacy_class(x)
-        return y in cls
+        if not self.contains(x):
+            raise ValueError("element not in group")
+        return y in self._class_walk(x)[0]
 
     # -- normalizer in the symmetric group -------------------------------
 
     def normalizer_in_symmetric(self) -> "GeneratedGroup":
-        """N_{S_n}(G), for n up to ``NORMALIZER_DEGREE_CAP``.  Grown from
-        G by the permutations that carry one generator g1 onto an element
-        of G of its cycle type: one target per G-class suffices because G
-        lies in N, and g1 is the generator with the smallest centralizer
-        in S_n, which keeps the candidates fewest."""
+        """N_{S_n}(G).  The trivial group and a subgroup of index at most
+        2 are normal in S_n at any degree.  Otherwise, for n up to
+        ``NORMALIZER_DEGREE_CAP``, N is grown from G by the permutations
+        that carry one generator g1 onto an element of G of its cycle
+        type: one target per G-class suffices because G lies in N, and g1
+        is the generator with the smallest centralizer in S_n, which keeps
+        the candidates fewest."""
         n = self.degree
+        if not self.generators or 2 * self._order >= factorial(n):
+            return GeneratedGroup(n, _symmetric_generators(n))
         if n > NORMALIZER_DEGREE_CAP:
             raise CapExceededError(
                 f"normalizer search capped at degree {NORMALIZER_DEGREE_CAP}"
             )
-        if not self.generators or 2 * self._order >= factorial(n):
-            # The trivial group, and a subgroup of index at most 2, are
-            # normal in S_n.
-            return GeneratedGroup(n, _symmetric_generators(n))
         g1 = min(self.generators, key=_centralizer_order)
         shape = g1.cycle_type()
         targets: list[Permutation] = []
@@ -600,7 +611,7 @@ class GeneratedGroup:
         for t in self.elements():
             if t not in covered and t.cycle_type() == shape:
                 targets.append(t)
-                covered.update(self.conjugacy_class(t))
+                covered.update(self._class_walk(t)[0])
         # A candidate is added only when the group so far lacks it, so the
         # chain is rebuilt at most log2 of the index times; membership, one
         # sift, is tested before the normalizing check.

@@ -452,15 +452,14 @@ def test_y1_stabilizer_built_once_per_pair(monkeypatch):
     Each module's reference to the walk is recorded, so a walk through
     a name imported from ``permgroup`` is counted too."""
     starts = []
-    original = permgroup._orbit_walk
+    original = permgroup._orbit_stabilizer
 
     def recording(group, start, act, what):
         starts.append((group.degree, start))
         return original(group, start, act, what)
 
     for module in (permgroup, fiberprod):
-        if hasattr(module, "_orbit_walk"):
-            monkeypatch.setattr(module, "_orbit_walk", recording)
+        monkeypatch.setattr(module, "_orbit_stabilizer", recording)
     source = catalog.get("sm-pair-7")
     m, n = source.degree_x, source.degree_y
     pair = PairedCover(source.branch_points, source.sigma, source.tau, m, n)
@@ -473,27 +472,28 @@ def test_y1_stabilizer_built_once_per_pair(monkeypatch):
 def test_projection_walks_each_class_once(monkeypatch):
     """On ``sm-pair-8`` the nine distinct local entries of the degree-6
     projection fall into two S6-classes; the product-one adjustment walks
-    each class once, and later entries of a class reuse the walk."""
-    pair = catalog.build_sm_pair(8)
-    counts = []
-    for component in pair.components:
-        entries = {p for _, p in component._pry_entry_data if not p.is_identity}
-        group = component._pry_image_group
-        classes = {min(group.conjugacy_class(p)) for p in entries}
-        counts.append((len(entries), len(classes)))
+    each class once, later entries of a class reuse the walk, and the
+    image group keeps it, so listing the classes afterwards walks none."""
     walks = []
-    original = fiberprod._orbit_stabilizer
+    original = permgroup._orbit_stabilizer
 
     def recording(group, start, act, what):
         if act is Permutation.conjugate:
             walks.append(start)
         return original(group, start, act, what)
 
-    monkeypatch.setattr(fiberprod, "_orbit_stabilizer", recording)
-    for component, (_, classes) in zip(pair.components, counts):
+    monkeypatch.setattr(permgroup, "_orbit_stabilizer", recording)
+    pair = catalog.build_sm_pair(8)
+    counts = []
+    for component in pair.components:
         walks.clear()
         assert component.pry_branch_cycles().validate().valid
-        assert len(walks) == classes
+        walked = len(walks)
+        entries = {p for _, p in component._pry_entry_data if not p.is_identity}
+        group = component._pry_image_group
+        classes = {min(group.conjugacy_class(p)) for p in entries}
+        assert len(walks) == walked == len(classes)
+        counts.append((len(entries), len(classes)))
     assert sorted(counts) == [(1, 1), (9, 2)]
 
 

@@ -3,12 +3,11 @@ action, coalescing."""
 
 import dataclasses
 import runpy
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from fibercover import catalog, nielsen
+from fibercover import catalog, nielsen, permgroup
 from fibercover.nielsen import (
     EquivalenceMode,
     NielsenClassSpec,
@@ -247,25 +246,78 @@ class TestBraidAction:
         assert canonical_form(conj, conjugators) in set(ni_2227_braid_orbits[0])
 
     def test_classes_listed_once_per_representative(self, monkeypatch):
-        """Enumeration, the class orderings and the class stabilizer all
-        read the spec's class lists, so ``braid_orbits`` lists the class of
-        each distinct representative at most once."""
-        calls = Counter()
-        original = GeneratedGroup.conjugacy_class
-
-        def counting(group, x):
-            calls[x] += 1
-            return original(group, x)
-
-        monkeypatch.setattr(GeneratedGroup, "conjugacy_class", counting)
-        # A fresh spec, so nothing is read from a cache filled elsewhere.
-        spec = dataclasses.replace(catalog.get("deg7-class-2^3.7"))
+        """Enumeration, the class orderings, the normalizer, the class
+        stabilizer and the orbit table all read the group's kept class
+        walks, so ``braid_orbits`` walks the class of each distinct
+        representative once."""
+        walks = _recorded_class_walks(monkeypatch)
+        # A fresh group and spec, so nothing is read from a walk or cache
+        # kept elsewhere.
+        spec = catalog.get("deg7-class-2^3.7")
+        spec = dataclasses.replace(spec, group=_fresh(spec.group))
         assert [len(o) for o in nielsen.braid_orbits(spec)] == [7]
         distinct = set(spec.class_reps)
         assert len(distinct) < spec.r
+        assert len(walks) == len(set(walks))
+        walked = {members for group, members in walks if group is spec.group}
         for rep in distinct:
-            assert calls[rep] <= 1
-        assert sum(calls[rep] for rep in distinct) == len(distinct)
+            assert frozenset(spec.group.conjugacy_class(rep)) in walked
+
+
+def _fresh(group):
+    return GeneratedGroup(group.degree, list(group.generators))
+
+
+def _recorded_class_walks(monkeypatch):
+    """A list that records each class walk as (group, members); the
+    groups' walks go through ``permgroup._orbit_stabilizer``."""
+    walks = []
+    original = permgroup._orbit_stabilizer
+
+    def recording(group, start, act, what):
+        result = original(group, start, act, what)
+        if act is Permutation.conjugate:
+            walks.append((group, frozenset(result[0])))
+        return result
+
+    monkeypatch.setattr(permgroup, "_orbit_stabilizer", recording)
+    return walks
+
+
+def _s5_pairs_spec():
+    """S5 on 5 letters and on the 10 unordered pairs of them at once,
+    classes (1 2), (1 2 3 4), (1 2 3 4 5) in that order, inner."""
+
+    def joint(text):
+        p = parse_cycles(text, 5)
+        pairs = catalog.pairs_permutation(p, 5)
+        return Permutation(p.images + tuple(5 + i for i in pairs.images))
+
+    group = GeneratedGroup(15, [joint("(1 2)"), joint("(1 2 3 4 5)")])
+    reps = tuple(joint(c) for c in ("(1 2)", "(1 2 3 4)", "(1 2 3 4 5)"))
+    return NielsenClassSpec(group, reps, EquivalenceMode.INNER, include_reorderings=False)
+
+
+class TestClassWalks:
+    @pytest.mark.parametrize("name", ["deg7-class-3.2.7", "s5-pairs"])
+    def test_inner_braid_orbits_walk_each_class_once(self, monkeypatch, name):
+        """Inner enumeration and braid orbits list the spec's classes and
+        reduce every tuple over G's centralizers, and both read G's one
+        walk of each class: the walks made are exactly the classes of the
+        representatives, each once."""
+        walks = _recorded_class_walks(monkeypatch)
+        if name == "s5-pairs":
+            spec = _s5_pairs_spec()
+        else:
+            source = catalog.get(name)
+            spec = NielsenClassSpec(
+                _fresh(source.group), source.class_reps, EquivalenceMode.INNER
+            )
+        assert nielsen.braid_orbits(spec)
+        classes = {frozenset(spec.group.conjugacy_class(rep)) for rep in spec.class_reps}
+        assert len(classes) == spec.r
+        assert set(walks) == {(spec.group, members) for members in classes}
+        assert len(walks) == spec.r
 
 
 class TestH3Structure:

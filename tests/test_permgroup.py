@@ -245,8 +245,8 @@ def _bfs_transversal(point, generators, degree):
 class TestLevelTransversal:
     """``_Level.add_generators`` is the chain's incremental transversal
     walk; a fresh level given all generators is the breadth-first
-    transversal, the one ``_orbit_walk`` gives ``point_stabilizer`` and
-    the projection's carrier."""
+    transversal, the one ``_orbit_stabilizer`` walks for
+    ``point_stabilizer`` and the projection's carrier."""
 
     @staticmethod
     def _generator_sets(seed):
@@ -264,7 +264,7 @@ class TestLevelTransversal:
             expected = _bfs_transversal(point, gens, n)
             assert list(level.transversal) == list(expected)
             assert level.transversal == expected
-            walked = permgroup._orbit_walk(
+            walked, _ = permgroup._orbit_stabilizer(
                 GeneratedGroup(n, gens), point, permgroup._letter_image, "letters"
             )
             assert list(walked) == list(expected)
@@ -440,12 +440,21 @@ class TestBlocks:
         b = BlockSystem.from_partition([[1, 3], [2, 4]])
         assert a == b
 
-    def test_matches_brute_force_on_random_transitive_groups(self):
+    def test_matches_brute_force_on_random_transitive_groups(self, monkeypatch):
         """Every block B through 1 whose images under G partition the
         letters, found by trying the subsets through 1, on seeded random
         transitive groups of degree <= 8: wreath-like ones, whose
         generators keep a tower of runs of consecutive letters, and ones
-        from arbitrary generators (an empty tower)."""
+        from arbitrary generators (an empty tower).  ``is_primitive``
+        tries at most one minimal system per orbit of Stab(1) other than
+        {1}, and joins none."""
+        calls = []
+        original = GeneratedGroup._minimal_block
+
+        def counting(self, seeds):
+            calls.append(seeds)
+            return original(self, seeds)
+
         rng = random.Random(3163)
         checked = imprimitive = several = 0
         while checked < 200:
@@ -457,7 +466,11 @@ class TestBlocks:
                 continue
             expected = _brute_block_systems(g)
             assert g.block_systems() == expected
-            assert g.is_primitive() == (not expected)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(GeneratedGroup, "_minimal_block", counting)
+                assert g.is_primitive() == (not expected)
+            assert len(calls) <= len(g.point_stabilizer(1).orbits()) - 1
             checked += 1
             imprimitive += len(expected) > 0
             several += len(expected) > 1
@@ -687,9 +700,20 @@ class TestNormalizer:
         assert n.order() == 6
 
     def test_degree_cap(self):
+        """The search is refused past ``NORMALIZER_DEGREE_CAP`` (9), but a
+        subgroup of index at most 2 is normal in S_n and needs none."""
         g = GeneratedGroup(10, [parse_cycles("(1 2 3 4 5 6 7 8 9 10)", 10)])
         with pytest.raises(CapExceededError):
             g.normalizer_in_symmetric()
+        s10 = GeneratedGroup(
+            10, [parse_cycles("(1 2)", 10), parse_cycles("(1 2 3 4 5 6 7 8 9 10)", 10)]
+        )
+        a10 = GeneratedGroup(
+            10, [parse_cycles("(1 2 3)", 10), parse_cycles("(2 3 4 5 6 7 8 9 10)", 10)]
+        )
+        assert a10.order() == factorial(10) // 2
+        for g in (s10, a10):
+            assert g.normalizer_in_symmetric().order() == factorial(10)
 
     def test_class_stabilizer_preserves_classes(self, deg7):
         classes = [
