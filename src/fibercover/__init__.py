@@ -18,7 +18,6 @@ from .cover import (
     Cover,
     InvalidCoverError,
     ValidityReport,
-    character_entanglement,
     equivalent_tuples,
     genus_from_tuple,
     multipliers,
@@ -29,6 +28,7 @@ from .fiberprod import (
     PairedCover,
     RamPoint,
     ScreenReport,
+    character_entanglement,
     detect_clc,
     double_transitive_complement,
     genus0_witness,

@@ -9,7 +9,6 @@ metadata.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +30,6 @@ __all__ = [
     "growth_family_cover",
     "build_hilbert_siegel_m5",
     "pairs_permutation",
-    "has_second_representation",
 ]
 
 
@@ -75,10 +73,8 @@ def _deg7_joint_involution_split() -> tuple[Permutation, Permutation]:
     """Two joint involutions whose product is the first joint branch
     cycle of the second degree-7 pair (deterministic first hit)."""
     pair = _deg7_pair(2)
-    joint = pair.joint_group
-    s1j = joint.generators[0]
-    s2j = joint.generators[1]
-    involution_class = joint.conjugacy_class(s2j)
+    s1j, s2j, _ = pair.joint_cycles
+    involution_class = pair.joint_group.conjugacy_class(s2j)
     for a in involution_class:
         b = a * s1j  # a * (a * s1j) = s1j since a is an involution
         if b in involution_class and not b.is_identity:
@@ -90,10 +86,8 @@ def _deg7_joint_involution_split() -> tuple[Permutation, Permutation]:
 def _deg7_pair_r4() -> PairedCover:
     """The four-branch-point paired cover (three involutions and the
     7-cycle) that coalesces onto the second degree-7 pair."""
-    pair = _deg7_pair(2)
-    joint = pair.joint_group
     a, b = _deg7_joint_involution_split()
-    element = (a, b, joint.generators[1], joint.generators[2])
+    element = (a, b, *_deg7_pair(2).joint_cycles[1:])
     return PairedCover.from_joint_tuple(("z1", "z2", "z3", "infinity"), element, 7)
 
 
@@ -101,10 +95,8 @@ def _deg7_pair_r4() -> PairedCover:
 def _deg7_pair_r6() -> PairedCover:
     """Six involution branch points: (a, b, c, c, b, a) with a*b*c the
     7-cycle; coalescing twice recovers the four-point pair."""
-    pair = _deg7_pair(2)
-    joint = pair.joint_group
     a, b = _deg7_joint_involution_split()
-    c = joint.generators[1]
+    c = _deg7_pair(2).joint_cycles[1]
     element = (a, b, c, c, b, a)
     return PairedCover.from_joint_tuple(
         ("z1", "z2", "z3", "z4", "z5", "z6"), element, 7
@@ -259,14 +251,12 @@ def build_hilbert_siegel_m5() -> PairedClassSpec:
     examples: double transposition, two transpositions, and a 5-cycle,
     paired with the degree-10 unordered-pairs representation."""
     m = 5
-    t1_gens = [parse_cycles("(1 2)", m), parse_cycles("(1 2 3 4 5)", m)]
-    t2_gens = [pairs_permutation(p, m) for p in t1_gens]
-    joint_gens = [direct_sum(a, b) for a, b in zip(t1_gens, t2_gens)]
-    joint = GeneratedGroup(5 + 10, joint_gens)
 
     def joint_of(text: str) -> Permutation:
         p = parse_cycles(text, m)
         return direct_sum(p, pairs_permutation(p, m))
+
+    joint = GeneratedGroup(5 + 10, [joint_of("(1 2)"), joint_of("(1 2 3 4 5)")])
 
     reps = (
         joint_of("(1 2)(3 4)"),
@@ -278,26 +268,6 @@ def build_hilbert_siegel_m5() -> PairedClassSpec:
         joint, reps, EquivalenceMode.INNER, include_reorderings=False
     )
     return PairedClassSpec(spec, 5, ("z1", "z2", "z3", "infinity"))
-
-
-# -- second representations ---------------------------------------------------
-
-
-def has_second_representation(c: Cover) -> bool:
-    """Whether the catalog knows a second, inequivalent transitive
-    representation of this cover's monodromy group at the same degree
-    scale: the degree-7 pair of PSL(2,7), or the standard and
-    unordered-pairs actions of S_m for m >= 4, on m and m(m-1)/2
-    letters."""
-    order = c.group().order()
-    if (c.degree, order) == (7, 168):
-        return True
-    # The degree is m, or m(m-1)/2 with 8 * degree + 1 = (2m - 1)^2.
-    candidates = [c.degree]
-    root = math.isqrt(8 * c.degree + 1)
-    if root * root == 8 * c.degree + 1:
-        candidates.append((root + 1) // 2)
-    return any(m >= 4 and order == math.factorial(m) for m in candidates)
 
 
 # -- the key/value surface ----------------------------------------------------

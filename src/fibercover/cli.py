@@ -76,10 +76,10 @@ def _load_cover(path: str) -> Cover:
         raise _BadInput(f"{path}: bad cover data: {exc}") from exc
 
 
-def _load_pair(path: str) -> CoverPair:
+def _load_pair(path: str, cls: type[CoverPair]) -> CoverPair:
     data = _load_json(path)
     try:
-        return PairedCover.from_json_dict(data)
+        return cls.from_json_dict(data)
     except InvalidCoverError:
         raise
     except _BAD_DATA as exc:
@@ -176,7 +176,7 @@ def _component_report(component: Component) -> dict:
 
 
 def _cmd_fiber(args) -> int:
-    pair = _load_pair(args.pair)
+    pair = _load_pair(args.pair, PairedCover)
     components = sorted(pair.components, key=lambda c: c.orbit)
     report = {
         "command": "fiber",
@@ -246,7 +246,7 @@ def _cmd_nielsen_coalesce(args) -> int:
 def _cmd_screen(args) -> int:
     pr_w = _load_cover(args.prw)
     g1 = _load_cover(args.g1)
-    joint = _load_pair(args.joint) if args.joint else None
+    joint = _load_pair(args.joint, CoverPair) if args.joint else None
     report = screen_g1(pr_w, g1, joint=joint)
     print(f"fail2a: {report.fail2a}")
     print(f"ochar: {_fmt(report.ochar)}")
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("screen", help="genus-growth screening flags")
     p.add_argument("prw")
     p.add_argument("g1")
-    p.add_argument("--joint", help="paired-cover JSON for the fail2d check")
+    p.add_argument("--joint", help="weak-pair JSON for the fail2d check")
     p.set_defaults(func=_cmd_screen)
 
     p = sub.add_parser("catalog", help="built-in constructions")

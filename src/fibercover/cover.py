@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .permcore import Permutation, direct_sum, parse_cycles, product
+from .permcore import Permutation, parse_cycles, product
 from .permgroup import GeneratedGroup, orbits
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "InvalidCoverError",
     "genus_from_tuple",
     "multipliers",
-    "character_entanglement",
     "equivalent_tuples",
 ]
 
@@ -164,12 +163,6 @@ class Cover:
 
     # -- derived covers ---------------------------------------------------
 
-    def induced_cover(self, h: GeneratedGroup) -> "Cover":
-        """The cover on the cosets of ``h``; identity images are dropped
-        together with their branch-point labels."""
-        perms, index = self.group().coset_action(h)
-        return Cover.from_aligned(index, self.branch_points, perms)
-
     def self_fiber_subdegrees(self) -> list[int]:
         """Orbit lengths of the point stabilizer of letter 1, sorted."""
         self.require_valid()
@@ -220,55 +213,6 @@ def multipliers(group: GeneratedGroup, cycle_class: list[Permutation]) -> set[in
         for u in range(1, n)
         if gcd(u, n) == 1 and rep**u in class_set
     }
-
-
-def _require_common_group(
-    joint: GeneratedGroup, m: int, y_gens, n: int
-) -> None:
-    """Check that ``joint``, the diagonal group on m x-letters followed by
-    n y-letters, projects isomorphically onto both sides.  Each side is a
-    quotient of it, so equal orders suffice.  The x-side order is the
-    product of the joint chain's first m orbit lengths, |G| over the
-    kernel on the x-letters; the y-side, generated by ``y_gens``, is
-    built with the joint order as its bound."""
-    joint_order = joint.order()
-    x_order = joint._leading_order(m)
-    y_order = GeneratedGroup(n, list(y_gens), _order_bound=joint_order).order()
-    if not (joint_order == x_order == y_order):
-        raise InvalidCoverError(
-            "joint group does not project isomorphically to both sides "
-            f"(orders {x_order}, {y_order}, joint {joint_order})"
-        )
-
-
-def character_entanglement(
-    t1_gens: list[Permutation], t2_gens: list[Permutation]
-) -> dict[str, bool]:
-    """Trace relations between two faithful transitive actions of one
-    group, supplied as image lists over a common abstract generating set.
-
-    Returns ``galois_entangled`` (traces equal on every element) and
-    ``davenport_entangled`` (traces simultaneously zero / nonzero).
-    """
-    if len(t1_gens) != len(t2_gens):
-        raise ValueError("generator lists must have equal length")
-    m = t1_gens[0].degree
-    n = t2_gens[0].degree
-    joint_gens = [direct_sum(a, b) for a, b in zip(t1_gens, t2_gens)]
-    joint = GeneratedGroup(m + n, joint_gens)
-    _require_common_group(joint, m, t2_gens, n)
-    galois = True
-    davenport = True
-    for x in joint.elements():
-        tr1 = sum(1 for i in range(1, m + 1) if x.apply(i) == i)
-        tr2 = sum(1 for i in range(m + 1, m + n + 1) if x.apply(i) == i)
-        if tr1 != tr2:
-            galois = False
-        if (tr1 > 0) != (tr2 > 0):
-            davenport = False
-        if not galois and not davenport:
-            break
-    return {"galois_entangled": galois, "davenport_entangled": davenport}
 
 
 def equivalent_tuples(

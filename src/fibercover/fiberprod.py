@@ -33,7 +33,6 @@ from .permcore import (
 from .permgroup import CapExceededError, GeneratedGroup, orbits
 from .permgroup import _generates, _letter_image, _orbit_stabilizer
 from .cover import Cover, InvalidCoverError, equivalent_tuples, genus_from_tuple
-from .cover import _require_common_group
 
 __all__ = [
     "CoverPair",
@@ -41,6 +40,7 @@ __all__ = [
     "Component",
     "RamPoint",
     "ScreenReport",
+    "character_entanglement",
     "pair_covers_over_common_points",
     "double_transitive_complement",
     "detect_clc",
@@ -56,6 +56,31 @@ def _tensor_letter(x: int, y: int, n: int) -> int:
 def _tensor_pair(letter: int, n: int) -> tuple[int, int]:
     x, y = divmod(letter - 1, n)
     return x + 1, y + 1
+
+
+def _joint(x_perms, y_perms) -> tuple[Permutation, ...]:
+    """The direct sums of matching entries: the x-letters 1..m, then the
+    y-letters m+1..m+n, the layout of every joint permutation."""
+    return tuple(direct_sum(a, b) for a, b in zip(x_perms, y_perms))
+
+
+def _require_common_group(
+    joint: GeneratedGroup, m: int, y_gens, n: int
+) -> None:
+    """Check that ``joint``, the diagonal group on m x-letters followed by
+    n y-letters, projects isomorphically onto both sides.  Each side is a
+    quotient of it, so equal orders suffice.  The x-side order is the
+    product of the joint chain's first m orbit lengths, |G| over the
+    kernel on the x-letters; the y-side, generated by ``y_gens``, is
+    built with the joint order as its bound."""
+    joint_order = joint.order()
+    x_order = joint._leading_order(m)
+    y_order = GeneratedGroup(n, list(y_gens), _order_bound=joint_order).order()
+    if not (joint_order == x_order == y_order):
+        raise InvalidCoverError(
+            "joint group does not project isomorphically to both sides "
+            f"(orders {x_order}, {y_order}, joint {joint_order})"
+        )
 
 
 def _restrict(perm: Permutation, letters: tuple[int, ...]) -> Permutation:
@@ -160,11 +185,17 @@ class CoverPair:
         return genus_from_tuple(self.degree_y, sum(p.index() for p in self.tau))
 
     @cached_property
+    def joint_cycles(self) -> tuple[Permutation, ...]:
+        """The joint branch cycles on the disjoint union of the x-letters
+        (1..m) and the y-letters (m+1..m+n), one per branch point and
+        aligned with ``branch_points``; an identity entry stays where
+        both sides are unbranched."""
+        return _joint(self.sigma, self.tau)
+
+    @cached_property
     def joint_group(self) -> GeneratedGroup:
-        """The pair group acting on the disjoint union of the x-letters
-        (1..m) and the y-letters (m+1..m+n)."""
-        gens = [direct_sum(a, b) for a, b in zip(self.sigma, self.tau)]
-        return GeneratedGroup(self.degree_x + self.degree_y, gens)
+        """The pair group, generated by the joint branch cycles."""
+        return GeneratedGroup(self.degree_x + self.degree_y, list(self.joint_cycles))
 
     @cached_property
     def x1_stabilizer(self) -> GeneratedGroup:
@@ -199,8 +230,7 @@ class CoverPair:
         m = self.degree_x
         carrier, _ = self.y1_orbit_stabilizer
         out: list[tuple[str, Permutation]] = []
-        for label, a, b in zip(self.branch_points, self.sigma, self.tau):
-            gamma = direct_sum(a, b)
+        for label, b, gamma in zip(self.branch_points, self.tau, self.joint_cycles):
             powers: dict[int, Permutation] = {}
             for cyc in b.cycles(include_fixed=True):
                 t = len(cyc)
@@ -260,13 +290,6 @@ class CoverPair:
         groups alive until the cycle collector runs."""
         return [Component(self, o) for o in self.component_orbits]
 
-    def component_containing(self, x: int, y: int) -> "Component":
-        letter = _tensor_letter(x, y, self.degree_y)
-        for orbit in self.component_orbits:
-            if letter in orbit:
-                return Component(self, orbit)
-        raise RuntimeError("tensor letter not covered by any orbit")
-
     # -- ramification ------------------------------------------------------
 
     def ramification_profile(self) -> list[RamPoint]:
@@ -294,6 +317,19 @@ class CoverPair:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "CoverPair":
+        labels = tuple(str(b) for b in data["branch_points"])
+        m = int(data["sigma"]["degree"])
+        n = int(data["tau"]["degree"])
+        sigma = tuple(parse_cycles(s, m) for s in data["sigma"]["cycles"])
+        tau = tuple(parse_cycles(s, n) for s in data["tau"]["cycles"])
+        return cls(labels, sigma, tau, m, n)
+
+    @classmethod
+    def from_json(cls, text: str) -> "CoverPair":
+        return cls.from_json_dict(json.loads(text))
 
 
 class PairedCover(CoverPair):
@@ -336,19 +372,6 @@ class PairedCover(CoverPair):
         first, then the y-letters) are ``element``, with m = ``degree_x``."""
         sigma, tau = zip(*(split(p, degree_x) for p in element))
         return PairedCover(branch_points, sigma, tau, degree_x, tau[0].degree)
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "PairedCover":
-        labels = tuple(str(b) for b in data["branch_points"])
-        m = int(data["sigma"]["degree"])
-        n = int(data["tau"]["degree"])
-        sigma = tuple(parse_cycles(s, m) for s in data["sigma"]["cycles"])
-        tau = tuple(parse_cycles(s, n) for s in data["tau"]["cycles"])
-        return PairedCover(labels, sigma, tau, m, n)
-
-    @staticmethod
-    def from_json(text: str) -> "PairedCover":
-        return PairedCover.from_json_dict(json.loads(text))
 
     def swapped(self) -> "PairedCover":
         return PairedCover(
@@ -607,6 +630,35 @@ def pair_covers_over_common_points(
     sigma = tuple(sx.get(b, identity(cover_x.degree)) for b in labels)
     tau = tuple(sy.get(b, identity(cover_y.degree)) for b in labels)
     return CoverPair(tuple(labels), sigma, tau, cover_x.degree, cover_y.degree)
+
+
+def character_entanglement(
+    t1_gens: list[Permutation], t2_gens: list[Permutation]
+) -> dict[str, bool]:
+    """Trace relations between two faithful transitive actions of one
+    group, supplied as image lists over a common abstract generating set.
+
+    Returns ``galois_entangled`` (traces equal on every element) and
+    ``davenport_entangled`` (traces simultaneously zero / nonzero).
+    """
+    if len(t1_gens) != len(t2_gens):
+        raise ValueError("generator lists must have equal length")
+    m = t1_gens[0].degree
+    n = t2_gens[0].degree
+    joint = GeneratedGroup(m + n, list(_joint(t1_gens, t2_gens)))
+    _require_common_group(joint, m, t2_gens, n)
+    galois = True
+    davenport = True
+    for x in joint.elements():
+        tr1 = sum(1 for i in range(1, m + 1) if x.apply(i) == i)
+        tr2 = sum(1 for i in range(m + 1, m + n + 1) if x.apply(i) == i)
+        if tr1 != tr2:
+            galois = False
+        if (tr1 > 0) != (tr2 > 0):
+            davenport = False
+        if not galois and not davenport:
+            break
+    return {"galois_entangled": galois, "davenport_entangled": davenport}
 
 
 def double_transitive_complement(c: Cover) -> int:

@@ -162,9 +162,6 @@ class Permutation:
         """n minus the number of disjoint cycles (fixed points counted)."""
         return self.degree - len(self._cycle_lengths())
 
-    def fixed_points(self) -> list[int]:
-        return [i for i in range(1, self.degree + 1) if self.apply(i) == i]
-
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:

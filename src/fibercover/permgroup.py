@@ -579,9 +579,6 @@ class GeneratedGroup:
             raise ValueError("element not in group")
         return sorted(self._class_walk(x)[0])
 
-    def class_representative(self, x: Permutation) -> Permutation:
-        return min(self.conjugacy_class(x))
-
     def are_conjugate(self, x: Permutation, y: Permutation) -> bool:
         if not self.contains(x):
             raise ValueError("element not in group")

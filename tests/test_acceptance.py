@@ -8,9 +8,10 @@ import random
 from fractions import Fraction
 
 from fibercover import catalog, nielsen
-from fibercover.cover import Cover, character_entanglement, multipliers
+from fibercover.cover import Cover, multipliers
 from fibercover.fiberprod import (
     _quotient_covers,
+    character_entanglement,
     pair_covers_over_common_points,
     screen_g1,
 )

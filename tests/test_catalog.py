@@ -1,5 +1,6 @@
 """Unit tests for the built-in constructions."""
 
+import math
 import runpy
 import sys
 from fractions import Fraction
@@ -247,29 +248,25 @@ class TestMetadata:
         assert data["degrees"] == [7, 11, 13, 15, 21, 31]
         assert data["difference_set_13"] == [1, 2, 4, 10]
 
-    def test_second_representation_known(self):
-        assert catalog.has_second_representation(catalog.get("deg7-cover-1"))
-        cheb = catalog.build_chebyshev_cover(7)
-        assert not catalog.has_second_representation(cheb)
-
     @pytest.mark.parametrize("m", [9, 10, 11])
     def test_second_representation_of_sm_pair(self, m):
-        """Both sides of the S_m pair, on m and m(m-1)/2 letters, for m
-        past the old fixed range 4..9."""
+        """Both sides of the S_m pair, on m and m(m-1)/2 letters, are
+        actions of S_m, for m past the old fixed range 4..9."""
         pair = catalog.build_sm_pair(m)
-        assert catalog.has_second_representation(pair.sigma_cover())
-        assert catalog.has_second_representation(pair.tau_cover())
+        assert pair.tau_cover().degree == m * (m - 1) // 2
+        assert pair.sigma_cover().group().order() == math.factorial(m)
+        assert pair.tau_cover().group().order() == math.factorial(m)
 
     def test_a5_on_pairs_has_no_second_representation(self):
-        """Degree 10 = 5*4/2, but A_5 has order 60, not 5!."""
+        """Degree 10 = 5*4/2, but A_5 has order 60, not 5!, so this is not
+        the pairs action of S_5."""
         a, b = parse_cycles("(1 2 3)", 5), parse_cycles("(3 4 5)", 5)
         cycles = tuple(
             catalog.pairs_permutation(p, 5) for p in (a, b, (a * b).inverse())
         )
         cover = Cover(10, ("t1", "t2", "t3"), cycles)
         assert cover.validate().valid
-        assert cover.group().order() == 60
-        assert not catalog.has_second_representation(cover)
+        assert cover.group().order() == 60 != math.factorial(5)
 
 
 class TestCoalesceTuples:

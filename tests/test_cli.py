@@ -332,6 +332,22 @@ class TestScreenCommand:
         out = capsys.readouterr().out
         assert "any_flag: False" in out
 
+    def test_weak_joint_pair(self, tmp_path, capsys):
+        """The fail2d check takes the weak pair that ``growth`` builds,
+        whose entries are the identity on one side at every label."""
+        pair = catalog.get("deg7-pair-2")
+        for component in pair.components:
+            pry = component.pry_branch_cycles()
+            g1 = catalog.build_cyclic_cover(2, ("t1", "t2"))
+            joint = fiberprod.pair_covers_over_common_points(pry, g1)
+            expected = fiberprod.screen_g1(pry, g1, joint=joint).fail2d
+            paths = [tmp_path / name for name in ("prw.json", "g1.json", "joint.json")]
+            for path, value in zip(paths, (pry, g1, joint)):
+                path.write_text(value.to_json())
+            argv = ["screen", *map(str, paths[:2]), "--joint", str(paths[2])]
+            assert main(argv) == 0
+            assert f"fail2d: {expected}" in capsys.readouterr().out.splitlines()
+
 
 class TestCatalogCommand:
     def test_list(self, capsys):

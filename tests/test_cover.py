@@ -10,11 +10,11 @@ from fibercover.cover import (
     Cover,
     InvalidCoverError,
     ValidityReport,
-    character_entanglement,
     equivalent_tuples,
     genus_from_tuple,
     multipliers,
 )
+from fibercover.fiberprod import character_entanglement
 from fibercover.permcore import identity, parse_cycles
 from fibercover.permgroup import GeneratedGroup
 
@@ -123,7 +123,8 @@ class TestDerived:
     def test_induced_cover_on_point_stabilizer_is_equivalent(self):
         g = DEG7_1.group()
         h = g.point_stabilizer(1)
-        induced = DEG7_1.induced_cover(h)
+        perms, index = g.coset_action(h)
+        induced = Cover.from_aligned(index, DEG7_1.branch_points, perms)
         assert induced.degree == 7
         assert induced.genus() == DEG7_1.genus()
 

@@ -78,11 +78,6 @@ class TestComponents:
         assert (w_small.order(), idx_small) == (8, 21)
         assert (w_large.order(), idx_large) == (6, 28)
 
-    def test_component_containing(self, pair1):
-        c = pair1.component_containing(1, 1)
-        assert len(c.orbit) in (21, 28)
-        assert c.orbit == pair1.component_containing(1, 1).orbit
-
     def test_orbits_partition_tensor_letters(self, pair1):
         letters = sorted(x for c in pair1.components for x in c.orbit)
         assert letters == list(range(1, 50))

@@ -82,9 +82,6 @@ class TestBasics:
         assert p("(1 2 3 4 5 6 7)").index() == 6
         assert identity(7).index() == 0
 
-    def test_fixed_points(self):
-        assert p("(1 3)(4 5)").fixed_points() == [2, 6, 7]
-
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Permutation((1, 2)) * Permutation((1, 2, 3))

@@ -239,6 +239,37 @@ class TestPairedCoverOrders:
         assert accepted > 5
 
 
+class TestJointCycles:
+    """``CoverPair.joint_cycles``: one direct sum per branch point, the
+    x-letters 1..m first, aligned with the branch points."""
+
+    @pytest.mark.parametrize("key", ["deg7-pair-1", "deg7-pair-2"])
+    def test_weak_pairs_keep_identity_entries(self, key):
+        """Projections of a degree-7 pair against cyclic covers over fresh
+        points: every label is unbranched on one side."""
+        identities = 0
+        for component in catalog.get(key).components:
+            pry = component.pry_branch_cycles()
+            for d in (2, 3, 5):
+                g1 = catalog.growth_family_cover("cyclic", d, pry)
+                pair = pair_covers_over_common_points(pry, g1)
+                joint = pair.joint_cycles
+                assert len(joint) == len(pair.branch_points)
+                for i, (a, b) in enumerate(zip(pair.sigma, pair.tau)):
+                    assert joint[i] == direct_sum(a, b)
+                    identities += a.is_identity + b.is_identity
+        assert identities > 0
+
+    def test_seeded_paired_covers_split_back(self):
+        rng = random.Random(2333)
+        for _ in range(40):
+            pair = _random_paired_cover(rng)
+            again = PairedCover.from_joint_tuple(
+                pair.branch_points, pair.joint_cycles, pair.degree_x
+            )
+            assert (again.sigma, again.tau) == (pair.sigma, pair.tau)
+
+
 class TestRamificationSumsToDegree:
     def test_local_multiplicities_partition_each_fiber(self):
         rng = random.Random(4049)
@@ -901,7 +932,7 @@ def _conjugated_pair(pair, rng):
     """``pair`` with its x-letters and y-letters renamed by the two parts
     of a random element of its joint group."""
     m, n = pair.degree_x, pair.degree_y
-    joint = [direct_sum(a, b) for a, b in zip(pair.sigma, pair.tau)]
+    joint = pair.joint_cycles
     word = product([rng.choice(joint) for _ in range(4 * (m + n))], m + n)
     g, h = split(word, m)
     return PairedCover(
