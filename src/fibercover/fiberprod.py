@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm
 
 from .permcore import (
@@ -502,13 +503,16 @@ class Component:
         conjugacy classes produced by the local data, product one, and
         generating the projection's monodromy group.
 
-        Identity entries are dropped, and each remaining local
-        representative is conjugated within the monodromy group by
-        ``_product_one_adjust``: a lazy depth-first search over one
-        conjugate per entry that returns the first product-one choice, in
-        a fixed order, that generates the group.  The search is refused
-        with ``CapExceededError`` when the group order times the number of
-        entries exceeds ``search_cap``.
+        A projection of degree 1 is the empty cover, returned before
+        any group is built.  Otherwise identity entries are dropped, and
+        each remaining local representative is conjugated within the
+        monodromy group by ``_product_one_adjust``: a lazy depth-first
+        search over one conjugate per entry that returns the first
+        product-one choice, in a fixed order, that generates the group.
+        An entry's class is ordered only when the search comes back to
+        its position, and the last position reads only class membership.
+        The search is refused with ``CapExceededError`` when the group
+        order times the number of entries exceeds ``search_cap``.
 
         Raises ``InvalidCoverError`` before any search when the y-cover
         has genus g_y > 0: the local cycles then satisfy
@@ -521,13 +525,14 @@ class Component:
                 f"this y-cover has genus g_y = {self.pair.y_genus}"
             )
         ell = self.deg_over_y
+        if ell == 1:
+            return Cover(1, (), ())
         entries = [(lab, p) for lab, p in self._pry_entry_data if not p.is_identity]
-        image_group = self._pry_image_group
-        if ell == 1 or not entries:
+        if not entries:
             return Cover(ell, (), ())
         labels = [lab for lab, _ in entries]
         perms = [p for _, p in entries]
-        adjusted = _product_one_adjust(perms, image_group, search_cap)
+        adjusted = _product_one_adjust(perms, self._pry_image_group, search_cap)
         cover = Cover(ell, tuple(labels), tuple(adjusted))
         report = cover.validate()
         if not (report.product_one and report.transitive):
@@ -544,9 +549,13 @@ def _product_one_adjust(
     ordered product is the identity and the entries generate the image
     group.
 
-    ``_classes_by_least_conjugator`` orders each entry's class from the
-    entry, from the image group's one walk of the class, so the entry
-    itself comes first.
+    Each position but the last offers its entry's class in order of
+    least conjugator (``_ClassFromEntry``): the entry itself first, with
+    no walk, since the identity is the least conjugator; the class is
+    ordered only when the search comes back to the position for a second
+    member, once per distinct entry.  The last position is forced, so it
+    needs only class membership: the members of the image group's kept
+    walk of its class, in no order.
     ``_realizations`` yields the product-one choices lazily in
     lexicographic order of those lists; the first one that generates the
     image group is returned.  The search visits at most |image group|
@@ -562,9 +571,10 @@ def _product_one_adjust(
             f"order {order} x {len(perms)} entries) exceeds cap {search_cap}; "
             "raise the search_cap parameter of Component.pry_branch_cycles"
         )
-    classes = _classes_by_least_conjugator(image_group, perms)
+    lazy = {p: _ClassFromEntry(image_group, p) for p in perms[:-1]}
+    choices = [lazy[p] for p in perms[:-1]] + [image_group._class_walk(perms[-1])[0]]
     found = False
-    for chosen in _realizations([classes[p] for p in perms], image_group.degree):
+    for chosen in _realizations(choices, image_group.degree):
         found = True
         if _generates(image_group, chosen):
             return chosen
@@ -573,6 +583,26 @@ def _product_one_adjust(
     raise RuntimeError(
         "no generating product-one realization found in these classes"
     )
+
+
+class _ClassFromEntry:
+    """One position's list for ``_realizations``: the class of ``entry``
+    in ``group`` by least conjugator, iterable any number of times.  The
+    entry comes first without any work; the rest of the class is ordered
+    by ``_classes_by_least_conjugator`` on the first request for a
+    second member, and kept for every later pass."""
+
+    def __init__(self, group: GeneratedGroup, entry: Permutation) -> None:
+        self.group = group
+        self.entry = entry
+
+    @cached_property
+    def ordered(self) -> list[Permutation]:
+        return _classes_by_least_conjugator(self.group, [self.entry])[self.entry]
+
+    def __iter__(self):
+        yield self.entry
+        yield from islice(self.ordered, 1, None)
 
 
 def _classes_by_least_conjugator(
@@ -589,7 +619,10 @@ def _classes_by_least_conjugator(
     chain.  Any other entry q of the class reuses the walk: C(q) is
     t_q^-1 * C(p0) * t_q, built from the conjugated generators and
     stopped at the proved order |C(p0)|, and the h with q^h = c form the
-    coset C(q) * t_q^-1 * t_c."""
+    coset C(q) * t_q^-1 * t_c.
+
+    The product-one adjustment asks for one entry at a time, and only
+    when its search comes back to that entry's position."""
     ordered: dict[Permutation, list[Permutation]] = {}
     for p in perms:
         if p in ordered:
@@ -795,9 +828,21 @@ def screen_g1(
     joint: CoverPair | None = None,
 ) -> ScreenReport:
     """Screen a component projection pr_w against a candidate composing
-    cover g1 over the same target line."""
+    cover g1 over the same target line.  ``joint``, the weak pair of
+    pr_w (x-side) and g1 (y-side), decides fail2d; its sides, identity
+    entries dropped, must be pr_w and g1 label by label, or
+    ``InvalidCoverError`` is raised."""
     pr_w.require_valid()
     g1.require_valid()
+    if joint is not None:
+        for side, cover, which in (
+            (joint.sigma_cover(), pr_w, "x-side is not pr_w"),
+            (joint.tau_cover(), g1, "y-side is not g1"),
+        ):
+            if side.degree != cover.degree or dict(
+                zip(side.branch_points, side.cycles)
+            ) != dict(zip(cover.branch_points, cover.cycles)):
+                raise InvalidCoverError(f"the joint pair's {which}, label by label")
     notes: list[str] = []
 
     ochar = pr_w.orbifold_char()

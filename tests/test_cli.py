@@ -348,6 +348,22 @@ class TestScreenCommand:
             assert main(argv) == 0
             assert f"fail2d: {expected}" in capsys.readouterr().out.splitlines()
 
+    def test_joint_pair_of_other_covers_exit_2(self, tmp_path, capsys):
+        """A joint pair whose sides are not pr_w and g1 is refused with one
+        ``error:`` line and no report: ``deg7-pair-1`` against a cyclic
+        degree-3 cover and a cyclic degree-2 cover."""
+        paths = [tmp_path / name for name in ("prw.json", "g1.json", "joint.json")]
+        paths[0].write_text(catalog.build_cyclic_cover(3, ("z1", "infinity")).to_json())
+        paths[1].write_text(catalog.build_cyclic_cover(2, ("z1", "infinity")).to_json())
+        assert main(["catalog", "get", "deg7-pair-1"]) == 0
+        paths[2].write_text(capsys.readouterr().out)
+        argv = ["screen", *map(str, paths[:2]), "--joint", str(paths[2])]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: the joint pair's x-side is not pr_w")
+
 
 class TestCatalogCommand:
     def test_list(self, capsys):
@@ -488,6 +504,7 @@ class TestGoldenStdout:
         [
             "fiber_deg7-pair-1",
             "fiber_deg7-pair-2",
+            "fiber_sm-pair-7",
             "nielsen_braid-orbits_inner",
             "growth_deg7-pair-2_chebyshev_6",
             "catalog_get_deg7-pair-2^3.7",

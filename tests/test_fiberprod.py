@@ -3,6 +3,8 @@ projections, ramification, screening."""
 
 import gc
 import json
+import runpy
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -155,6 +157,29 @@ class TestProjections:
                 pry = c.pry_branch_cycles()
                 assert pry.validate().valid
                 assert pry.genus() == c.genus_method1
+
+    def test_degree_one_projection_builds_nothing(self):
+        """The diagonal of a self-pair projects to the y-line with degree
+        1: the empty cover, returned before the image group or the local
+        entries are built."""
+        c = catalog.get("deg7-cover-1")
+        pair = CoverPair(c.branch_points, c.cycles, c.cycles, c.degree, c.degree)
+        diagonal = min(pair.components, key=lambda comp: comp.deg_over_z)
+        assert diagonal.deg_over_y == 1
+        assert diagonal.pry_branch_cycles() == Cover(1, (), ())
+        assert "_pry_image_group" not in diagonal.__dict__
+        assert "_pry_entry_data" not in diagonal.__dict__
+
+    def test_deg7_report_script_stdout_matches_golden(self, monkeypatch, capsys):
+        """``scripts/deg7_report.py`` prints the components, witnesses and
+        projection branch cycles of both degree-7 pairs; its stdout is
+        compared byte for byte with a capture made before the product-one
+        adjustment ordered classes lazily."""
+        root = Path(__file__).parent.parent
+        monkeypatch.setattr(sys, "argv", ["deg7_report.py"])
+        runpy.run_path(str(root / "scripts" / "deg7_report.py"), run_name="__main__")
+        expected = (GOLDEN / "deg7_report.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
 
     def test_genus0_witness_degrees(self, pair2):
         small, _ = by_size(pair2)
@@ -357,6 +382,26 @@ class TestScreening:
         g1 = catalog.build_cyclic_cover(2, (pry.branch_points[0], "t2"))
         report = screen_g1(pry, g1)
         assert report.fail2c is not None  # defined for genus-1 projections
+
+    def test_joint_pair_must_pair_pr_w_with_g1(self, pair1, pair2):
+        """fail2d is read off ``joint`` only when its sides, identity
+        entries dropped, are pr_w and g1 label by label; the order of the
+        labels does not matter."""
+        pry = by_size(pair2)[0].pry_branch_cycles()
+        g1 = catalog.build_cyclic_cover(2, ("t1", "t2"))
+        joint = pair_covers_over_common_points(pry, g1)
+        assert screen_g1(pry, g1, joint=joint).fail2d is not None
+        reordered = Cover(g1.degree, g1.branch_points[::-1], g1.cycles[::-1])
+        assert screen_g1(pry, reordered, joint=joint).fail2d is not None
+        other_g1 = catalog.build_cyclic_cover(2, ("t1", "t3"))
+        cases = [
+            (pry, g1, pair1, "x-side is not pr_w"),
+            (pry, other_g1, joint, "y-side is not g1"),
+            (by_size(pair2)[1].pry_branch_cycles(), g1, joint, "x-side"),
+        ]
+        for pr_w, cover, pair, message in cases:
+            with pytest.raises(InvalidCoverError, match=message):
+                screen_g1(pr_w, cover, joint=pair)
 
     def test_fail2b_detects_genus0_quotient(self):
         rot = parse_cycles("(1 2 3 4)", 4)
@@ -591,6 +636,32 @@ class TestProjectionAdjustment:
         ]
         expected = (GOLDEN / "pry_sm-pair-10.json").read_text(encoding="utf-8")
         assert json.dumps(covers, indent=2) + "\n" == expected
+
+    def test_classes_ordered_only_when_the_search_comes_back(self, monkeypatch):
+        """Each position offers its entry first, which needs no ordering;
+        a class is ordered only when the search asks that position for a
+        second member, and the forced last position is never ordered.
+        The distinct entries ordered over every projection of a pair
+        stay below the distinct entries before the last position."""
+        ordered = []
+        original = fiberprod._classes_by_least_conjugator
+
+        def counting(group, perms):
+            ordered.extend(set(perms))
+            return original(group, perms)
+
+        monkeypatch.setattr(fiberprod, "_classes_by_least_conjugator", counting)
+        for pair, expected in (
+            (catalog.get("deg7-pair-1"), 0),
+            (catalog.build_sm_pair(8), 1),
+        ):
+            ordered.clear()
+            inner = 0
+            for component in pair.components:
+                assert component.pry_branch_cycles().validate().valid
+                perms = [p for _, p in component._pry_entry_data if not p.is_identity]
+                inner += len(set(perms[:-1]))
+            assert len(ordered) == expected < inner
 
     @pytest.mark.parametrize("m", [8, 9, 10])
     def test_projections_list_no_group_elements(self, m, monkeypatch):
