@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import catalog, nielsen
@@ -49,15 +48,9 @@ class _BadInput(Exception):
 _BAD_DATA = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
-
-
-def _load_json(path: str) -> dict:
+def _load(path: str, what: str, build):
+    """``build`` applied to the JSON object in ``path``; malformed data is
+    reported as ``<path>: bad <what>: ...``, an invalid cover as itself."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -65,25 +58,12 @@ def _load_json(path: str) -> dict:
         raise _BadInput(f"cannot read JSON from {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise _BadInput(f"{path}: expected a JSON object")
-    return data
-
-
-def _load_cover(path: str) -> Cover:
-    data = _load_json(path)
     try:
-        return Cover.from_json_dict(data)
-    except _BAD_DATA as exc:
-        raise _BadInput(f"{path}: bad cover data: {exc}") from exc
-
-
-def _load_pair(path: str, cls: type[CoverPair]) -> CoverPair:
-    data = _load_json(path)
-    try:
-        return cls.from_json_dict(data)
+        return build(data)
     except InvalidCoverError:
         raise
     except _BAD_DATA as exc:
-        raise _BadInput(f"{path}: bad paired-cover data: {exc}") from exc
+        raise _BadInput(f"{path}: bad {what}: {exc}") from exc
 
 
 def _search_cap_override() -> int | None:
@@ -100,10 +80,9 @@ def _search_cap_override() -> int | None:
 
 
 def _load_nielsen_spec(path: str, mode_override: str | None) -> NielsenClassSpec:
-    data = _load_json(path)
-    cap = _search_cap_override()
-    kwargs = {} if cap is None else {"search_cap": cap}
-    try:
+    def build(data: dict) -> NielsenClassSpec:
+        cap = _search_cap_override()
+        kwargs = {} if cap is None else {"search_cap": cap}
         degree = int(data["degree"])
         generators = [parse_cycles(s, degree) for s in data["generators"]]
         reps = tuple(parse_cycles(s, degree) for s in data["class_reps"])
@@ -121,15 +100,15 @@ def _load_nielsen_spec(path: str, mode_override: str | None) -> NielsenClassSpec
         return NielsenClassSpec(
             group, reps, mode, outer, include_reorderings, **kwargs
         )
-    except _BAD_DATA as exc:
-        raise _BadInput(f"{path}: bad Nielsen spec: {exc}") from exc
+
+    return _load(path, "Nielsen spec", build)
 
 
 # -- subcommand handlers ------------------------------------------------------
 
 
 def _cmd_validate(args) -> int:
-    cover = _load_cover(args.cover)
+    cover = _load(args.cover, "cover data", Cover.from_json_dict)
     report = cover.validate()
     print(f"degree: {cover.degree}")
     print(f"product_one: {report.product_one}")
@@ -146,17 +125,18 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_genus(args) -> int:
-    print(_fmt(_load_cover(args.cover).genus()))
+    print(_load(args.cover, "cover data", Cover.from_json_dict).genus())
     return EXIT_OK
 
 
 def _cmd_galois_genus(args) -> int:
-    print(_fmt(_load_cover(args.cover).galois_closure_genus()))
+    cover = _load(args.cover, "cover data", Cover.from_json_dict)
+    print(cover.galois_closure_genus())
     return EXIT_OK
 
 
 def _cmd_ochar(args) -> int:
-    print(_fmt(_load_cover(args.cover).orbifold_char()))
+    print(_load(args.cover, "cover data", Cover.from_json_dict).orbifold_char())
     return EXIT_OK
 
 
@@ -176,7 +156,7 @@ def _component_report(component: Component) -> dict:
 
 
 def _cmd_fiber(args) -> int:
-    pair = _load_pair(args.pair, PairedCover)
+    pair = _load(args.pair, "paired-cover data", PairedCover.from_json_dict)
     components = sorted(pair.components, key=lambda c: c.orbit)
     report = {
         "command": "fiber",
@@ -223,16 +203,15 @@ def _cmd_nielsen_braid_orbits(args) -> int:
 
 
 def _cmd_nielsen_coalesce(args) -> int:
-    data = _load_json(args.element)
-    try:
+    def build(data: dict):
         degree = int(data["degree"])
-        entries = tuple(parse_cycles(s, degree) for s in data["entries"])
         gen_strings = data.get("group_generators", data["entries"])
-        group = GeneratedGroup(
-            degree, [parse_cycles(s, degree) for s in gen_strings]
+        return (
+            tuple(parse_cycles(s, degree) for s in data["entries"]),
+            GeneratedGroup(degree, [parse_cycles(s, degree) for s in gen_strings]),
         )
-    except _BAD_DATA as exc:
-        raise _BadInput(f"{args.element}: bad element data: {exc}") from exc
+
+    entries, group = _load(args.element, "element data", build)
     try:
         new, report = nielsen.coalesce(entries, group, at=args.at)
     except ValueError as exc:
@@ -244,12 +223,14 @@ def _cmd_nielsen_coalesce(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    pr_w = _load_cover(args.prw)
-    g1 = _load_cover(args.g1)
-    joint = _load_pair(args.joint, CoverPair) if args.joint else None
+    pr_w = _load(args.prw, "cover data", Cover.from_json_dict)
+    g1 = _load(args.g1, "cover data", Cover.from_json_dict)
+    joint = None
+    if args.joint:
+        joint = _load(args.joint, "paired-cover data", CoverPair.from_json_dict)
     report = screen_g1(pr_w, g1, joint=joint)
     print(f"fail2a: {report.fail2a}")
-    print(f"ochar: {_fmt(report.ochar)}")
+    print(f"ochar: {report.ochar}")
     print(f"galois_closure_genus: {report.galois_closure_genus}")
     print(f"fail2b_quotients: {list(report.fail2b_quotients)}")
     print(f"fail2c: {report.fail2c}")

@@ -223,57 +223,44 @@ def equivalent_tuples(
     """A permutation conjugating every entry of ``tuple_a`` to the
     matching entry of ``tuple_b`` simultaneously, or None.
 
-    Backtracks over letter images, so it stays fast at desk degrees.
+    Backtracks over letter images, so it stays fast at desk degrees: the
+    least unassigned letter takes each image in ascending order, and each
+    choice extends a copy of the assignment, closed under the entries, so
+    a failed branch needs no undo.  The first conjugator found is the
+    least one, images compared lexicographically.
     """
     if len(tuple_a) != len(tuple_b):
         return None
+    entries = list(zip(tuple_a, tuple_b))
 
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def propagate(a: int, b: int) -> list[tuple[int, int]] | None:
-        """Assign a -> b and close under all tuple entries; returns the
-        newly made assignments, or None on conflict (rolling back)."""
-        made: list[tuple[int, int]] = []
+    def extend(assignment: dict[int, int], a: int, b: int) -> dict[int, int] | None:
+        """``assignment`` with a -> b, closed under the entries; None on
+        a conflict."""
+        assignment = dict(assignment)
+        used = set(assignment.values())
         stack = [(a, b)]
         while stack:
             x, y = stack.pop()
             if x in assignment:
                 if assignment[x] != y:
-                    for mx, _ in made:
-                        used.discard(assignment.pop(mx))
                     return None
-                continue
-            if y in used:
-                for mx, _ in made:
-                    used.discard(assignment.pop(mx))
+            elif y in used:
                 return None
-            assignment[x] = y
-            used.add(y)
-            made.append((x, y))
-            for pa, pb in zip(tuple_a, tuple_b):
-                stack.append((pa.apply(x), pb.apply(y)))
-        return made
+            else:
+                assignment[x] = y
+                used.add(y)
+                stack.extend((pa.apply(x), pb.apply(y)) for pa, pb in entries)
+        return assignment
 
-    def search(next_letter: int) -> bool:
-        while next_letter in assignment:
-            next_letter += 1
-            if next_letter > degree:
-                return True
-        if next_letter > degree:
-            return True
+    def search(assignment: dict[int, int]) -> Permutation | None:
+        free = [i for i in range(1, degree + 1) if i not in assignment]
+        if not free:
+            return Permutation(tuple(assignment[i] for i in range(1, degree + 1)))
         for candidate in range(1, degree + 1):
-            if candidate in used:
-                continue
-            made = propagate(next_letter, candidate)
-            if made is None:
-                continue
-            if search(next_letter + 1):
-                return True
-            for mx, _ in made:
-                used.discard(assignment.pop(mx))
-        return False
+            extended = extend(assignment, free[0], candidate)
+            found = None if extended is None else search(extended)
+            if found is not None:
+                return found
+        return None
 
-    if search(1):
-        return Permutation(tuple(assignment[i] for i in range(1, degree + 1)))
-    return None
+    return search({})

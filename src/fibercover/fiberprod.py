@@ -527,9 +527,9 @@ class Component:
         ell = self.deg_over_y
         if ell == 1:
             return Cover(1, (), ())
+        # Over a genus-0 line, an unbranched connected cover of degree
+        # ell >= 2 would have genus 1 - ell < 0, so some entry is kept.
         entries = [(lab, p) for lab, p in self._pry_entry_data if not p.is_identity]
-        if not entries:
-            return Cover(ell, (), ())
         labels = [lab for lab, _ in entries]
         perms = [p for _, p in entries]
         adjusted = _product_one_adjust(perms, self._pry_image_group, search_cap)
@@ -589,7 +589,7 @@ class _ClassFromEntry:
     """One position's list for ``_realizations``: the class of ``entry``
     in ``group`` by least conjugator, iterable any number of times.  The
     entry comes first without any work; the rest of the class is ordered
-    by ``_classes_by_least_conjugator`` on the first request for a
+    by ``_class_by_least_conjugator`` on the first request for a
     second member, and kept for every later pass."""
 
     def __init__(self, group: GeneratedGroup, entry: Permutation) -> None:
@@ -598,49 +598,43 @@ class _ClassFromEntry:
 
     @cached_property
     def ordered(self) -> list[Permutation]:
-        return _classes_by_least_conjugator(self.group, [self.entry])[self.entry]
+        return _class_by_least_conjugator(self.group, self.entry)
 
     def __iter__(self):
         yield self.entry
         yield from islice(self.ordered, 1, None)
 
 
-def _classes_by_least_conjugator(
-    group: GeneratedGroup, perms: list[Permutation]
-) -> dict[Permutation, list[Permutation]]:
-    """Each distinct entry p of ``perms`` -> its ``group``-class, each
-    member c listed in order of the least h (images compared
-    lexicographically) with p^h = c, so ``p`` comes first.
+def _class_by_least_conjugator(
+    group: GeneratedGroup, p: Permutation
+) -> list[Permutation]:
+    """The ``group``-class of p, each member c listed in order of the
+    least h (images compared lexicographically) with p^h = c, so ``p``
+    comes first.
 
-    Each class is read from the group's one walk of it, from its start
+    The class is read from the group's one walk of it, from its start
     p0: a conjugator t_c with p0^t_c = c for each member, and the
     centralizer C(p0).  The h with p0^h = c form the right coset
     C(p0) * t_c, whose least element ``coset_minimum`` reads off the
-    chain.  Any other entry q of the class reuses the walk: C(q) is
-    t_q^-1 * C(p0) * t_q, built from the conjugated generators and
-    stopped at the proved order |C(p0)|, and the h with q^h = c form the
-    coset C(q) * t_q^-1 * t_c.
+    chain.  A p that did not start the walk reuses it: C(p) is
+    t_p^-1 * C(p0) * t_p, built from the conjugated generators and
+    stopped at the proved order |C(p0)|, and the h with p^h = c form the
+    coset C(p) * t_p^-1 * t_c.
 
     The product-one adjustment asks for one entry at a time, and only
     when its search comes back to that entry's position."""
-    ordered: dict[Permutation, list[Permutation]] = {}
-    for p in perms:
-        if p in ordered:
-            continue
-        conjugators, centralizer = group._class_walk(p)
-        t_p = conjugators[p]
-        cosets = conjugators
-        if not t_p.is_identity:  # p did not start the walk
-            centralizer = GeneratedGroup(
-                group.degree,
-                [g.conjugate(t_p) for g in centralizer.generators],
-                _order_bound=centralizer.order(),
-            )
-            back = t_p.inverse()
-            cosets = {c: back * t for c, t in conjugators.items()}
-        least = {c: centralizer.coset_minimum(t) for c, t in cosets.items()}
-        ordered[p] = sorted(least, key=least.__getitem__)
-    return ordered
+    cosets, centralizer = group._class_walk(p)
+    t_p = cosets[p]
+    if not t_p.is_identity:  # p did not start the walk
+        centralizer = GeneratedGroup(
+            group.degree,
+            [g.conjugate(t_p) for g in centralizer.generators],
+            _order_bound=centralizer.order(),
+        )
+        back = t_p.inverse()
+        cosets = {c: back * t for c, t in cosets.items()}
+    least = {c: centralizer.coset_minimum(t) for c, t in cosets.items()}
+    return sorted(least, key=least.__getitem__)
 
 
 # -- whole-pair operations ---------------------------------------------------

@@ -14,6 +14,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import prod
 
 from .permcore import Permutation, _realizations
@@ -78,11 +79,11 @@ class NielsenClassSpec:
     def classes(self) -> list[list[Permutation]]:
         """The class of each representative, in order, read off the
         group's kept class walks; cached on the instance."""
-        cached = getattr(self, "_classes_cache", None)
-        if cached is None:
-            cached = [self.group.conjugacy_class(rep) for rep in self.class_reps]
-            object.__setattr__(self, "_classes_cache", cached)
-        return cached
+        return self._classes
+
+    @cached_property
+    def _classes(self) -> list[list[Permutation]]:
+        return [self.group.conjugacy_class(rep) for rep in self.class_reps]
 
     def class_orderings(self) -> list[tuple[int, ...]]:
         """Distinct orderings of the class multiset, as index tuples into
@@ -103,7 +104,7 @@ class NielsenClassSpec:
     def equivalence_conjugators(self) -> list[Permutation]:
         """The conjugators realizing the declared equivalence: the sorted
         elements of the group the spec's orbit table reduces by."""
-        return _orbit_table(self).group.elements()
+        return self._orbit_table.group.elements()
 
     def _conjugator_group(self) -> GeneratedGroup:
         """The group N of conjugators: trivial in raw mode, else a group
@@ -119,6 +120,15 @@ class NielsenClassSpec:
             )
         normalizer = self.group.normalizer_in_symmetric()
         return self.group.class_stabilizer(self.classes(), ambient=normalizer)
+
+    @cached_property
+    def _orbit_table(self) -> _OrbitTable:
+        """The orbit table, shared by enumeration and braid walks."""
+        return _OrbitTable(self._conjugator_group())
+
+    @cached_property
+    def _enumeration(self) -> list[NielsenElement]:
+        return _enumerate_class(self)
 
 
 NielsenElement = tuple[Permutation, ...]
@@ -179,15 +189,6 @@ class _OrbitTable:
         return rep
 
 
-def _orbit_table(spec: NielsenClassSpec) -> _OrbitTable:
-    """The spec's orbit table, shared by enumeration and braid walks."""
-    table = getattr(spec, "_orbit_table_cache", None)
-    if table is None:
-        table = _OrbitTable(spec._conjugator_group())
-        object.__setattr__(spec, "_orbit_table_cache", table)
-    return table
-
-
 def enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
     """All canonical representatives, sorted: the product-one choices of
     each class ordering come from ``permcore._realizations``, the lazy
@@ -195,12 +196,7 @@ def enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
     to its class's least member outside raw mode; each is reduced modulo
     the equivalence and generation is tested once per orbit.  Results are
     cached on the spec instance."""
-    cached = getattr(spec, "_enumeration_cache", None)
-    if cached is not None:
-        return cached
-    result = _enumerate_class(spec)
-    object.__setattr__(spec, "_enumeration_cache", result)
-    return result
+    return spec._enumeration
 
 
 def _enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
@@ -221,7 +217,7 @@ def _enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
         raise CapExceededError(
             f"enumeration search space exceeds cap {spec.search_cap}"
         )
-    canonical = _orbit_table(spec)
+    canonical = spec._orbit_table
     # Generation is invariant under conjugation, so it is tested once per
     # orbit: ``tested`` holds the representative of every orbit met.
     tested: set[NielsenElement] = set()
@@ -280,7 +276,7 @@ def braid_orbits(spec: NielsenClassSpec) -> list[list[NielsenElement]]:
     """Partition of the canonical representatives into braid-group
     orbits, by closure under the twists and the shift."""
     reps = enumerate_class(spec)
-    canonical = _orbit_table(spec)
+    canonical = spec._orbit_table
     index = {rep: i for i, rep in enumerate(reps)}
     seen_reps: set[int] = set()
     orbits: list[list[NielsenElement]] = []
@@ -320,7 +316,7 @@ def h3_structure(spec: NielsenClassSpec) -> dict:
         spec.group, spec.class_reps, EquivalenceMode.INNER, search_cap=spec.search_cap
     )
     elements = enumerate_class(inner)
-    canonical = _orbit_table(inner)
+    canonical = inner._orbit_table
     squares_trivial = all(
         canonical(braid_apply(e, f"q{i} q{i}")) == e
         for e in elements

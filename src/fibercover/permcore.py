@@ -65,9 +65,6 @@ class Permutation:
         """Image of ``letter`` under the right action."""
         return self.images[letter - 1]
 
-    def __call__(self, letter: int) -> int:
-        return self.apply(letter)
-
     @property
     def is_identity(self) -> bool:
         return self.images == _IDENTITY_IMAGES[len(self.images)]

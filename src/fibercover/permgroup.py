@@ -423,16 +423,11 @@ class GeneratedGroup:
     # -- orbits ---------------------------------------------------------
 
     def orbit(self, letter: int) -> list[int]:
-        return self.orbits([letter])[0]
+        return [orb for orb in self.orbits() if letter in orb][0]
 
-    def orbits(self, seed_set: list[int] | None = None) -> list[list[int]]:
-        """Orbits meeting ``seed_set`` (default: all letters), sorted by
-        least element."""
-        found = orbits(self.generators, self.degree)
-        if seed_set is None:
-            return found
-        seeds = set(seed_set)
-        return [orb for orb in found if not seeds.isdisjoint(orb)]
+    def orbits(self) -> list[list[int]]:
+        """Orbits on all letters, sorted by least element."""
+        return orbits(self.generators, self.degree)
 
     def is_transitive(self) -> bool:
         return len(orbits(self.generators, self.degree)) == 1

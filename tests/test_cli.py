@@ -137,6 +137,41 @@ class TestCoverCommands:
         assert main(["fiber", str(path)]) == 4
 
 
+class TestLoaderErrors:
+    """Each JSON loader names the file and what it expected in one
+    ``error:`` line, and prints nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, doc, prefix",
+        [
+            (["genus"], {"degree": 3, "cycles": []}, "bad cover data: 'branch_points'"),
+            (
+                ["fiber"],
+                {"branch_points": [], "sigma": {"degree": 2, "cycles": []}},
+                "bad paired-cover data: 'tau'",
+            ),
+            (["nielsen", "enum"], {"degree": 7}, "bad Nielsen spec: 'generators'"),
+            (["nielsen", "coalesce"], {"degree": 7}, "bad element data: 'entries'"),
+        ],
+    )
+    def test_bad_data_prefix(self, argv, doc, prefix, tmp_path, capsys):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + [str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {prefix}\n"
+
+    def test_unreadable_spec_reported_before_bad_search_cap(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("FIBERCOVER_SEARCH_CAP", "lots")
+        assert main(["nielsen", "enum", "/nonexistent/spec.json"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read JSON from /nonexistent/spec.json:")
+        assert len(err.splitlines()) == 1
+
+
 class TestFiberCommand:
     def test_summary_lines(self, deg7_pair_file, capsys):
         assert main(["fiber", deg7_pair_file]) == 0
@@ -463,6 +498,20 @@ class TestGrowthCommand:
             == 4
         )
 
+    @pytest.mark.parametrize(
+        "pair, max_degree, message",
+        [
+            ("deg7-cover-1", "3", "catalog key 'deg7-cover-1' is not a paired cover"),
+            ("deg7-pair-1", "1", "--max-degree must be at least 2"),
+        ],
+    )
+    def test_refusals_exit_4(self, pair, max_degree, message, capsys):
+        argv = ["growth", "--pair", pair, "--g1-family", "cyclic"]
+        assert main(argv + ["--max-degree", max_degree]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -509,6 +558,7 @@ class TestGoldenStdout:
             "growth_deg7-pair-2_chebyshev_6",
             "catalog_get_deg7-pair-2^3.7",
             "catalog_get_hilbert-siegel-m5",
+            "catalog_get_deg7-coalesce-tuples",
         ],
     )
     def test_stdout_matches_golden(self, case, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Unit tests for covers: genus computations, derived covers, class
 helpers, entanglement, serialization."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,7 @@ from fibercover.cover import (
     multipliers,
 )
 from fibercover.fiberprod import character_entanglement
-from fibercover.permcore import identity, parse_cycles
+from fibercover.permcore import Permutation, identity, parse_cycles
 from fibercover.permgroup import GeneratedGroup
 
 
@@ -242,6 +244,61 @@ class TestEquivalentTuples:
             p7("(1 7 6 5 4 3 2)"),
         )
         assert equivalent_tuples(tuple(DEG7_1.cycles), tau, 7) is None
+
+    def test_matches_brute_force_over_symmetric_group(self):
+        """Against every h in S_n, in sorted order: None exactly when no
+        simultaneous conjugator exists, and otherwise the least one (the
+        search takes the least unassigned letter first and its candidate
+        images in ascending order).  Entries are random products of a few
+        transpositions, so many tuples are intransitive, and the partner
+        tuple is a conjugate of the whole tuple, or of each entry by its
+        own h, or random."""
+        rng = random.Random(8117)
+        found = missing = intransitive = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            letters = list(range(1, n + 1))
+
+            def random_perm():
+                images = letters[:]
+                for _ in range(rng.randint(0, 2)):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    images[i], images[j] = images[j], images[i]
+                return Permutation(tuple(images))
+
+            def random_h():
+                images = letters[:]
+                rng.shuffle(images)
+                return Permutation(tuple(images))
+
+            ta = tuple(random_perm() for _ in range(rng.randint(1, 3)))
+            kind = rng.randrange(3)
+            if kind == 0:
+                h = random_h()
+                tb = tuple(x.conjugate(h) for x in ta)
+            elif kind == 1:
+                tb = tuple(x.conjugate(random_h()) for x in ta)
+            else:
+                tb = tuple(random_perm() for _ in ta)
+            brute = next(
+                (
+                    h
+                    for h in map(Permutation, itertools.permutations(letters))
+                    if all(x.conjugate(h) == y for x, y in zip(ta, tb))
+                ),
+                None,
+            )
+            assert equivalent_tuples(ta, tb, n) == brute
+            found += brute is not None
+            missing += brute is None
+            intransitive += len(GeneratedGroup(n, list(ta)).orbits()) > 1
+        assert found > 100
+        assert missing > 50
+        assert intransitive > 150
+
+    def test_length_mismatch(self):
+        ta = tuple(DEG7_1.cycles)
+        assert equivalent_tuples(ta, ta[:2], 7) is None
 
 
 class TestSerialization:

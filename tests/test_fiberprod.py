@@ -181,6 +181,15 @@ class TestProjections:
         expected = (GOLDEN / "deg7_report.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
 
+    def test_sm_series_script_stdout_matches_golden(self, monkeypatch, capsys):
+        """``scripts/sm_series.py`` prints both components of the S_m pair
+        for m = 5..9 with their genuses by methods I and II."""
+        root = Path(__file__).parent.parent
+        monkeypatch.setattr(sys, "argv", ["sm_series.py"])
+        runpy.run_path(str(root / "scripts" / "sm_series.py"), run_name="__main__")
+        expected = (GOLDEN / "sm_series.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
     def test_genus0_witness_degrees(self, pair2):
         small, _ = by_size(pair2)
         w = genus0_witness(pair2, small)
@@ -382,6 +391,25 @@ class TestScreening:
         g1 = catalog.build_cyclic_cover(2, (pry.branch_points[0], "t2"))
         report = screen_g1(pry, g1)
         assert report.fail2c is not None  # defined for genus-1 projections
+
+    def test_fail2c_containment_and_domination(self):
+        """A genus-1 projection: g1 flags fail2c when its labels lie among
+        pr_w's and each of its entries is dominated by pr_w's entry over
+        the same label; a degree-2 g1 is not dominated by 3-cycles."""
+        c = parse_cycles("(1 2 3)", 3)
+        pr_w = Cover(3, ("z1", "z2", "z3"), (c, c, c))
+        assert pr_w.genus() == 1
+        g1 = Cover(3, ("z1", "z2"), (c, c.inverse()))
+        report = screen_g1(pr_w, g1)
+        assert report.fail2c is True
+        assert report.fail2c_notes == (
+            "branch containment=True, domination=True, s=2, orders=[3, 3], "
+            "order-bound-ok=True"
+        )
+        t = parse_cycles("(1 2)", 2)
+        report = screen_g1(pr_w, Cover(2, ("z1", "z2"), (t, t)))
+        assert report.fail2c is False
+        assert "domination=False" in report.fail2c_notes
 
     def test_joint_pair_must_pair_pr_w_with_g1(self, pair1, pair2):
         """fail2d is read off ``joint`` only when its sides, identity
@@ -644,13 +672,13 @@ class TestProjectionAdjustment:
         The distinct entries ordered over every projection of a pair
         stay below the distinct entries before the last position."""
         ordered = []
-        original = fiberprod._classes_by_least_conjugator
+        original = fiberprod._class_by_least_conjugator
 
-        def counting(group, perms):
-            ordered.extend(set(perms))
-            return original(group, perms)
+        def counting(group, p):
+            ordered.append(p)
+            return original(group, p)
 
-        monkeypatch.setattr(fiberprod, "_classes_by_least_conjugator", counting)
+        monkeypatch.setattr(fiberprod, "_class_by_least_conjugator", counting)
         for pair, expected in (
             (catalog.get("deg7-pair-1"), 0),
             (catalog.build_sm_pair(8), 1),

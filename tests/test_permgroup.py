@@ -127,9 +127,6 @@ class TestOrbitsAndStabilizers:
         g = GeneratedGroup(5, [])
         assert g.orbits() == [[1], [2], [3], [4], [5]]
 
-    def test_orbits_with_seed_set(self, deg7):
-        assert deg7.orbits(seed_set=[3]) == [list(range(1, 8))]
-
     def test_orbits_match_sympy_on_random_generator_sets(self):
         import random
 
