@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .permcore import Permutation, parse_cycles, product
@@ -108,16 +109,16 @@ class Cover:
     def validate(self) -> ValidityReport:
         """The validity report; computed on the first call and kept on
         the instance, which is immutable."""
-        report = self.__dict__.get("_validity")
-        if report is None:
-            report = ValidityReport(
-                product_one=product(self.cycles, self.degree).is_identity,
-                transitive=len(orbits(self.cycles, self.degree)) == 1,
-                no_identity_entries=all(not c.is_identity for c in self.cycles),
-                cycle_types=tuple(c.cycle_type() for c in self.cycles),
-            )
-            object.__setattr__(self, "_validity", report)
-        return report
+        return self._validity
+
+    @cached_property
+    def _validity(self) -> ValidityReport:
+        return ValidityReport(
+            product_one=product(self.cycles, self.degree).is_identity,
+            transitive=len(orbits(self.cycles, self.degree)) == 1,
+            no_identity_entries=all(not c.is_identity for c in self.cycles),
+            cycle_types=tuple(c.cycle_type() for c in self.cycles),
+        )
 
     def require_valid(self) -> None:
         rep = self.validate()
@@ -130,11 +131,11 @@ class Cover:
     def group(self) -> GeneratedGroup:
         """The monodromy group; built on the first call and kept on the
         instance, which is immutable."""
-        group = self.__dict__.get("_group")
-        if group is None:
-            group = GeneratedGroup(self.degree, list(self.cycles))
-            object.__setattr__(self, "_group", group)
-        return group
+        return self._group
+
+    @cached_property
+    def _group(self) -> GeneratedGroup:
+        return GeneratedGroup(self.degree, list(self.cycles))
 
     # -- numeric invariants ----------------------------------------------
 
