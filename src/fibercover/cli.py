@@ -5,7 +5,8 @@ fiber-product analysis, Nielsen enumeration / braid orbits / coalescing,
 genus-growth screening, catalog access, and an empirical growth table.
 
 Exit codes: 0 success, 2 validation failure, 3 cap exceeded, 4 bad
-input format, 5 internal error (a failed consistency check).  All
+input format, 5 internal error (a failed consistency check), 141 stdout
+closed early (say by ``| head``; nothing is printed on stderr).  All
 numeric output is exact (rationals print as "p/q").
 """
 
@@ -35,6 +36,7 @@ EXIT_INVALID = 2
 EXIT_CAP = 3
 EXIT_BAD_INPUT = 4
 EXIT_INTERNAL = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a piped C tool
 
 SEARCH_CAP_ENV = "FIBERCOVER_SEARCH_CAP"
 
@@ -405,7 +407,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's last flush of the
+        # unwritten output cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -128,7 +127,37 @@ class NielsenClassSpec:
 
     @cached_property
     def _enumeration(self) -> list[NielsenElement]:
-        return _enumerate_class(self)
+        base_classes = self.classes()
+        if not base_classes:
+            return []
+        walks = []
+        for ordering in self.class_orderings():
+            choices = [base_classes[i] for i in ordering]
+            if self.mode != EquivalenceMode.RAW:
+                # N contains G, so every orbit that meets this ordering
+                # meets the tuples that start with the least member of the
+                # first class (class lists are sorted).
+                choices[0] = choices[0][:1]
+            walks.append(choices)
+        cost = sum(prod(len(c) for c in choices[:-1]) for choices in walks)
+        if cost > self.search_cap:
+            raise CapExceededError(
+                f"enumeration search space exceeds cap {self.search_cap}"
+            )
+        canonical = self._orbit_table
+        # Generation is invariant under conjugation, so it is tested once
+        # per orbit: ``tested`` holds the representative of every orbit met.
+        tested: set[NielsenElement] = set()
+        found: list[NielsenElement] = []
+        for choices in walks:
+            for chosen in _realizations(choices, self.group.degree):
+                rep = canonical(tuple(chosen))
+                if rep in tested:
+                    continue
+                tested.add(rep)
+                if _generates(self.group, chosen):
+                    found.append(rep)
+        return sorted(found)
 
 
 NielsenElement = tuple[Permutation, ...]
@@ -199,40 +228,6 @@ def enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
     return spec._enumeration
 
 
-def _enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:
-    base_classes = spec.classes()
-    if not base_classes:
-        return []
-    walks = []
-    for ordering in spec.class_orderings():
-        choices = [base_classes[i] for i in ordering]
-        if spec.mode != EquivalenceMode.RAW:
-            # N contains G, so every orbit that meets this ordering meets
-            # the tuples that start with the least member of the first
-            # class (class lists are sorted).
-            choices[0] = choices[0][:1]
-        walks.append(choices)
-    cost = sum(prod(len(c) for c in choices[:-1]) for choices in walks)
-    if cost > spec.search_cap:
-        raise CapExceededError(
-            f"enumeration search space exceeds cap {spec.search_cap}"
-        )
-    canonical = spec._orbit_table
-    # Generation is invariant under conjugation, so it is tested once per
-    # orbit: ``tested`` holds the representative of every orbit met.
-    tested: set[NielsenElement] = set()
-    found: list[NielsenElement] = []
-    for choices in walks:
-        for chosen in _realizations(choices, spec.group.degree):
-            rep = canonical(tuple(chosen))
-            if rep in tested:
-                continue
-            tested.add(rep)
-            if _generates(spec.group, chosen):
-                found.append(rep)
-    return sorted(found)
-
-
 # -- braid action -------------------------------------------------------------
 
 
@@ -274,36 +269,32 @@ def braid_generators(r: int) -> list[str]:
 
 def braid_orbits(spec: NielsenClassSpec) -> list[list[NielsenElement]]:
     """Partition of the canonical representatives into braid-group
-    orbits, by closure under the twists and the shift."""
+    orbits, by closure under the twists and the shift: one breadth-first
+    walk per orbit, from its least representative, with one ``seen`` set
+    for all of them.  The twists and the shift may reorder the classes,
+    so a walk passes through tuples outside the fixed class ordering;
+    the orbit is the sorted set of enumerated representatives it meets.
+    The walks are iterative; the enumeration they start from recurses
+    once per position of its search, r levels deep."""
     reps = enumerate_class(spec)
+    members = set(reps)
     canonical = spec._orbit_table
-    index = {rep: i for i, rep in enumerate(reps)}
-    seen_reps: set[int] = set()
-    orbits: list[list[NielsenElement]] = []
     gens = braid_generators(spec.r)
-    for start, rep in enumerate(reps):
-        if start in seen_reps:
+    seen: set[NielsenElement] = set()
+    orbits: list[list[NielsenElement]] = []
+    for rep in reps:
+        if rep in seen:
             continue
-        # The twists and the shift may reorder the classes, so the walk
-        # passes through tuples outside the fixed class ordering; the
-        # orbit is the set of enumerated representatives it touches.
-        orbit = {start}
-        seen_reps.add(start)
-        visited = {rep}
-        queue = deque([rep])
-        while queue:
-            e = queue.popleft()
+        seen.add(rep)
+        # ``walk`` doubles as the FIFO queue of tuples to act on.
+        walk = [rep]
+        for e in walk:
             for w in gens:
                 moved = canonical(braid_apply(e, w))
-                if moved in visited:
-                    continue
-                visited.add(moved)
-                queue.append(moved)
-                j = index.get(moved)
-                if j is not None:
-                    orbit.add(j)
-                    seen_reps.add(j)
-        orbits.append([reps[i] for i in sorted(orbit)])
+                if moved not in seen:
+                    seen.add(moved)
+                    walk.append(moved)
+        orbits.append(sorted(members.intersection(walk)))
     return orbits
 
 

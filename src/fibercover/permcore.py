@@ -12,6 +12,9 @@ Conventions used throughout the package:
   constructor and ``parse_cycles``.  Results of the operations below are
   bijections by construction and are built by ``_from_images`` without
   the check.
+* A permutation lists its degree's images, so a degree above
+  ``LISTING_CAP`` is refused with ``CapExceededError`` before anything
+  of that size is made.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from functools import reduce
 from math import lcm
 
 __all__ = [
+    "CapExceededError",
+    "LISTING_CAP",
     "Permutation",
     "CycleType",
     "parse_cycles",
@@ -35,6 +40,12 @@ __all__ = [
 # A cycle type is the multiset of cycle lengths (fixed points included),
 # stored as a tuple sorted in decreasing order; the lengths sum to n.
 CycleType = tuple[int, ...]
+
+LISTING_CAP = 2 * 10**6
+
+
+class CapExceededError(RuntimeError):
+    """A size cap was exceeded."""
 
 
 @dataclass(frozen=True, order=True)
@@ -176,9 +187,15 @@ _set = object.__setattr__
 
 
 class _IdentityImages(dict):
-    """degree -> the identity's image tuple, made on first use."""
+    """degree -> the identity's image tuple, made on first use.  Every
+    degree-sized list starts here, so this is where a degree above
+    ``LISTING_CAP`` is refused, once per degree."""
 
     def __missing__(self, degree: int) -> tuple[int, ...]:
+        if degree > LISTING_CAP:
+            raise CapExceededError(
+                f"degree {degree} exceeds the listing cap {LISTING_CAP}"
+            )
         images = self[degree] = tuple(range(1, degree + 1))
         return images
 
@@ -210,51 +227,51 @@ def _realizations(choices: list[list[Permutation]], degree: int):
     """Every choice of one entry per position whose ordered product is
     the identity, in lexicographic order of the positions' lists.
 
-    A lazy depth-first search on an explicit stack.  The last entry is
+    A lazy depth-first search: ``_completions`` is called once per
+    (position, partial product) state it enters.  The last entry is
     forced: the inverse of the product before it, found by looking that
-    product up among the inverses of the last list.  A (position, partial
-    product) state is recorded as dead once it has been explored in full
-    without a completion, and is never entered again; a state that did
-    complete may be entered again under another prefix, whose
-    completions are new choices.  Not a recursive closure: that is a
-    reference cycle, which keeps the search state alive.  Nielsen
-    enumeration and the projection's product-one adjustment both walk
-    it."""
+    product up among the inverses of the last list.  A state whose call
+    yields nothing is recorded as dead and is never entered again; a
+    state that did complete may be entered again under another prefix,
+    whose completions are new choices.  The recursion depth is the
+    number of positions (56 for the projection of ``sm-pair-13``, 154
+    for ``build_sm_pair(20)``), far below the interpreter's limit of
+    1000 frames; a search of about 990 positions or more raises
+    ``RecursionError``.  The generators are module-level, not a
+    recursive closure, which would be a reference cycle that keeps the
+    search state alive.  Nielsen enumeration and the projection's
+    product-one adjustment both walk it."""
     one = identity(degree)
     closing_for = {c.inverse(): c for c in choices[-1]}
     if len(choices) == 1:
         if one in closing_for:
             yield [one]
         return
-    final = len(choices) - 2
     dead: list[set[Permutation]] = [set() for _ in choices]
-    prefixes = [one]
-    chosen: list[Permutation] = []
-    frames = [iter(choices[0])]
-    # Frames below ``live`` have seen a completion since they were entered.
-    live = 0
-    while frames:
-        j = len(frames) - 1
-        q = next(frames[j], None)
-        if q is None:
-            frames.pop()
-            if j >= live:
-                dead[j].add(prefixes[j])
-            live = min(live, j)
-            prefixes.pop()
-            if chosen:
-                chosen.pop()
-            continue
-        nxt = prefixes[j] * q
-        if j == final:
-            closing = closing_for.get(nxt)
+    yield from _completions(choices, closing_for, dead, 0, one, [])
+
+
+def _completions(choices, closing_for, dead, j, prefix, chosen):
+    """The completions of ``chosen``, the entries at positions before
+    ``j`` with product ``prefix``; returns whether there was one, and
+    records the state in ``dead[j]`` when there was none."""
+    found = False
+    if j == len(choices) - 2:
+        for q in choices[j]:
+            closing = closing_for.get(prefix * q)
             if closing is not None:
-                live = len(frames)
+                found = True
                 yield chosen + [q, closing]
-        elif nxt not in dead[j + 1]:
-            chosen.append(q)
-            prefixes.append(nxt)
-            frames.append(iter(choices[j + 1]))
+    else:
+        for q in choices[j]:
+            nxt = prefix * q
+            if nxt not in dead[j + 1]:
+                found |= yield from _completions(
+                    choices, closing_for, dead, j + 1, nxt, chosen + [q]
+                )
+    if not found:
+        dead[j].add(prefix)
+    return found
 
 
 def direct_sum(a: Permutation, b: Permutation) -> Permutation:
@@ -293,7 +310,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     remainder = _CYCLE_RE.sub("", stripped)
     if remainder.strip():
         raise ValueError(f"malformed cycle notation: {text!r}")
-    images = list(range(1, degree + 1))
+    images = list(_IDENTITY_IMAGES[degree])
     seen: set[int] = set()
     for match in _CYCLE_RE.finditer(stripped):
         body = match.group(1).strip()

@@ -26,6 +26,8 @@ orbits of Stab(1), and build no group.
 Caps sit at the work that grows with the group: ``LISTING_CAP`` bounds
 every listing of group elements, class members or cosets, and
 ``NORMALIZER_DEGREE_CAP`` the degree of the normalizer search.
+``LISTING_CAP`` and ``CapExceededError`` live in ``permcore``, which
+refuses a degree above the cap, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from math import factorial
 
+from .permcore import LISTING_CAP, CapExceededError  # re-exported
 from .permcore import _IDENTITY_IMAGES, Permutation, _from_images, identity
 
 __all__ = [
@@ -47,12 +50,7 @@ __all__ = [
     "NORMALIZER_DEGREE_CAP",
 ]
 
-LISTING_CAP = 2 * 10**6
 NORMALIZER_DEGREE_CAP = 9
-
-
-class CapExceededError(RuntimeError):
-    """A size cap was exceeded."""
 
 
 def _check_listing(count: int, what: str) -> None:

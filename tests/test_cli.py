@@ -4,6 +4,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibercover
 from fibercover import catalog, fiberprod, permgroup
-from fibercover.cli import main
+from fibercover.cli import _catalog_json, main
 from fibercover.cover import Cover
 from fibercover.permcore import parse_cycles
 from fibercover.permgroup import CapExceededError
@@ -206,6 +210,37 @@ class TestFiberCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "g_y = 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "labels, sigma, tau, line",
+        [
+            (
+                ["z1", "z2", "infinity"],
+                ["(1 2)", "(1 2)", "(1 2 3)"],
+                ["(1 2)", "(1 2)", "(1 2 3)"],
+                "error: sigma tuple fails product-one\n",
+            ),
+            (
+                ["z1", "z2"],
+                ["(1 2 3)", "(1 3 2)"],
+                ["(1 2)", "(1 2)"],
+                "error: tau tuple is not transitive\n",
+            ),
+        ],
+        ids=["sigma-product-one", "tau-transitive"],
+    )
+    def test_invalid_side_exit_2(self, labels, sigma, tau, line, tmp_path, capsys):
+        pair = {
+            "branch_points": labels,
+            "sigma": {"degree": 3, "cycles": sigma},
+            "tau": {"degree": 3, "cycles": tau},
+        }
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(pair))
+        assert main(["fiber", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line
 
     def test_sm_pair_11_stops_at_search_cap(self, tmp_path, capsys):
         path = tmp_path / "pair.json"
@@ -524,11 +559,24 @@ def _golden_argv(case: str, tmp_path) -> list[str]:
 
     if case.startswith("fiber_"):
         return ["fiber", pair_file(case[len("fiber_") :])]
-    if case == "nielsen_braid-orbits_inner":
+    if case.startswith("nielsen_braid-orbits_"):
+        spec = {
+            "nielsen_braid-orbits_inner": _nielsen_spec_dict(
+                mode="inner", include_reorderings=False
+            ),
+            # A5 = <(1 2 3), (1 2 3 4 5)>, five 3-cycles: two orbits.
+            "nielsen_braid-orbits_a5-3^5": _nielsen_spec_dict(
+                degree=5,
+                generators=["(1 2 3)", "(1 2 3 4 5)"],
+                class_reps=["(1 2 3)"] * 5,
+                include_reorderings=False,
+            ),
+            "nielsen_braid-orbits_deg7-class-2.4.7": json.loads(
+                _catalog_json(catalog.get("deg7-class-2.4.7"))
+            ),
+        }[case]
         path = tmp_path / "spec.json"
-        path.write_text(
-            json.dumps(_nielsen_spec_dict(mode="inner", include_reorderings=False))
-        )
+        path.write_text(json.dumps(spec))
         return ["nielsen", "braid-orbits", str(path)]
     if case == "growth_deg7-pair-2_chebyshev_6":
         return [
@@ -555,6 +603,8 @@ class TestGoldenStdout:
             "fiber_deg7-pair-2",
             "fiber_sm-pair-7",
             "nielsen_braid-orbits_inner",
+            "nielsen_braid-orbits_a5-3^5",
+            "nielsen_braid-orbits_deg7-class-2.4.7",
             "growth_deg7-pair-2_chebyshev_6",
             "catalog_get_deg7-pair-2^3.7",
             "catalog_get_hilbert-siegel-m5",
@@ -664,6 +714,9 @@ def _fuzz_argv(draw, command, write):
     return ["growth", "--pair", key, "--g1-family", "cyclic", "--max-degree", degree]
 
 
+_HUGE_DEGREE = "2620522553"
+
+
 class TestFuzz:
     """Random and mutated JSON on every subcommand: the exit code is one of
     the documented ones and no traceback escapes."""
@@ -714,6 +767,37 @@ class TestFuzz:
     @pytest.mark.parametrize(
         "argv, doc",
         [
+            ([command], dict(_FUZZ_COVER, degree=_HUGE_DEGREE))
+            for command in ("validate", "genus", "galois-genus", "ochar")
+        ]
+        + [
+            (
+                ["fiber"],
+                dict(_FUZZ_PAIR, sigma=dict(_FUZZ_PAIR["sigma"], degree=_HUGE_DEGREE)),
+            ),
+            (
+                ["nielsen", "enum"],
+                dict(_FUZZ_SPEC, degree=_HUGE_DEGREE, generators=[], class_reps=[]),
+            ),
+        ],
+        ids=["validate", "genus", "galois-genus", "ochar", "fiber", "enum"],
+    )
+    def test_degree_above_listing_cap_exit_3(self, argv, doc, tmp_path, capsys):
+        """A digit string passes ``int()``; the degree is refused before
+        any list of that length is made."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + [str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: degree {_HUGE_DEGREE} exceeds the listing cap "
+            f"{permgroup.LISTING_CAP}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
             (["fiber"], dict(_FUZZ_PAIR, sigma={"degree": 3, "cycles": [12, "(1 3)"]})),
             (["nielsen", "enum"], dict(_FUZZ_SPEC, class_reps=[None, "(1 2)"])),
             (["nielsen", "coalesce"], dict(_FUZZ_ELEMENT, entries=[["(1 2)"], "(1 2)"])),
@@ -725,3 +809,32 @@ class TestFuzz:
         path.write_text(json.dumps(doc))
         assert main(argv + [str(path)]) == 4
         assert "must be a string" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    def test_exit_141_without_traceback(self, tmp_path):
+        """``fibercover ... | head -1``: the reader takes one line and closes
+        the pipe while 229 kB are still to come; the CLI exits 141 and
+        prints nothing on stderr."""
+        spec = _nielsen_spec_dict(
+            degree=4,
+            generators=["(1 2 3)", "(2 3 4)"],
+            class_reps=["(1 2 3)"] * 5 + ["(1 3 2)"] * 2,
+            mode="raw",
+            include_reorderings=False,
+        )
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        src = str(Path(fibercover.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fibercover.cli", "nielsen", "enum", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"mode: raw\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""

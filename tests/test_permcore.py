@@ -1,6 +1,8 @@
 """Unit tests for permutation primitives and the right-action convention."""
 
+import gc
 import random
+import weakref
 from math import lcm
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from fibercover.permcore import (
     Permutation,
+    _realizations,
     direct_sum,
     dominates,
     identity,
@@ -177,6 +180,35 @@ class TestParse:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_cycles("1 2 3", 7)
+
+
+class TestRealizations:
+    def test_abandoned_search_is_freed_by_reference_counting(self):
+        """The search is no reference cycle: once a half-walked search is
+        dropped, reference counting alone frees the choices it held."""
+
+        class Choices(list):  # a list that takes weak references
+            pass
+
+        cls = [p("(1 2 3)", 3), p("(1 3 2)", 3)]
+        gc.disable()
+        try:
+            choices = [Choices(cls) for _ in range(4)]
+            held = weakref.ref(choices[2])
+            search = _realizations(choices, 3)
+            assert product(next(search), 3).is_identity
+            del choices
+            assert held() is not None
+            del search
+            assert held() is None
+        finally:
+            gc.enable()
+
+    def test_one_level_per_position(self):
+        """154 positions, as many as the projection of
+        ``build_sm_pair(20)`` has, stay within the recursion limit."""
+        t = p("(1 2)", 2)
+        assert list(_realizations([[t]] * 154, 2)) == [[t] * 154]
 
 
 class TestDominates:
