@@ -698,22 +698,16 @@ def double_transitive_complement(c: Cover) -> int:
     m = c.degree
     if m == 2:
         return 0
-    # Ramification route: the index of a branch cycle on the full tensor
-    # square is the sum over ordered cycle pairs (s, t) of s*t - gcd(s, t);
-    # subtracting the diagonal's contribution leaves the complement.
-    index_sum = 0
-    for p in c.cycles:
-        lengths = p._cycle_lengths()
-        tensor_index = 0
-        for s in lengths:
-            for t in lengths:
-                tensor_index += s * t - gcd(s, t)
-        index_sum += tensor_index - p.index()
-    genus_ram = genus_from_tuple(m * (m - 1), index_sum)
-    # Orbit route via the generic component machinery.
     pair = CoverPair(
         c.branch_points, c.cycles, c.cycles, c.degree, c.degree
     )
+    # Ramification route: the index of a branch cycle on the full tensor
+    # square is the sum over its cycle pairs (s, t) of s*t - gcd(s, t);
+    # subtracting the diagonal's contribution leaves the complement.
+    tensor_index = sum(rp.s * rp.t - rp.count for rp in pair.ramification_profile())
+    index_sum = tensor_index - sum(p.index() for p in c.cycles)
+    genus_ram = genus_from_tuple(m * (m - 1), index_sum)
+    # Orbit route via the generic component machinery.
     complement = [
         comp for comp in pair.components if comp.deg_over_z == m * (m - 1)
     ]

@@ -14,10 +14,10 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import prod
+from math import factorial, prod
 
 from .permcore import Permutation, _realizations
-from .permgroup import CapExceededError, GeneratedGroup, _generates
+from .permgroup import CapExceededError, GeneratedGroup, _check_listing, _generates
 
 __all__ = [
     "EquivalenceMode",
@@ -70,6 +70,10 @@ class NielsenClassSpec:
         for rep in self.class_reps:
             if not self.group.contains(rep):
                 raise ValueError("class representative not in group")
+        generators = self.group.generators
+        for h in self.outer_elements:
+            if not all(self.group.contains(g.conjugate(h)) for g in generators):
+                raise ValueError(f"outer element {h} does not normalize the group")
 
     @property
     def r(self) -> int:
@@ -86,19 +90,32 @@ class NielsenClassSpec:
 
     def class_orderings(self) -> list[tuple[int, ...]]:
         """Distinct orderings of the class multiset, as index tuples into
-        ``class_reps`` (just the identity ordering when reorderings are
-        excluded)."""
+        ``class_reps``, sorted (just the identity ordering when
+        reorderings are excluded).  Each ordering is given by its least
+        index tuple, the one in which the indices of each class appear in
+        increasing order, so the tuples are listed directly: each class
+        in turn places its indices in a set of free slots.  Their number,
+        r! over the product of m! for each class met m times, is checked
+        against ``LISTING_CAP`` first."""
         if not self.include_reorderings:
             return [tuple(range(self.r))]
-        ids = [cls[0] for cls in self.classes()]
-        seen: set[tuple[Permutation, ...]] = set()
-        out: list[tuple[int, ...]] = []
-        for perm in itertools.permutations(range(self.r)):
-            key = tuple(ids[i] for i in perm)
-            if key not in seen:
-                seen.add(key)
-                out.append(perm)
-        return out
+        by_class: dict[Permutation, list[int]] = {}
+        for i, cls in enumerate(self.classes()):
+            by_class.setdefault(cls[0], []).append(i)
+        count = factorial(self.r) // prod(factorial(len(m)) for m in by_class.values())
+        _check_listing(count, "class orderings")
+        orderings: list[list[int | None]] = [[None] * self.r]
+        for members in by_class.values():
+            placed = []
+            for ordering in orderings:
+                free = [k for k, i in enumerate(ordering) if i is None]
+                for slots in itertools.combinations(free, len(members)):
+                    extended = list(ordering)
+                    for k, i in zip(slots, members):
+                        extended[k] = i
+                    placed.append(extended)
+            orderings = placed
+        return sorted(map(tuple, orderings))
 
     def equivalence_conjugators(self) -> list[Permutation]:
         """The conjugators realizing the declared equivalence: the sorted

@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from math import lcm
@@ -235,12 +236,19 @@ def _realizations(choices: list[list[Permutation]], degree: int):
     state that did complete may be entered again under another prefix,
     whose completions are new choices.  The recursion depth is the
     number of positions (56 for the projection of ``sm-pair-13``, 154
-    for ``build_sm_pair(20)``), far below the interpreter's limit of
-    1000 frames; a search of about 990 positions or more raises
-    ``RecursionError``.  The generators are module-level, not a
-    recursive closure, which would be a reference cycle that keeps the
-    search state alive.  Nielsen enumeration and the projection's
-    product-one adjustment both walk it."""
+    for ``build_sm_pair(20)``); more positions than half of
+    ``sys.getrecursionlimit()`` are refused with ``CapExceededError``
+    before the search starts, leaving the other half to the callers.
+    The generators are module-level, not a recursive closure, which
+    would be a reference cycle that keeps the search state alive.
+    Nielsen enumeration and the projection's product-one adjustment both
+    walk it."""
+    depth_limit = sys.getrecursionlimit() // 2
+    if len(choices) > depth_limit:
+        raise CapExceededError(
+            f"product-one search over {len(choices)} positions exceeds the "
+            f"depth limit {depth_limit}, half of sys.getrecursionlimit()"
+        )
     one = identity(degree)
     closing_for = {c.inverse(): c for c in choices[-1]}
     if len(choices) == 1:

@@ -24,10 +24,11 @@ Block systems are joins of Atkinson's minimal systems, seeded from the
 orbits of Stab(1), and build no group.
 
 Caps sit at the work that grows with the group: ``LISTING_CAP`` bounds
-every listing of group elements, class members or cosets, and
-``NORMALIZER_DEGREE_CAP`` the degree of the normalizer search.
-``LISTING_CAP`` and ``CapExceededError`` live in ``permcore``, which
-refuses a degree above the cap, and are re-exported here.
+every listing of group elements, class members or cosets, and the
+number of candidates the normalizer search forms, counted before the
+first is formed.  ``LISTING_CAP`` and ``CapExceededError`` live in
+``permcore``, which refuses a degree above the cap, and are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -47,10 +48,7 @@ __all__ = [
     "CapExceededError",
     "orbits",
     "LISTING_CAP",
-    "NORMALIZER_DEGREE_CAP",
 ]
-
-NORMALIZER_DEGREE_CAP = 9
 
 
 def _check_listing(count: int, what: str) -> None:
@@ -206,19 +204,12 @@ class BlockSystem:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, letter: int) -> int:
-        """1-based label of the block containing ``letter``."""
-        for idx, blk in enumerate(self.blocks, start=1):
-            if letter in blk:
-                return idx
-        raise ValueError(f"letter {letter} not in any block")
-
     def quotient(self, g: Permutation) -> Permutation:
         """The action of ``g`` on the blocks, labeled 1..num_blocks in
-        stored order; ``g`` must preserve the system."""
-        return Permutation(
-            tuple(self.block_of(g.apply(blk[0])) for blk in self.blocks)
-        )
+        stored order; ``g`` must preserve the system, which the validating
+        constructor checks."""
+        label = {p: idx for idx, blk in enumerate(self.blocks, start=1) for p in blk}
+        return Permutation(tuple(label[g.apply(blk[0])] for blk in self.blocks))
 
     @staticmethod
     def from_partition(parts: list[list[int]]) -> "BlockSystem":
@@ -581,19 +572,16 @@ class GeneratedGroup:
 
     def normalizer_in_symmetric(self) -> "GeneratedGroup":
         """N_{S_n}(G).  The trivial group and a subgroup of index at most
-        2 are normal in S_n at any degree.  Otherwise, for n up to
-        ``NORMALIZER_DEGREE_CAP``, N is grown from G by the permutations
-        that carry one generator g1 onto an element of G of its cycle
-        type: one target per G-class suffices because G lies in N, and g1
-        is the generator with the smallest centralizer in S_n, which keeps
-        the candidates fewest."""
+        2 are normal in S_n at any degree.  Otherwise N is grown from G by
+        the permutations that carry one generator g1 onto an element of G
+        of its cycle type: one target per G-class suffices because G lies
+        in N, and g1 is the generator with the smallest centralizer in
+        S_n, which keeps the candidates fewest.  Each target has
+        |C_{S_n}(g1)| candidates, and their number is checked against
+        ``LISTING_CAP`` before the first is formed, at any degree."""
         n = self.degree
         if not self.generators or 2 * self._order >= factorial(n):
             return GeneratedGroup(n, _symmetric_generators(n))
-        if n > NORMALIZER_DEGREE_CAP:
-            raise CapExceededError(
-                f"normalizer search capped at degree {NORMALIZER_DEGREE_CAP}"
-            )
         g1 = min(self.generators, key=_centralizer_order)
         shape = g1.cycle_type()
         targets: list[Permutation] = []
@@ -602,6 +590,7 @@ class GeneratedGroup:
             if t not in covered and t.cycle_type() == shape:
                 targets.append(t)
                 covered.update(self._class_walk(t)[0])
+        _check_listing(len(targets) * _centralizer_order(g1), "normalizer candidates")
         # A candidate is added only when the group so far lacks it, so the
         # chain is rebuilt at most log2 of the index times; membership, one
         # sift, is tested before the normalizing check.

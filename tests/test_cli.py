@@ -311,6 +311,55 @@ class TestNielsenCommands:
         assert main(["nielsen", "enum", str(path)]) == 3
         assert "class members exceeds the listing cap 1000" in capsys.readouterr().err
 
+    def test_search_deeper_than_the_depth_limit_exit_3(self, tmp_path, capsys):
+        """1,200 positions in one ordering: refused with one line, not a
+        ``RecursionError`` reported as an internal error."""
+        spec = _nielsen_spec_dict(
+            degree=2,
+            generators=["(1 2)"],
+            class_reps=["(1 2)"] * 1200,
+            include_reorderings=False,
+        )
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["nielsen", "enum", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "1200 positions exceeds the depth limit" in err
+
+    def test_one_ordering_of_ten_equal_classes_exit_3(self, tmp_path, capsys):
+        """A5 with ten 3-cycles in all orderings: one distinct ordering,
+        listed without a walk over the 10! position permutations, and
+        the search is refused by its cap."""
+        spec = _nielsen_spec_dict(
+            degree=5,
+            generators=["(1 2 3)", "(1 2 3 4 5)"],
+            class_reps=["(1 2 3)"] * 10,
+            include_reorderings=True,
+        )
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["nielsen", "enum", str(path)]) == 3
+        assert "search space exceeds cap" in capsys.readouterr().err
+
+    def test_outer_element_outside_the_normalizer_exit_4(self, tmp_path, capsys):
+        """(3 4) does not normalize <(1 2 3)>: conjugating by it would
+        print tuples outside the group."""
+        spec = _nielsen_spec_dict(
+            degree=4,
+            generators=["(1 2 3)"],
+            class_reps=["(1 2 3)"] * 3,
+            outer_elements=["(3 4)"],
+            include_reorderings=False,
+        )
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["nielsen", "enum", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "bad Nielsen spec: outer element (3 4)" in captured.err
+
     def test_bad_search_cap_env_exit_4(
         self, nielsen_spec_file, monkeypatch, capsys
     ):
@@ -559,6 +608,10 @@ def _golden_argv(case: str, tmp_path) -> list[str]:
 
     if case.startswith("fiber_"):
         return ["fiber", pair_file(case[len("fiber_") :])]
+    if case == "nielsen_braid-orbits_psl33-2^3.13":
+        # PSL(3,3) on the 13 points of PG(2,3), absolute: N = G, so the
+        # golden is the output of the same class in inner mode.
+        return ["nielsen", "braid-orbits", str(GOLDEN / "psl33-2^3.13.json")]
     if case.startswith("nielsen_braid-orbits_"):
         spec = {
             "nielsen_braid-orbits_inner": _nielsen_spec_dict(
@@ -605,6 +658,7 @@ class TestGoldenStdout:
             "nielsen_braid-orbits_inner",
             "nielsen_braid-orbits_a5-3^5",
             "nielsen_braid-orbits_deg7-class-2.4.7",
+            "nielsen_braid-orbits_psl33-2^3.13",
             "growth_deg7-pair-2_chebyshev_6",
             "catalog_get_deg7-pair-2^3.7",
             "catalog_get_hilbert-siegel-m5",

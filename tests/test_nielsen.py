@@ -2,6 +2,8 @@
 action, coalescing."""
 
 import dataclasses
+import itertools
+import random
 import runpy
 from pathlib import Path
 
@@ -186,6 +188,69 @@ class TestThreeCycleClasses:
             assert GeneratedGroup(6, list(e)).order() == 360
         orbits = nielsen.braid_orbits(spec)
         assert sorted(len(o) for o in orbits) == [3040, 5940]
+
+
+def _orderings_by_full_walk(spec):
+    """The distinct orderings of the class multiset, by the r! walk over
+    the positions: the first index tuple met for each class sequence."""
+    ids = [cls[0] for cls in spec.classes()]
+    seen = set()
+    out = []
+    for perm in itertools.permutations(range(spec.r)):
+        key = tuple(ids[i] for i in perm)
+        if key not in seen:
+            seen.add(key)
+            out.append(perm)
+    return out
+
+
+class TestClassOrderings:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_full_walk(self, seed):
+        """Seeded multisets of up to three PSL(2,7) classes, r <= 7."""
+        rng = random.Random(seed)
+        pool = rng.sample(DEG7_GROUP.elements(), 3)
+        for r in range(1, 8):
+            reps = tuple(rng.choice(pool) for _ in range(r))
+            spec = NielsenClassSpec(DEG7_GROUP, reps)
+            assert spec.class_orderings() == _orderings_by_full_walk(spec)
+
+    def test_equal_classes_have_one_ordering(self, monkeypatch):
+        """Listed without a walk over the 12! permutations of the
+        positions."""
+
+        def refuse(*args):
+            raise AssertionError("permutations of the positions walked")
+
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        t = parse_cycles("(1 2 3)", 5)
+        spec = NielsenClassSpec(alternating(5), (t,) * 12)
+        assert spec.class_orderings() == [tuple(range(12))]
+
+    def test_count_checked_against_the_listing_cap(self, monkeypatch):
+        """The five nontrivial classes of PSL(2,7), the first twice: 6!/2!
+        = 360 orderings, refused before any is listed when the cap is
+        lower."""
+        seven = p7("(1 7 6 5 4 3 2)")
+        three = next(x for x in DEG7_GROUP.elements() if x.order() == 3)
+        reps = (p7("(1 3)(4 5)"), p7("(1 4 6 7)(2 3)"), seven, seven**3, three)
+        spec = NielsenClassSpec(DEG7_GROUP, reps + reps[:1])
+        assert len(spec.class_orderings()) == 360
+        monkeypatch.setattr(permgroup, "LISTING_CAP", 359)
+        with pytest.raises(CapExceededError, match="360 class orderings"):
+            spec.class_orderings()
+
+
+class TestOuterElements:
+    def test_an_element_outside_the_normalizer_is_refused(self):
+        """(3 4) carries <(1 2 3)> onto <(1 2 4)>, so conjugating by it
+        would leave the group; (1 2) normalizes it and is kept."""
+        c3 = GeneratedGroup(4, [parse_cycles("(1 2 3)", 4)])
+        reps = (parse_cycles("(1 2 3)", 4),) * 3
+        with pytest.raises(ValueError, match=r"outer element \(3 4\)"):
+            NielsenClassSpec(c3, reps, outer_elements=(parse_cycles("(3 4)", 4),))
+        spec = NielsenClassSpec(c3, reps, outer_elements=(parse_cycles("(1 2)", 4),))
+        assert enumerate_class(spec) == [reps]
 
 
 class TestBraidAction:

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import weakref
 from math import lcm
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibercover.permcore import (
+    CapExceededError,
     Permutation,
     _realizations,
     direct_sum,
@@ -209,6 +211,17 @@ class TestRealizations:
         ``build_sm_pair(20)`` has, stay within the recursion limit."""
         t = p("(1 2)", 2)
         assert list(_realizations([[t]] * 154, 2)) == [[t] * 154]
+
+    def test_more_positions_than_the_depth_limit_refused(self):
+        """Past half of the interpreter's recursion limit the search is
+        refused with the position count and the limit, not a
+        ``RecursionError``."""
+        t = p("(1 2)", 2)
+        limit = sys.getrecursionlimit() // 2
+        assert list(_realizations([[t]] * limit, 2)) == [[t] * limit]
+        message = f"{limit + 1} positions exceeds the depth limit {limit}"
+        with pytest.raises(CapExceededError, match=message):
+            next(_realizations([[t]] * (limit + 1), 2))
 
 
 class TestDominates:

@@ -20,6 +20,14 @@ from fibercover.permgroup import (
 )
 
 
+# PSL(3,3) on the 13 points of PG(2,3), of order 5,616.
+PSL33_GENERATORS = [
+    "(2 8 11)(3 9 13)(4 10 12)",
+    "(1 5 2)(3 6 8)(4 7 11)(10 13 12)",
+    "(1 3 4)(6 9 12)(7 13 10)",
+]
+
+
 def p7(text: str) -> Permutation:
     return parse_cycles(text, 7)
 
@@ -692,11 +700,10 @@ class TestNormalizer:
         assert n.order() == 6
 
     def test_degree_cap(self):
-        """The search is refused past ``NORMALIZER_DEGREE_CAP`` (9), but a
-        subgroup of index at most 2 is normal in S_n and needs none."""
+        """No degree refuses the search: C10 has normalizer C10 : C4, and
+        a subgroup of index at most 2 is normal in S_n and needs none."""
         g = GeneratedGroup(10, [parse_cycles("(1 2 3 4 5 6 7 8 9 10)", 10)])
-        with pytest.raises(CapExceededError):
-            g.normalizer_in_symmetric()
+        assert g.normalizer_in_symmetric().order() == 40
         s10 = GeneratedGroup(
             10, [parse_cycles("(1 2)", 10), parse_cycles("(1 2 3 4 5 6 7 8 9 10)", 10)]
         )
@@ -706,6 +713,47 @@ class TestNormalizer:
         assert a10.order() == factorial(10) // 2
         for g in (s10, a10):
             assert g.normalizer_in_symmetric().order() == factorial(10)
+
+    @pytest.mark.parametrize(
+        "n, order", [(10, 40), (11, 110), (12, 48), (13, 156), (16, 128)]
+    )
+    def test_cyclic_above_degree_9(self, n, order):
+        """N_{S_n}(C_n) is the holomorph C_n : Aut(C_n), of order n * phi(n)."""
+        cycle = "(" + " ".join(map(str, range(1, n + 1))) + ")"
+        g = GeneratedGroup(n, [parse_cycles(cycle, n)])
+        assert g.normalizer_in_symmetric().order() == order
+
+    def test_psl_2_11_on_12_points(self):
+        """PSL(2,11) on the projective line over F_11 is normalized by
+        PGL(2,11), of order 1320."""
+        g = GeneratedGroup(
+            12,
+            [
+                parse_cycles("(1 2 3 4 5 6 7 8 9 10 11)", 12),
+                parse_cycles("(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)", 12),
+            ],
+        )
+        assert g.order() == 660
+        assert g.normalizer_in_symmetric().order() == 1320
+
+    def test_psl_3_3_on_13_points(self):
+        """PSL(3,3) on the points of PG(2,3) is its own normalizer in S13:
+        the graph automorphism swaps points and lines."""
+        g = GeneratedGroup(13, [parse_cycles(c, 13) for c in PSL33_GENERATORS])
+        assert g.order() == 5616
+        assert g.normalizer_in_symmetric().order() == 5616
+
+    def test_candidates_counted_before_any_is_formed(self, monkeypatch):
+        """<(1 2)> in S12: one target times |C_{S12}((1 2))| = 2 * 10!
+        candidates, refused before the first is formed."""
+
+        def refuse(p, t):
+            raise AssertionError("a candidate was formed")
+
+        monkeypatch.setattr(permgroup, "_conjugators_onto", refuse)
+        g = GeneratedGroup(12, [parse_cycles("(1 2)", 12)])
+        with pytest.raises(CapExceededError, match="7257600 normalizer candidates"):
+            g.normalizer_in_symmetric()
 
     def test_class_stabilizer_preserves_classes(self, deg7):
         classes = [
