@@ -126,19 +126,9 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.valid else EXIT_INVALID
 
 
-def _cmd_genus(args) -> int:
-    print(_load(args.cover, "cover data", Cover.from_json_dict).genus())
-    return EXIT_OK
-
-
-def _cmd_galois_genus(args) -> int:
-    cover = _load(args.cover, "cover data", Cover.from_json_dict)
-    print(cover.galois_closure_genus())
-    return EXIT_OK
-
-
-def _cmd_ochar(args) -> int:
-    print(_load(args.cover, "cover data", Cover.from_json_dict).orbifold_char())
+def _cmd_invariant(args) -> int:
+    """Print one invariant of a cover, ``args.invariant`` a ``Cover`` method."""
+    print(args.invariant(_load(args.cover, "cover data", Cover.from_json_dict)))
     return EXIT_OK
 
 
@@ -208,10 +198,10 @@ def _cmd_nielsen_coalesce(args) -> int:
     def build(data: dict):
         degree = int(data["degree"])
         gen_strings = data.get("group_generators", data["entries"])
-        return (
-            tuple(parse_cycles(s, degree) for s in data["entries"]),
-            GeneratedGroup(degree, [parse_cycles(s, degree) for s in gen_strings]),
-        )
+        entries = tuple(parse_cycles(s, degree) for s in data["entries"])
+        group = GeneratedGroup(degree, [parse_cycles(s, degree) for s in gen_strings])
+        nielsen._require_members(entries, group)
+        return entries, group
 
     entries, group = _load(args.element, "element data", build)
     try:
@@ -346,17 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cover")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("genus", help="genus of a cover")
-    p.add_argument("cover")
-    p.set_defaults(func=_cmd_genus)
-
-    p = sub.add_parser("galois-genus", help="Galois-closure genus")
-    p.add_argument("cover")
-    p.set_defaults(func=_cmd_galois_genus)
-
-    p = sub.add_parser("ochar", help="orbifold characteristic")
-    p.add_argument("cover")
-    p.set_defaults(func=_cmd_ochar)
+    for name, help_text, invariant in (
+        ("genus", "genus of a cover", Cover.genus),
+        ("galois-genus", "Galois-closure genus", Cover.galois_closure_genus),
+        ("ochar", "orbifold characteristic", Cover.orbifold_char),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("cover")
+        p.set_defaults(func=_cmd_invariant, invariant=invariant)
 
     p = sub.add_parser("fiber", help="fiber-product component report")
     p.add_argument("pair")

@@ -76,7 +76,7 @@ def _require_common_group(
     built with the joint order as its bound."""
     joint_order = joint.order()
     x_order = joint._leading_order(m)
-    y_order = GeneratedGroup(n, list(y_gens), _order_bound=joint_order).order()
+    y_order = GeneratedGroup._streamed(n, y_gens, joint_order).order()
     if not (joint_order == x_order == y_order):
         raise InvalidCoverError(
             "joint group does not project isomorphically to both sides "
@@ -626,10 +626,10 @@ def _class_by_least_conjugator(
     cosets, centralizer = group._class_walk(p)
     t_p = cosets[p]
     if not t_p.is_identity:  # p did not start the walk
-        centralizer = GeneratedGroup(
+        centralizer = GeneratedGroup._streamed(
             group.degree,
             [g.conjugate(t_p) for g in centralizer.generators],
-            _order_bound=centralizer.order(),
+            centralizer.order(),
         )
         back = t_p.inverse()
         cosets = {c: back * t for c, t in cosets.items()}

@@ -345,30 +345,34 @@ def h3_structure(spec: NielsenClassSpec) -> dict:
 # -- coalescing ---------------------------------------------------------------
 
 
+def _require_members(entries, group: GeneratedGroup) -> None:
+    """Refuse the first entry that lies outside ``group``, naming it."""
+    for p in entries:
+        if not group.contains(p):
+            raise ValueError(f"entry {p} is not in the group")
+
+
 def coalesce(
     element: NielsenElement, group: GeneratedGroup, at: int | None = None
 ) -> tuple[NielsenElement, dict]:
     """Multiply the adjacent entries at positions at, at+1 (1-based;
-    default the last two).  Product-one survives automatically; the
-    report says whether generation survives (restricted coalescing) and
-    whether the merged entry vanished and was dropped."""
+    default the last two) of ``element``, whose entries must lie in
+    ``group``.  Product-one survives automatically; the report says
+    whether the new entries still generate ``group`` (restricted
+    coalescing) and whether the merged entry vanished and was dropped."""
     r = len(element)
     if at is None:
         at = r - 1
     if not 1 <= at <= r - 1:
         raise ValueError(f"position {at} out of range 1..{r - 1}")
+    _require_members(element, group)
     merged = element[at - 1] * element[at]
     dropped = merged.is_identity
     if dropped:
         new = element[: at - 1] + element[at + 1 :]
     else:
         new = element[: at - 1] + (merged,) + element[at + 1 :]
-    generated = GeneratedGroup(group.degree, list(new))
-    report = {
-        "restricted": generated.order() == group.order(),
-        "identity_dropped": dropped,
-    }
-    return new, report
+    return new, {"restricted": _generates(group, new), "identity_dropped": dropped}
 
 
 def coalesce_genus_check(genus_before: int, genus_after: int) -> bool:

@@ -8,10 +8,12 @@ orbit without changing an existing transversal entry (each level keeps
 the inverses too), the generators are sifted in first, and the
 Schreier generators are checked from the deepest level up, resuming at
 the level that received a residue and sifting each (letter, generator)
-pair once.  A build stops when the product of the orbit lengths reaches
-an order bound the caller has proved: each orbit of a partial chain lies
-in the true basic orbit, so the product is at most the group order, with
-equality only for a complete chain.
+pair once.  ``_streamed`` is the one bounded build: it stops once the
+product of the orbit lengths reaches an order bound the caller has
+proved (each orbit of a partial chain lies in the true basic orbit, so
+the product is at most the group order, with equality only for a
+complete chain).  A constructor sets the chain alone; the element list
+and the class walks are cached on first use.
 
 Stab(1) is the chain's own tail and builds nothing.  Outside the
 chain, ``_orbit_stabilizer`` is the one walk from scratch: it walks an
@@ -37,6 +39,7 @@ import itertools
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 from .permcore import LISTING_CAP, CapExceededError  # re-exported
@@ -183,7 +186,7 @@ def _generates(group: "GeneratedGroup", candidates: list[Permutation]) -> bool:
     if orbits(candidates, degree) != orbits(group.generators, degree):
         return False
     order = group.order()
-    return GeneratedGroup(degree, candidates, _order_bound=order).order() == order
+    return GeneratedGroup._streamed(degree, candidates, order).order() == order
 
 
 @dataclass(frozen=True)
@@ -219,33 +222,24 @@ class BlockSystem:
 
 class GeneratedGroup:
     """A permutation group given by generators, held as its stabilizer
-    chain with base (1, 2, ..., n); immutable after build.
+    chain with base (1, 2, ..., n); immutable after build.  A caller in
+    the package that has proved the group's order at most B builds with
+    ``_streamed``, which stops once the chain's order reaches B."""
 
-    ``_order_bound`` is private to the package: a caller that has proved
-    |<generators>| <= ``_order_bound`` passes it, and the build stops as
-    soon as the chain's order reaches the bound."""
-
-    def __init__(
-        self,
-        degree: int,
-        generators: list[Permutation],
-        *,
-        _order_bound: int | None = None,
-    ) -> None:
+    def __init__(self, degree: int, generators: list[Permutation]) -> None:
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
         self.generators = [g for g in generators if not g.is_identity]
-        self._build(degree, self.generators, _order_bound)
+        self._build(degree, self.generators, None)
 
     @classmethod
     def _streamed(
         cls, degree: int, generators: Iterable[Permutation], bound: int
     ) -> "GeneratedGroup":
-        """The group of ``generators``, an iterator of non-identity
-        permutations of ``degree`` read no further than the proved order
-        ``bound``; its generators are those whose residue extended the
-        chain."""
+        """The group of ``generators``, permutations of ``degree`` read no
+        further than the proved order ``bound``; its generators are those
+        whose residue extended the chain (an identity never does)."""
         group = cls.__new__(cls)
         group.generators = group._build(degree, generators, bound)
         return group
@@ -265,8 +259,6 @@ class GeneratedGroup:
         self.degree = degree
         self._levels = [_Level(i, degree) for i in range(1, degree + 1)]
         self._order = 1  # the product of the orbit lengths
-        self._elements: list[Permutation] | None = None
-        self._class_walks: dict[Permutation, tuple] = {}
         kept: list[Permutation] = []
         for g in generators:
             if self._order == bound:
@@ -389,21 +381,23 @@ class GeneratedGroup:
         return x
 
     def elements(self) -> list[Permutation]:
-        """Every element, sorted; cached.  Listed from the stabilizer
-        chain: G is the disjoint union of the cosets t^-1 * G_1, t^-1 in
-        the first level's inverse transversal, so each element is one
-        product of inverse transversal elements, one per level from the
-        top down.  The list costs about |G| products and needs no
-        membership test."""
-        if self._elements is None:
-            _check_listing(self._order, "group elements")
-            found = [identity(self.degree)]
-            for lvl in self._levels:
-                if len(lvl.inverses) > 1:
-                    coset_reps = list(lvl.inverses.values())
-                    found = [x * v for x in found for v in coset_reps]
-            self._elements = sorted(found)
+        """Every element, sorted; the list is built once per group."""
         return self._elements
+
+    @cached_property
+    def _elements(self) -> list[Permutation]:
+        """Listed from the stabilizer chain: G is the disjoint union of
+        the cosets t^-1 * G_1, t^-1 in the first level's inverse
+        transversal, so each element is one product of inverse
+        transversal elements, one per level from the top down.  The list
+        costs about |G| products and needs no membership test."""
+        _check_listing(self._order, "group elements")
+        found = [identity(self.degree)]
+        for lvl in self._levels:
+            if len(lvl.inverses) > 1:
+                coset_reps = list(lvl.inverses.values())
+                found = [x * v for x in found for v in coset_reps]
+        return sorted(found)
 
     def is_subgroup(self, other: "GeneratedGroup") -> bool:
         """True iff ``self`` is contained in ``other``."""
@@ -443,8 +437,6 @@ class GeneratedGroup:
         tail.generators = tail._tail_generators = self._tail_generators
         tail._levels = [first] + self._levels[1:]
         tail._order = self._order // len(self._levels[0].inverses)
-        tail._elements = None
-        tail._class_walks = {}
         return tail
 
     # -- block systems --------------------------------------------------
@@ -546,6 +538,10 @@ class GeneratedGroup:
 
     # -- conjugacy ------------------------------------------------------
 
+    @cached_property
+    def _class_walks(self) -> dict[Permutation, tuple]:
+        return {}  # each member of a walked class -> that class's walk
+
     def _class_walk(self, x: Permutation) -> tuple[dict, GeneratedGroup]:
         """The conjugation orbit of ``x`` over the generators, walked once
         per class and kept under every member: each member c -> a t with
@@ -578,7 +574,9 @@ class GeneratedGroup:
         in N, and g1 is the generator with the smallest centralizer in
         S_n, which keeps the candidates fewest.  Each target has
         |C_{S_n}(g1)| candidates, and their number is checked against
-        ``LISTING_CAP`` before the first is formed, at any degree."""
+        ``LISTING_CAP`` before the first is formed, at any degree.  N
+        carries g1 into ``covered``, the elements of G of its cycle type,
+        so |N| <= B = |covered| * |C_{S_n}(g1)|; the search stops at B."""
         n = self.degree
         if not self.generators or 2 * self._order >= factorial(n):
             return GeneratedGroup(n, _symmetric_generators(n))
@@ -591,16 +589,19 @@ class GeneratedGroup:
                 targets.append(t)
                 covered.update(self._class_walk(t)[0])
         _check_listing(len(targets) * _centralizer_order(g1), "normalizer candidates")
+        bound = len(covered) * _centralizer_order(g1)
         # A candidate is added only when the group so far lacks it, so the
         # chain is rebuilt at most log2 of the index times; membership, one
         # sift, is tested before the normalizing check.
         group = self
         for t in targets:
             for h in _conjugators_onto(g1, t):
+                if group.order() == bound:
+                    return group
                 if not group.contains(h) and all(
                     self.contains(g.conjugate(h)) for g in self.generators
                 ):
-                    group = GeneratedGroup(n, group.generators + [h])
+                    group = GeneratedGroup._streamed(n, group.generators + [h], bound)
         return group
 
     def class_stabilizer(

@@ -170,9 +170,11 @@ def test_criterion_7_coalescing():
     merged1, rep1 = coalesce(tuples["tuple-1"], group, at=2)
     assert merged1 == catalog.get("deg7-pair-1").sigma
     assert rep1["restricted"]
-    merged2, rep2 = coalesce(tuples["tuple-2"], group, at=1)
+    # <tuple-2> is A7, and its merge generates PSL(2,7): not restricted.
+    tuple_2 = tuples["tuple-2"]
+    merged2, rep2 = coalesce(tuple_2, GeneratedGroup(7, list(tuple_2)), at=1)
     assert merged2 == catalog.get("deg7-pair-2").sigma
-    assert rep2["restricted"]
+    assert not rep2["restricted"]
 
     # Satellite chain: six involutions -> four classes -> three classes,
     # with small-component genus 4 -> 1 -> 0.

@@ -377,6 +377,21 @@ class TestNielsenCommands:
         assert main(["nielsen", command, str(path)]) == 4
         assert "not in group" in capsys.readouterr().err
 
+    def test_coalesce_entry_outside_group_exit_4(self, tmp_path, capsys):
+        payload = {
+            "degree": 4,
+            "group_generators": ["(1 2 3)"],
+            "entries": ["(2 3 4)", "(2 3 4)", "(2 3 4)"],
+        }
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps(payload))
+        assert main(["nielsen", "coalesce", str(path), "--at", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: bad element data: entry (2 3 4) is not in the group\n"
+        )
+
     def test_coalesce_position_out_of_range_exit_4(self, tmp_path, capsys):
         payload = {"degree": 7, "entries": ["(1 2 3 4 5 6 7)", "(1 7 6 5 4 3 2)"]}
         path = tmp_path / "element.json"
@@ -631,6 +646,10 @@ def _golden_argv(case: str, tmp_path) -> list[str]:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         return ["nielsen", "braid-orbits", str(path)]
+    if case == "nielsen_coalesce_tuple-2":
+        # tuple-2 with no group_generators: the group is A7, its entries'.
+        element = str(GOLDEN / "coalesce_tuple-2.json")
+        return ["nielsen", "coalesce", element, "--at", "1"]
     if case == "growth_deg7-pair-2_chebyshev_6":
         return [
             "growth",
@@ -663,6 +682,7 @@ class TestGoldenStdout:
             "catalog_get_deg7-pair-2^3.7",
             "catalog_get_hilbert-siegel-m5",
             "catalog_get_deg7-coalesce-tuples",
+            "nielsen_coalesce_tuple-2",
         ],
     )
     def test_stdout_matches_golden(self, case, tmp_path, capsys):

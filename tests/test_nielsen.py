@@ -436,20 +436,27 @@ class TestCoalescing:
         assert not report["identity_dropped"]
 
     def test_second_source_tuple_coalesces_to_second_cover(self):
+        """<tuple-2> is A7; its merge generates only PSL(2,7), so the
+        coalescing is not restricted."""
         tuples = catalog.get("deg7-coalesce-tuples")
         e = tuples["tuple-2"]
-        new, report = coalesce(e, DEG7_GROUP, at=1)
+        new, report = coalesce(e, GeneratedGroup(7, list(e)), at=1)
         assert [str(x) for x in new] == [
             "(1 2 3)(4 5 7)",
             "(1 4)(6 7)",
             "(1 7 6 5 4 3 2)",
         ]
-        assert report["restricted"]
+        assert not report["restricted"]
+
+    def test_entry_outside_the_group_refused(self):
+        tuples = catalog.get("deg7-coalesce-tuples")
+        with pytest.raises(ValueError, match=r"entry \(1 3\)\(4 7\) is not in"):
+            coalesce(tuples["tuple-2"], DEG7_GROUP, at=1)
 
     def test_product_one_preserved(self):
         tuples = catalog.get("deg7-coalesce-tuples")
         for e in tuples.values():
-            new, _ = coalesce(e, DEG7_GROUP, at=2)
+            new, _ = coalesce(e, GeneratedGroup(7, list(e)), at=2)
             prod = identity(7)
             for x in new:
                 prod = prod * x

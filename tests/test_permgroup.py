@@ -125,6 +125,9 @@ class TestOrderAndMembership:
         assert len(els) == 168
         assert identity(7) in els
 
+    def test_elements_listed_once(self, deg7):
+        assert deg7.elements() is deg7.elements()
+
 
 class TestOrbitsAndStabilizers:
     def test_transitive(self, deg7):
@@ -212,7 +215,7 @@ class TestOrderBound:
             g = _random_group(rng, 8)
             n = g.degree
             for bound in (g.order(), factorial(n)):
-                bounded = GeneratedGroup(n, g.generators, _order_bound=bound)
+                bounded = GeneratedGroup._streamed(n, g.generators, bound)
                 assert bounded.order() == g.order()
                 for _ in range(20):
                     x = _random_perm(rng, n)
@@ -224,12 +227,12 @@ class TestOrderBound:
 
         monkeypatch.setattr(permgroup.GeneratedGroup, "_verify", refuse)
         s3 = [parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3)]
-        assert GeneratedGroup(3, s3, _order_bound=6).order() == 6
+        assert GeneratedGroup._streamed(3, s3, 6).order() == 6
 
     def test_bound_below_the_order_is_refused(self):
         s4 = [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 2)", 4)]
         with pytest.raises(RuntimeError, match="exceeds its bound"):
-            GeneratedGroup(4, s4, _order_bound=5)
+            GeneratedGroup._streamed(4, s4, 5)
 
 
 def _bfs_transversal(point, generators, degree):
@@ -754,6 +757,43 @@ class TestNormalizer:
         g = GeneratedGroup(12, [parse_cycles("(1 2)", 12)])
         with pytest.raises(CapExceededError, match="7257600 normalizer candidates"):
             g.normalizer_in_symmetric()
+
+    @pytest.mark.parametrize(
+        "degree, generators, order, formed",
+        [
+            (16, ["(" + " ".join(map(str, range(1, 17))) + ")"], 128, 34),
+            (
+                12,
+                ["(1 2 3 4 5 6 7 8 9 10 11)", "(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"],
+                1320,
+                2,
+            ),
+            (11, ["(1 2)(3 4)"], 40320, 20162),
+            (13, PSL33_GENERATORS, 5616, 1944),
+            (7, [str(g) for g in DEG7_GENS], 168, 14),
+        ],
+        ids=["C16", "PSL(2,11)", "(1 2)(3 4) in S11", "PSL(3,3)", "PSL(2,7)"],
+    )
+    def test_search_stops_at_its_bound(
+        self, degree, generators, order, formed, monkeypatch
+    ):
+        """N carries g1 into the elements of G of its cycle type, so |N| is
+        at most their number times |C_{S_n}(g1)|; the search returns once
+        the group reaches that bound, and scans every candidate only when
+        N lies below it (PSL(3,3), PSL(2,7))."""
+        count = 0
+        conjugators_onto = permgroup._conjugators_onto
+
+        def counted(p, t):
+            nonlocal count
+            for h in conjugators_onto(p, t):
+                count += 1
+                yield h
+
+        monkeypatch.setattr(permgroup, "_conjugators_onto", counted)
+        g = GeneratedGroup(degree, [parse_cycles(c, degree) for c in generators])
+        assert g.normalizer_in_symmetric().order() == order
+        assert count == formed
 
     def test_class_stabilizer_preserves_classes(self, deg7):
         classes = [
