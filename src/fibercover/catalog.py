@@ -9,9 +9,9 @@ metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .permcore import Permutation, direct_sum, parse_cycles
 from .permgroup import GeneratedGroup
 from .cover import Cover
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PairedClassSpec:
+class PairedClassSpec(Record):
     """A Nielsen class given in two simultaneous representations: the
     class data lives on the joint (disjoint-union) letters; splitting a
     tuple at ``degree_x`` yields strongly paired covers."""

@@ -9,11 +9,11 @@ rationals use :class:`fractions.Fraction` throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
+from ._record import Record
 from .permcore import Permutation, parse_cycles, product
 from .permgroup import GeneratedGroup, orbits
 
@@ -31,8 +31,7 @@ class InvalidCoverError(ValueError):
     """The branch-cycle data does not describe a connected cover."""
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     product_one: bool
     transitive: bool
     no_identity_entries: bool
@@ -56,8 +55,7 @@ def genus_from_tuple(degree: int, index_sum: int) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Record):
     """Branch-cycle description of a connected cover of the line.
 
     ``branch_points`` are opaque ordered labels; ``cycles`` are the
@@ -69,7 +67,7 @@ class Cover:
     branch_points: tuple[str, ...]
     cycles: tuple[Permutation, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.degree < 1:
             raise ValueError(f"degree must be >= 1, got {self.degree}")
         if len(self.branch_points) != len(self.cycles):

@@ -14,12 +14,12 @@ independent routes that must agree —
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
 
+from ._record import Record
 from .permcore import (
     Permutation,
     _from_images,
@@ -95,8 +95,7 @@ def _restrict(perm: Permutation, letters: tuple[int, ...]) -> Permutation:
         raise RuntimeError(f"{perm} does not preserve {letters}") from None
 
 
-@dataclass(frozen=True)
-class RamPoint:
+class RamPoint(Record):
     """Points of the fiber product over one branch point, coming from a
     disjoint-cycle pair (x-cycle of length s, y-cycle of length t):
     gcd(s, t) points, each of index lcm(s, t)/t over y and lcm(s, t)/s
@@ -781,8 +780,7 @@ def genus0_witness(pair: PairedCover, component: Component) -> dict:
     return {"cover_over_x": cover_over_x, "cover_over_y": cover_over_y}
 
 
-@dataclass(frozen=True)
-class ScreenReport:
+class ScreenReport(Record):
     """Flags for the genus-growth screening of a component projection.
 
     Each fail2* flag marks a way the component can keep composing covers

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import factorial, prod
 
+from ._record import Record
 from .permcore import Permutation, _realizations
 from .permgroup import CapExceededError, GeneratedGroup, _check_listing, _generates
 
@@ -40,8 +40,7 @@ class EquivalenceMode(str, Enum):
     ABSOLUTE = "absolute"
 
 
-@dataclass(frozen=True)
-class NielsenClassSpec:
+class NielsenClassSpec(Record):
     """Group, class representatives (repetitions allowed, order fixed),
     and the declared equivalence.
 
@@ -56,7 +55,8 @@ class NielsenClassSpec:
     class, say the one over infinity, in the last slot).
 
     A spec is immutable, so the classes, orbit table and enumeration it
-    caches on itself stay valid; ``dataclasses.replace`` makes a variant.
+    caches on itself stay valid; a variant is a new spec, built by the
+    constructor.
     """
 
     group: GeneratedGroup
@@ -66,7 +66,7 @@ class NielsenClassSpec:
     include_reorderings: bool = True
     search_cap: int = DEFAULT_SEARCH_CAP
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for rep in self.class_reps:
             if not self.group.contains(rep):
                 raise ValueError("class representative not in group")

@@ -11,7 +11,9 @@ Conventions used throughout the package:
 * Input is checked once, where it enters: the ``Permutation``
   constructor and ``parse_cycles``.  Results of the operations below are
   bijections by construction and are built by ``_from_images`` without
-  the check.
+  the check.  A permutation is one slot, its image tuple: equality,
+  hashing and ordering compare it, and ``permgroup``'s stabilizer chain
+  works on the same tuples, padded with a leading 0.
 * A permutation lists its degree's images, so a degree above
   ``LISTING_CAP`` is refused with ``CapExceededError`` before anything
   of that size is made.
@@ -21,8 +23,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, total_ordering
 from math import lcm
 
 __all__ = [
@@ -49,23 +50,47 @@ class CapExceededError(RuntimeError):
     """A size cap was exceeded."""
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Permutation:
     """An element of S_n given by its image sequence.
 
-    ``images[i - 1]`` is the image of the letter ``i``.  Instances are
-    immutable and hashable; ordering compares image sequences, which
-    gives the deterministic tie-breaks used by canonical forms.
+    ``images[i - 1]`` is the image of the letter ``i``, kept as a tuple.
+    Instances are immutable and hashable; ordering compares image
+    sequences, which gives the deterministic tie-breaks used by canonical
+    forms.
     """
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
+    def __init__(self, images) -> None:
+        images = tuple(images)
+        n = len(images)
         if n < 1:
             raise ValueError("degree must be >= 1")
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"images {self.images} are not a bijection of 1..{n}")
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"images {images} are not a bijection of 1..{n}")
+        _set(self, "images", images)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"Permutation is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Permutation, (self.images,)
+
+    def __hash__(self) -> int:
+        return hash(self.images)
+
+    def __eq__(self, other):
+        if other.__class__ is Permutation:
+            return self.images == other.images
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is Permutation:
+            return self.images < other.images
+        return NotImplemented
 
     # -- basic structure ------------------------------------------------
 
@@ -206,7 +231,7 @@ _IDENTITY_IMAGES = _IdentityImages()
 
 def _from_images(images: tuple[int, ...]) -> Permutation:
     """A ``Permutation`` from an image tuple already known to be a
-    bijection of 1..n, built without running ``__post_init__``."""
+    bijection of 1..n, built without the constructor's check."""
     p = _new(Permutation)
     _set(p, "images", images)
     return p

@@ -2,18 +2,22 @@
 
 A ``GeneratedGroup`` is its stabilizer chain with base (1, 2, 3, ...):
 order, membership, element listing and coset minima read the chain's
-levels.  The chain is built at any group order by Schreier–Sims that
-repeats no finished work: a new strong generator extends each level's
-orbit without changing an existing transversal entry (each level keeps
-the inverses too), the generators are sifted in first, and the
-Schreier generators are checked from the deepest level up, resuming at
-the level that received a residue and sifting each (letter, generator)
-pair once.  ``_streamed`` is the one bounded build: it stops once the
-product of the orbit lengths reaches an order bound the caller has
-proved (each orbit of a partial chain lies in the true basic orbit, so
-the product is at most the group order, with equality only for a
-complete chain).  A constructor sets the chain alone; the element list
-and the class walks are cached on first use.
+levels.  A level holds padded image tuples (0, p(1), ..., p(n)), so the
+product p * q (p first) is ``itemgetter(*p)(q)``; a ``Permutation`` is
+made only for the generators, the elements and coset minima.  Levels go
+down to the last base point that a strong generator moves, and past it a
+sift is one compare with the identity.  The chain is built at any group
+order by Schreier–Sims that repeats no finished work: a new strong
+generator extends each level's orbit without changing an existing
+transversal entry (each level keeps the inverses too), the generators
+are sifted in first, and the Schreier generators are checked from the
+deepest level up, resuming at the level that received a residue and
+sifting each (letter, generator) pair once.  ``_streamed`` is the one
+bounded build: it stops once the product of the orbit lengths reaches an
+order bound the caller has proved (each orbit of a partial chain lies in
+the true basic orbit, so the product is at most the group order, with
+equality only for a complete chain).  A constructor sets the chain
+alone; the element list and the class walks are cached on first use.
 
 Stab(1) is the chain's own tail and builds nothing.  Outside the
 chain, ``_orbit_stabilizer`` is the one walk from scratch: it walks an
@@ -38,10 +42,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
+from math import factorial, prod
+from operator import itemgetter
 
+from ._record import Record
 from .permcore import LISTING_CAP, CapExceededError  # re-exported
 from .permcore import _IDENTITY_IMAGES, Permutation, _from_images, identity
 
@@ -88,46 +93,39 @@ def orbits(generators, degree: int) -> list[list[int]]:
 
 
 class _Level:
-    """One level of the stabilizer chain: a base point, the strong
+    """One level of the stabilizer chain, for a base point: the strong
     generators fixing every earlier base point, and a breadth-first
     transversal of the base point's orbit under them, with the inverse
-    of each entry.  Entries are only ever added, never changed.  The
+    of each entry, all padded tuples.  Entries are only ever added.  The
     generators and the transversal itself are build state, dropped once
     the chain is complete; the inverses stay.  A fresh level given all
     generators at once holds the breadth-first transversal of its point,
     letters in discovery order, as ``_orbit_stabilizer`` walks it."""
 
-    __slots__ = ("point", "gens", "transversal", "inverses")
+    __slots__ = ("gens", "transversal", "inverses")
 
-    def __init__(self, point: int, degree: int) -> None:
-        self.point = point
-        self.gens: list[Permutation] = []
-        one = identity(degree)
-        self.transversal: dict[int, Permutation] = {point: one}
-        self.inverses: dict[int, Permutation] = {point: one}
+    def __init__(self, point: int, one: tuple[int, ...]) -> None:
+        self.gens: list[tuple[int, ...]] = []
+        self.transversal: dict[int, tuple[int, ...]] = {point: one}
+        self.inverses: dict[int, tuple[int, ...]] = {point: one}
 
-    def add_generators(self, added: list[Permutation]) -> None:
+    def add_generators(self, added: list[tuple[int, ...]]) -> None:
         """Append ``added`` and extend the orbit: the known letters were
         closed under the old generators, so they need only the added
         ones; each new letter needs every generator."""
         self.gens.extend(added)
-        transversal, inverses, gens = self.transversal, self.inverses, self.gens
-        new: list[int] = []
-        for p in list(transversal):
-            for g in added:
-                q = g.apply(p)
+        transversal, inverses = self.transversal, self.inverses
+        # The FIFO queue of letters to act on, each with its generators.
+        queue = [(p, added) for p in transversal]
+        for p, acting in queue:
+            to_p = itemgetter(*transversal[p])
+            for s in acting:
+                q = s[p]
                 if q not in transversal:
-                    u = transversal[q] = transversal[p] * g
-                    inverses[q] = u.inverse()
-                    new.append(q)
-        # ``new`` doubles as the FIFO queue of letters to act on.
-        for p in new:
-            for s in gens:
-                q = s.apply(p)
-                if q not in transversal:
-                    u = transversal[q] = transversal[p] * s
-                    inverses[q] = u.inverse()
-                    new.append(q)
+                    u = transversal[q] = to_p(s)
+                    # The inverse: the letters sorted by their images.
+                    inverses[q] = tuple(sorted(range(len(u)), key=u.__getitem__))
+                    queue.append((q, self.gens))
 
 
 def _letter_image(p: int, g: Permutation) -> int:
@@ -157,22 +155,21 @@ def _orbit_stabilizer(
                 transversal[y] = t * g
                 members.append(y)
                 _check_listing(len(members), what)
-    inverses: dict = {}  # y -> the images of t_y^-1
-    one = _IDENTITY_IMAGES[group.degree]
+    inverses: dict = {}  # y -> t_y^-1, a padded tuple
+    one = (0, *_IDENTITY_IMAGES[group.degree])
+    padded = [(0, *g.images) for g in group.generators]
 
     def schreier():
         for x, t in transversal.items():
-            for g in group.generators:
+            t_then = itemgetter(0, *t.images)
+            for g, g_padded in zip(group.generators, padded):
                 y = act(x, g)
-                u_inverse = inverses.get(y)
-                if u_inverse is None:
-                    u_inverse = inverses[y] = transversal[y].inverse().images
-                # t * g * u^-1 in one pass, as ``_verify`` forms it.
-                g_images = g.images
-                images = tuple([u_inverse[g_images[i - 1] - 1] for i in t.images])
-                if images == one:
-                    continue  # the edge that found y: a trivial generator
-                yield _from_images(images)
+                if y not in inverses:
+                    inverses[y] = (0, *transversal[y].inverse().images)
+                # t * g * t_y^-1 on padded tuples, as ``_verify`` forms it.
+                images = itemgetter(*t_then(g_padded))(inverses[y])
+                if images != one:  # else the edge that found y
+                    yield _from_images(images[1:])
 
     bound = group.order() // len(transversal)
     return transversal, GeneratedGroup._streamed(group.degree, schreier(), bound)
@@ -189,8 +186,7 @@ def _generates(group: "GeneratedGroup", candidates: list[Permutation]) -> bool:
     return GeneratedGroup._streamed(degree, candidates, order).order() == order
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(Record):
     """A group-invariant partition of {1..n} into blocks of equal size.
 
     Blocks are stored sorted internally and by least element, so equal
@@ -257,13 +253,14 @@ class GeneratedGroup:
         through their residues, or was never read because the chain
         already had the bound's order."""
         self.degree = degree
-        self._levels = [_Level(i, degree) for i in range(1, degree + 1)]
+        self._one = (0, *_IDENTITY_IMAGES[degree])  # the padded identity
+        self._levels: list[_Level] = []
         self._order = 1  # the product of the orbit lengths
         kept: list[Permutation] = []
         for g in generators:
             if self._order == bound:
                 break
-            residue = self._sift(g)
+            residue = self._sift((0, *g.images))
             if residue is not None:
                 self._add_strong_generator(residue)
                 kept.append(g)
@@ -271,39 +268,43 @@ class GeneratedGroup:
             self._verify(bound)
         # The strong generators fixing 1 generate Stab(1), the chain's
         # tail; membership, listing and coset minima read only the inverses.
-        self._tail_generators = self._levels[1].gens if degree > 1 else []
+        tail = self._levels[1].gens if len(self._levels) > 1 else []
+        self._tail_generators = [_from_images(g[1:]) for g in tail]
         for lvl in self._levels:
             del lvl.gens, lvl.transversal
         if bound is not None and self._order > bound:
             raise RuntimeError(f"group order {self._order} exceeds its bound {bound}")
         return kept
 
-    def _sift(self, g: Permutation, start: int = 0) -> Permutation | None:
-        """Reduce ``g``, which fixes the base points before ``start``,
-        through the chain.  Returns ``None`` if ``g`` sifts to the
-        identity (membership), else the residue, which moves its level's
-        base point outside that level's orbit."""
+    def _sift(self, g: tuple[int, ...], start: int = 0) -> tuple[int, ...] | None:
+        """Reduce the padded tuple ``g``, which fixes the base points
+        before ``start``, through the chain.  Returns ``None`` if ``g``
+        sifts to the identity (membership), else the residue, which moves
+        its level's base point outside that level's orbit, or a letter
+        past the last level, where only the identity is left."""
         levels = self._levels
-        for idx in range(start, self.degree):
-            p = g.images[idx]
+        for idx in range(start, len(levels)):
+            p = g[idx + 1]
             if p != idx + 1:
                 inverse = levels[idx].inverses.get(p)
                 if inverse is None:
                     return g
-                g = g * inverse
-        return None
+                g = itemgetter(*g)(inverse)
+        return None if g == self._one else g
 
-    def _add_strong_generator(self, g: Permutation) -> int:
+    def _add_strong_generator(self, g: tuple[int, ...]) -> int:
         """Add ``g`` to every level from the top down to the first base
-        point it moves, inclusive, and return that level.  Keeping the
-        level sets nested is what makes the Schreier-generator check
-        sufficient."""
-        for idx, lvl in enumerate(self._levels):
+        point it moves, inclusive, making the levels down to it, and
+        return that level.  Keeping the level sets nested is what makes
+        the Schreier-generator check sufficient."""
+        levels = self._levels
+        last = next(i for i in range(1, self.degree + 1) if g[i] != i) - 1
+        levels.extend(_Level(i, self._one) for i in range(len(levels) + 1, last + 2))
+        for lvl in levels[: last + 1]:
             before = len(lvl.transversal)
             lvl.add_generators([g])
             self._order = self._order // before * len(lvl.transversal)
-            if g.apply(lvl.point) != lvl.point:
-                return idx
+        return last
 
     def _verify(self, bound: int | None) -> None:
         """Close under Schreier generators, from the deepest level up.
@@ -316,12 +317,12 @@ class GeneratedGroup:
         received it, so the check resumes there.  Transversal entries
         never change, so a (letter, generator) pair once sifted stays
         sifted and is never sifted again."""
-        sifted: list[set[tuple[int, int]]] = [set() for _ in self._levels]
-        one = _IDENTITY_IMAGES[self.degree]
-        idx = self.degree - 1
+        sifted: dict[int, set[tuple[int, int]]] = {}
+        one = self._one
+        idx = len(self._levels) - 1
         while idx >= 0:
             lvl = self._levels[idx]
-            done = sifted[idx]
+            done = sifted.setdefault(idx, set())
             inverses = lvl.inverses
             residue = None
             for p, u in list(lvl.transversal.items()):
@@ -329,13 +330,11 @@ class GeneratedGroup:
                     if (p, gi) in done:
                         continue
                     done.add((p, gi))
-                    # u * g * v^-1, v the entry for p's image, in one pass.
-                    g_images = g.images
-                    v_inverse = inverses[g_images[p - 1]].images
-                    images = tuple([v_inverse[g_images[x - 1] - 1] for x in u.images])
-                    if images == one:
+                    # u * g * v^-1, v the entry for p's image.
+                    schreier = itemgetter(*itemgetter(*u)(g))(inverses[g[p]])
+                    if schreier == one:
                         continue  # the edge that found p's image: trivial
-                    residue = self._sift(_from_images(images), idx + 1)
+                    residue = self._sift(schreier, idx + 1)
                     if residue is not None:
                         break
                 if residue is not None:
@@ -356,13 +355,10 @@ class GeneratedGroup:
         """The product of the first ``k`` orbit lengths of the chain:
         |G| over the order of the pointwise stabilizer of 1..k, so the
         order of the action on 1..k when G preserves that set."""
-        result = 1
-        for lvl in self._levels[:k]:
-            result *= len(lvl.inverses)
-        return result
+        return prod(len(lvl.inverses) for lvl in self._levels[:k])
 
     def contains(self, g: Permutation) -> bool:
-        return g.degree == self.degree and self._sift(g) is None
+        return g.degree == self.degree and self._sift((0, *g.images)) is None
 
     def coset_minimum(self, x: Permutation) -> Permutation:
         """The least element of the right coset H*x, H this group, by one
@@ -370,15 +366,16 @@ class GeneratedGroup:
         level's transversal and s fixing the first base point, sends that
         point where x sends its image under u.  The base is 1, ..., n, so
         each level fixes the next image of the least element."""
+        x = (0, *x.images)
         for lvl in self._levels:
             if len(lvl.inverses) > 1:
-                q = min(lvl.inverses, key=x.apply)
+                q = min(lvl.inverses, key=x.__getitem__)
                 # u * x in one pass over v = u^-1: letter v(j) goes to x(j).
-                images = [0] * self.degree
-                for vj, xj in zip(lvl.inverses[q].images, x.images):
-                    images[vj - 1] = xj
-                x = _from_images(tuple(images))
-        return x
+                images = [0] * len(x)
+                for vj, xj in zip(lvl.inverses[q], x):
+                    images[vj] = xj
+                x = tuple(images)
+        return _from_images(x[1:])
 
     def elements(self) -> list[Permutation]:
         """Every element, sorted; the list is built once per group."""
@@ -392,12 +389,12 @@ class GeneratedGroup:
         transversal elements, one per level from the top down.  The list
         costs about |G| products and needs no membership test."""
         _check_listing(self._order, "group elements")
-        found = [identity(self.degree)]
+        found = [self._one]
         for lvl in self._levels:
             if len(lvl.inverses) > 1:
-                coset_reps = list(lvl.inverses.values())
-                found = [x * v for x in found for v in coset_reps]
-        return sorted(found)
+                vs = list(lvl.inverses.values())
+                found = [get(v) for get in [itemgetter(*x) for x in found] for v in vs]
+        return [_from_images(x[1:]) for x in sorted(found)]
 
     def is_subgroup(self, other: "GeneratedGroup") -> bool:
         """True iff ``self`` is contained in ``other``."""
@@ -406,7 +403,9 @@ class GeneratedGroup:
     # -- orbits ---------------------------------------------------------
 
     def orbit(self, letter: int) -> list[int]:
-        return [orb for orb in self.orbits() if letter in orb][0]
+        if not 1 <= letter <= self.degree:
+            raise ValueError(f"letter {letter} out of range")
+        return next(orb for orb in self.orbits() if letter in orb)
 
     def orbits(self) -> list[list[int]]:
         """Orbits on all letters, sorted by least element."""
@@ -430,13 +429,13 @@ class GeneratedGroup:
             raise ValueError(f"letter {letter} out of range")
         if letter > 1:
             return _orbit_stabilizer(self, letter, _letter_image, "letters")[1]
-        first = _Level(1, self.degree)
+        first = _Level(1, self._one)
         del first.gens, first.transversal
         tail = GeneratedGroup.__new__(GeneratedGroup)
-        tail.degree = self.degree
+        tail.degree, tail._one = self.degree, self._one
         tail.generators = tail._tail_generators = self._tail_generators
-        tail._levels = [first] + self._levels[1:]
-        tail._order = self._order // len(self._levels[0].inverses)
+        tail._levels = [first, *self._levels[1:]] if tail.generators else []
+        tail._order = self._order // self._leading_order(1)
         return tail
 
     # -- block systems --------------------------------------------------

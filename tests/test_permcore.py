@@ -103,6 +103,35 @@ class TestBasics:
         assert product((), 4) == identity(4)
         assert product((p("(1 2)"), p("(2 3)")), 7) == p("(1 2)") * p("(2 3)")
 
+    def test_list_images_are_kept_as_a_tuple(self):
+        x = Permutation([2, 1, 3])
+        assert x.images == (2, 1, 3) and type(x.images) is tuple
+        assert {x} == {Permutation((2, 1, 3))}
+        assert hash(x) == hash(Permutation((2, 1, 3)))
+
+    def test_never_equals_its_image_tuple(self):
+        x = p("(1 2)")
+        assert x != x.images and x.images != x
+        assert not x == x.images
+
+    def test_sorted_orders_by_image_tuples(self):
+        rng = random.Random(6133)
+        perms = []
+        for _ in range(50):
+            images = list(range(1, 6))
+            rng.shuffle(images)
+            perms.append(Permutation(images))
+        assert [x.images for x in sorted(perms)] == sorted(x.images for x in perms)
+        for a, b in zip(perms, perms[1:]):
+            assert (a < b, a <= b, a > b, a >= b) == (
+                a.images < b.images,
+                a.images <= b.images,
+                a.images > b.images,
+                a.images >= b.images,
+            )
+        with pytest.raises(TypeError):
+            perms[0] < perms[0].images
+
 
 def _perms(degree: int):
     return st.permutations(range(1, degree + 1)).map(

@@ -163,6 +163,11 @@ class TestOrbitsAndStabilizers:
         stab = deg7.point_stabilizer(1)
         assert sorted(len(o) for o in stab.orbits()) == [1, 6]
 
+    @pytest.mark.parametrize("letter", [0, 8, -1])
+    def test_orbit_of_a_letter_out_of_range_refused(self, deg7, letter):
+        with pytest.raises(ValueError, match=f"letter {letter} out of range"):
+            deg7.orbit(letter)
+
 
 def _random_sparse_perm(rng: random.Random, n: int) -> Permutation:
     """A random permutation of a random subset of the letters, so that
@@ -235,6 +240,51 @@ class TestOrderBound:
             GeneratedGroup._streamed(4, s4, 5)
 
 
+def _first_moved(x: Permutation) -> int:
+    return next(i for i, image in enumerate(x.images, start=1) if image != i)
+
+
+class TestCompactChain:
+    """The chain has levels only down to the deepest base point that a
+    strong generator moves; past it only the identity is left, which a
+    sift checks with one compare."""
+
+    @staticmethod
+    def _groups(seed):
+        rng = random.Random(seed)
+        yield GeneratedGroup(5, [])
+        yield GeneratedGroup(1, [])
+        yield GeneratedGroup(9, [parse_cycles("(1 2 3 4)", 9), parse_cycles("(1 2)", 9)])
+        yield GeneratedGroup(9, [parse_cycles("(1 2 3)(4 5)", 9)])
+        for _ in range(60):
+            g = _random_group(rng, 7)
+            yield g
+            yield g.point_stabilizer(1)
+
+    def test_levels_stop_at_the_deepest_moved_base_point(self):
+        depths = Counter()
+        for g in self._groups(8647):
+            moved = [_first_moved(x) for x in g.elements() if not x.is_identity]
+            assert len(g._levels) == max(moved, default=0)
+            if g._levels:
+                assert len(g._levels[-1].inverses) > 1
+            depths[len(g._levels) < g.degree] += 1
+        assert depths[True] > 20
+
+    def test_membership_past_the_last_level(self):
+        rng = random.Random(9161)
+        for g in self._groups(8647):
+            depth, n = len(g._levels), g.degree
+            elements = set(g.elements())
+            for _ in range(10):
+                tail = list(range(depth + 1, n + 1))
+                rng.shuffle(tail)
+                x = Permutation(list(range(1, depth + 1)) + tail)
+                assert g.contains(x) == (x in elements)
+            for x in rng.sample(sorted(elements), min(5, len(elements))):
+                assert g.contains(x)
+
+
 def _bfs_transversal(point, generators, degree):
     """Breadth-first (FIFO) transversal of the orbit of ``point``, letters
     in discovery order: the oracle for ``_Level.add_generators``."""
@@ -250,11 +300,16 @@ def _bfs_transversal(point, generators, degree):
     return transversal
 
 
+def _padded(p: Permutation) -> tuple[int, ...]:
+    return (0, *p.images)
+
+
 class TestLevelTransversal:
     """``_Level.add_generators`` is the chain's incremental transversal
-    walk; a fresh level given all generators is the breadth-first
-    transversal, the one ``_orbit_stabilizer`` walks for
-    ``point_stabilizer`` and the projection's carrier."""
+    walk, on padded image tuples ``(0, p(1), ..., p(n))``; a fresh level
+    given all generators is the breadth-first transversal, the one
+    ``_orbit_stabilizer`` walks for ``point_stabilizer`` and the
+    projection's carrier."""
 
     @staticmethod
     def _generator_sets(seed):
@@ -267,11 +322,11 @@ class TestLevelTransversal:
     def test_fresh_level_is_the_breadth_first_transversal(self):
         intransitive = 0
         for n, point, gens in self._generator_sets(2741):
-            level = permgroup._Level(point, n)
-            level.add_generators(gens)
+            level = permgroup._Level(point, (0, *range(1, n + 1)))
+            level.add_generators([_padded(g) for g in gens])
             expected = _bfs_transversal(point, gens, n)
             assert list(level.transversal) == list(expected)
-            assert level.transversal == expected
+            assert level.transversal == {q: _padded(t) for q, t in expected.items()}
             walked, _ = permgroup._orbit_stabilizer(
                 GeneratedGroup(n, gens), point, permgroup._letter_image, "letters"
             )
@@ -282,22 +337,24 @@ class TestLevelTransversal:
 
     def test_entries_carry_the_point_and_inverses_undo_them(self):
         for n, point, gens in self._generator_sets(3323):
-            level = permgroup._Level(point, n)
-            level.add_generators(gens)
+            one = (0, *range(1, n + 1))
+            level = permgroup._Level(point, one)
+            level.add_generators([_padded(g) for g in gens])
             assert level.inverses.keys() == level.transversal.keys()
             for q, u in level.transversal.items():
-                assert u.apply(point) == q
-                assert (level.inverses[q] * u).is_identity
+                assert u[point] == q
+                assert tuple(u[x] for x in level.inverses[q]) == one
 
     def test_one_generator_at_a_time_reaches_the_same_orbit(self):
         for n, point, gens in self._generator_sets(4391):
-            level = permgroup._Level(point, n)
+            one = (0, *range(1, n + 1))
+            level = permgroup._Level(point, one)
             for g in gens:
-                level.add_generators([g])
+                level.add_generators([_padded(g)])
             assert sorted(level.transversal) == sorted(_bfs_transversal(point, gens, n))
             for q, u in level.transversal.items():
-                assert u.apply(point) == q
-                assert (level.inverses[q] * u).is_identity
+                assert u[point] == q
+                assert tuple(u[x] for x in level.inverses[q]) == one
 
 
 def _all_schreier_generators(g: GeneratedGroup, letter: int) -> list[Permutation]:
