@@ -14,15 +14,16 @@ class Record:
         cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
 
     def __init__(self, *args, **kwargs) -> None:
-        fields = self._fields
-        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        fields, values = self._fields, self.__dict__
+        if kwargs or len(args) != len(fields):  # else every field by position
+            values.update(self._defaults, **kwargs)
+        values.update(zip(fields, args))
         if (
             len(args) > len(fields)
-            or not kwargs.keys() <= set(fields[len(args) :])
             or len(values) != len(fields)
+            or kwargs and not kwargs.keys() <= set(fields[len(args) :])
         ):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
-        self.__dict__.update(values)
         self._check()
 
     def _check(self) -> None:
@@ -32,7 +33,7 @@ class Record:
         return tuple([getattr(self, f) for f in self._fields])
 
     def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
     __delattr__ = __setattr__
 

@@ -72,7 +72,7 @@ class Permutation:
         _set(self, "images", images)
 
     def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"Permutation is immutable: cannot set {name!r}")
+        raise AttributeError(f"Permutation.{name} is read-only")
 
     __delattr__ = __setattr__
 

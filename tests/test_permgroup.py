@@ -254,7 +254,8 @@ class TestCompactChain:
         rng = random.Random(seed)
         yield GeneratedGroup(5, [])
         yield GeneratedGroup(1, [])
-        yield GeneratedGroup(9, [parse_cycles("(1 2 3 4)", 9), parse_cycles("(1 2)", 9)])
+        s4_fixing_5_to_9 = [parse_cycles("(1 2 3 4)", 9), parse_cycles("(1 2)", 9)]
+        yield GeneratedGroup(9, s4_fixing_5_to_9)
         yield GeneratedGroup(9, [parse_cycles("(1 2 3)(4 5)", 9)])
         for _ in range(60):
             g = _random_group(rng, 7)

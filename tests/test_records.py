@@ -89,14 +89,8 @@ class TestValueSemantics:
         b = clone(a)
         assert type(b) is type(a)
         assert _comparable(b) == _comparable(a)
-        if clone is copy.copy:
-            assert b == a and hash(b) == hash(a)
-
-
-def test_copies_of_group_free_records_compare_equal():
-    for name in ("Permutation", "Cover", "ValidityReport", "BlockSystem", "RamPoint"):
-        a = FACTORIES[name]()
-        for b in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        # A spec's deep copy holds a new group, which compares by identity.
+        if clone is copy.copy or name not in ("NielsenClassSpec", "PairedClassSpec"):
             assert b == a and hash(b) == hash(a)
 
 
@@ -141,8 +135,8 @@ class TestConstructorSignatures:
 
 
 def test_import_loads_no_dataclasses_or_inspect():
-    """Generating dataclasses imported ``inspect`` (and with it ``ast``,
-    ``dis`` and ``tokenize``) on every start of the command line."""
+    """``dataclasses`` imports ``inspect``, and with it ``ast``, ``dis``
+    and ``tokenize``; starting the command line loads none of them."""
     code = (
         "import sys, fibercover.cli; "
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
