@@ -2,20 +2,21 @@
 """Write one point of the committed benchmark trajectory.
 
 Runs ``bench/run.py --trace 0`` of a checkout on the ``nielsen``,
-``fiber`` and ``growth`` workloads, one after another at one seed and
-run length, and writes ``BENCH_<n>.json`` at the root of this
-repository:
+``fiber`` and ``growth`` workloads, one after another, each once at
+the fixed ``SEED`` and ``SECONDS``, and writes ``BENCH_<n>.json`` at the
+root of this repository:
 
-    {"git_sha", "python", "nproc",
+    {"git_sha", "python", "nproc", "seed", "seconds",
      "workloads": {name: {"wall_s", "setup_s", "peak_rss_mib",
                           "success_rate", "correct"}}}
 
 ``--checkout`` names the checkout to measure (a git clone of an earlier
 commit, say); it defaults to this repository.  Compare two snapshots
-only when they were taken with the same seed and run length on the same
-host.
+only when they were taken on the same host.  A snapshot is one run per
+workload: it records where the trajectory stands, not a gain, which
+only alternating pairs of runs can show.
 
-    python3 scripts/bench_snapshot.py 1 --seed 5 --seconds 40
+    python3 scripts/bench_snapshot.py 1
 """
 
 import argparse
@@ -28,12 +29,14 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("nielsen", "fiber", "growth")
 METRICS = ("wall_s", "setup_s", "peak_rss_mib", "success_rate")
+SEED = 5
+SECONDS = 40
 
 
-def run_workload(checkout: str, workload: str, seed: int, seconds: int) -> dict:
+def run_workload(checkout: str, workload: str) -> dict:
     command = [
         sys.executable, "bench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0",
     ]
     done = subprocess.run(
         command, cwd=checkout, capture_output=True, text=True, check=True
@@ -47,8 +50,6 @@ def run_workload(checkout: str, workload: str, seed: int, seconds: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n", type=int, help="the snapshot's index in BENCH_<n>.json")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=40)
     parser.add_argument("--checkout", default=ROOT)
     args = parser.parse_args()
     sha = subprocess.run(
@@ -59,10 +60,9 @@ def main() -> None:
         "git_sha": sha,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "workloads": {
-            w: run_workload(args.checkout, w, args.seed, args.seconds)
-            for w in WORKLOADS
-        },
+        "seed": SEED,
+        "seconds": SECONDS,
+        "workloads": {w: run_workload(args.checkout, w) for w in WORKLOADS},
     }
     path = os.path.join(ROOT, f"BENCH_{args.n}.json")
     with open(path, "w") as out:

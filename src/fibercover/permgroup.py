@@ -142,37 +142,41 @@ def _orbit_stabilizer(
     the members in the ``LISTING_CAP`` refusal.  The Schreier generators
     t_x * g * t_y^-1, y = act(x, g), are formed only as the stabilizer's
     chain reads them, and the build stops at |G| / |orbit|, the
-    stabilizer's order.  Returns the transversal and the stabilizer, whose
-    generators are the Schreier generators that extended its chain."""
-    transversal = {start: identity(group.degree)}
+    stabilizer's order.  The walk keeps the transversal, its inverses and
+    the Schreier generators as padded tuples.  Returns the transversal,
+    as permutations, and the stabilizer, whose generators are the
+    Schreier generators that extended its chain."""
+    one = (0, *_IDENTITY_IMAGES[group.degree])
+    padded = [(0, *g.images) for g in group.generators]
+    transversal = {start: one}  # y -> t_y, a padded tuple
     # ``members`` doubles as the FIFO queue of members to act on.
     members = [start]
     for x in members:
-        t = transversal[x]
-        for g in group.generators:
+        t_then = itemgetter(*transversal[x])
+        for g, g_padded in zip(group.generators, padded):
             y = act(x, g)
             if y not in transversal:
-                transversal[y] = t * g
+                transversal[y] = t_then(g_padded)
                 members.append(y)
                 _check_listing(len(members), what)
-    inverses: dict = {}  # y -> t_y^-1, a padded tuple
-    one = (0, *_IDENTITY_IMAGES[group.degree])
-    padded = [(0, *g.images) for g in group.generators]
+    inverses: dict = {}  # y -> t_y^-1
 
     def schreier():
         for x, t in transversal.items():
-            t_then = itemgetter(0, *t.images)
+            t_then = itemgetter(*t)
             for g, g_padded in zip(group.generators, padded):
                 y = act(x, g)
                 if y not in inverses:
-                    inverses[y] = (0, *transversal[y].inverse().images)
-                # t * g * t_y^-1 on padded tuples, as ``_verify`` forms it.
+                    u = transversal[y]
+                    inverses[y] = tuple(sorted(range(len(u)), key=u.__getitem__))
+                # t * g * t_y^-1, as ``_verify`` forms it.
                 images = itemgetter(*t_then(g_padded))(inverses[y])
                 if images != one:  # else the edge that found y
-                    yield _from_images(images[1:])
+                    yield images
 
     bound = group.order() // len(transversal)
-    return transversal, GeneratedGroup._streamed(group.degree, schreier(), bound)
+    stabilizer = GeneratedGroup._from_padded(group.degree, schreier(), bound)
+    return {y: _from_images(t[1:]) for y, t in transversal.items()}, stabilizer
 
 
 def _generates(group: "GeneratedGroup", candidates: list[Permutation]) -> bool:
@@ -227,7 +231,7 @@ class GeneratedGroup:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
         self.generators = [g for g in generators if not g.is_identity]
-        self._build(degree, self.generators, None)
+        self._build(degree, [(0, *g.images) for g in self.generators], None)
 
     @classmethod
     def _streamed(
@@ -236,14 +240,23 @@ class GeneratedGroup:
         """The group of ``generators``, permutations of ``degree`` read no
         further than the proved order ``bound``; its generators are those
         whose residue extended the chain (an identity never does)."""
+        return cls._from_padded(degree, ((0, *g.images) for g in generators), bound)
+
+    @classmethod
+    def _from_padded(
+        cls, degree: int, padded: Iterable[tuple[int, ...]], bound: int
+    ) -> "GeneratedGroup":
+        """``_streamed`` on padded image tuples."""
         group = cls.__new__(cls)
-        group.generators = group._build(degree, generators, bound)
+        kept = group._build(degree, padded, bound)
+        group.generators = [_from_images(g[1:]) for g in kept]
         return group
 
     def _build(
-        self, degree: int, generators: Iterable[Permutation], bound: int | None
-    ) -> list[Permutation]:
-        """Sift the generators in, then close under Schreier generators.
+        self, degree: int, generators: Iterable[tuple[int, ...]], bound: int | None
+    ) -> list[tuple[int, ...]]:
+        """Sift the generators, padded tuples, in, then close under
+        Schreier generators.
         Stop once the product of the orbit lengths reaches ``bound``, a
         proved upper bound on |<generators>|: that product never exceeds
         the group order and equals it only for a complete chain.
@@ -256,11 +269,11 @@ class GeneratedGroup:
         self._one = (0, *_IDENTITY_IMAGES[degree])  # the padded identity
         self._levels: list[_Level] = []
         self._order = 1  # the product of the orbit lengths
-        kept: list[Permutation] = []
+        kept: list[tuple[int, ...]] = []
         for g in generators:
             if self._order == bound:
                 break
-            residue = self._sift((0, *g.images))
+            residue = self._sift(g)
             if residue is not None:
                 self._add_strong_generator(residue)
                 kept.append(g)
