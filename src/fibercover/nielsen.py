@@ -55,8 +55,7 @@ class NielsenClassSpec(Record):
     class, say the one over infinity, in the last slot).
 
     A spec is immutable, so the classes, orbit table and enumeration it
-    caches on itself stay valid; a variant is a new spec, built by the
-    constructor.
+    caches on itself stay valid; a variant is a new spec.
     """
 
     group: GeneratedGroup

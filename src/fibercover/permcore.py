@@ -55,9 +55,8 @@ class Permutation:
     """An element of S_n given by its image sequence.
 
     ``images[i - 1]`` is the image of the letter ``i``, kept as a tuple.
-    Instances are immutable and hashable; ordering compares image
-    sequences, which gives the deterministic tie-breaks used by canonical
-    forms.
+    Instances are immutable and hashable; ordering compares the image
+    tuples, the deterministic tie-break of canonical forms.
     """
 
     __slots__ = ("images",)

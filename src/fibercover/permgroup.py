@@ -12,12 +12,13 @@ generator extends each level's orbit without changing an existing
 transversal entry (each level keeps the inverses too), the generators
 are sifted in first, and the Schreier generators are checked from the
 deepest level up, resuming at the level that received a residue and
-sifting each (letter, generator) pair once.  ``_streamed`` is the one
-bounded build: it stops once the product of the orbit lengths reaches an
-order bound the caller has proved (each orbit of a partial chain lies in
-the true basic orbit, so the product is at most the group order, with
-equality only for a complete chain).  A constructor sets the chain
-alone; the element list and the class walks are cached on first use.
+sifting each (letter, generator) pair once.  ``_streamed`` (on padded
+tuples, ``_from_padded``) is the one bounded build: it stops once the
+product of the orbit lengths reaches an order bound the caller has
+proved (each orbit of a partial chain lies in the true basic orbit, so
+the product is at most the group order, with equality only for a
+complete chain).  A constructor sets the chain alone; the element list
+and the class walks are cached on first use.
 
 Stab(1) is the chain's own tail and builds nothing.  Outside the
 chain, ``_orbit_stabilizer`` is the one walk from scratch: it walks an
@@ -142,10 +143,8 @@ def _orbit_stabilizer(
     the members in the ``LISTING_CAP`` refusal.  The Schreier generators
     t_x * g * t_y^-1, y = act(x, g), are formed only as the stabilizer's
     chain reads them, and the build stops at |G| / |orbit|, the
-    stabilizer's order.  The walk keeps the transversal, its inverses and
-    the Schreier generators as padded tuples.  Returns the transversal,
-    as permutations, and the stabilizer, whose generators are the
-    Schreier generators that extended its chain."""
+    stabilizer's order.  Returns the transversal and the stabilizer, whose
+    generators are the Schreier generators that extended its chain."""
     one = (0, *_IDENTITY_IMAGES[group.degree])
     padded = [(0, *g.images) for g in group.generators]
     transversal = {start: one}  # y -> t_y, a padded tuple
@@ -167,8 +166,7 @@ def _orbit_stabilizer(
             for g, g_padded in zip(group.generators, padded):
                 y = act(x, g)
                 if y not in inverses:
-                    u = transversal[y]
-                    inverses[y] = tuple(sorted(range(len(u)), key=u.__getitem__))
+                    inverses[y] = tuple(sorted(one, key=transversal[y].__getitem__))
                 # t * g * t_y^-1, as ``_verify`` forms it.
                 images = itemgetter(*t_then(g_padded))(inverses[y])
                 if images != one:  # else the edge that found y
@@ -234,29 +232,22 @@ class GeneratedGroup:
         self._build(degree, [(0, *g.images) for g in self.generators], None)
 
     @classmethod
-    def _streamed(
-        cls, degree: int, generators: Iterable[Permutation], bound: int
-    ) -> "GeneratedGroup":
+    def _streamed(cls, degree: int, generators: Iterable, bound: int) -> GeneratedGroup:
         """The group of ``generators``, permutations of ``degree`` read no
         further than the proved order ``bound``; its generators are those
         whose residue extended the chain (an identity never does)."""
         return cls._from_padded(degree, ((0, *g.images) for g in generators), bound)
 
     @classmethod
-    def _from_padded(
-        cls, degree: int, padded: Iterable[tuple[int, ...]], bound: int
-    ) -> "GeneratedGroup":
+    def _from_padded(cls, degree: int, padded: Iterable, bound: int) -> GeneratedGroup:
         """``_streamed`` on padded image tuples."""
         group = cls.__new__(cls)
         kept = group._build(degree, padded, bound)
         group.generators = [_from_images(g[1:]) for g in kept]
         return group
 
-    def _build(
-        self, degree: int, generators: Iterable[tuple[int, ...]], bound: int | None
-    ) -> list[tuple[int, ...]]:
-        """Sift the generators, padded tuples, in, then close under
-        Schreier generators.
+    def _build(self, degree: int, generators: Iterable, bound: int | None) -> list:
+        """Sift the padded generators in, then close under Schreier generators.
         Stop once the product of the orbit lengths reaches ``bound``, a
         proved upper bound on |<generators>|: that product never exceeds
         the group order and equals it only for a complete chain.
@@ -290,11 +281,10 @@ class GeneratedGroup:
         return kept
 
     def _sift(self, g: tuple[int, ...], start: int = 0) -> tuple[int, ...] | None:
-        """Reduce the padded tuple ``g``, which fixes the base points
-        before ``start``, through the chain.  Returns ``None`` if ``g``
-        sifts to the identity (membership), else the residue, which moves
-        its level's base point outside that level's orbit, or a letter
-        past the last level, where only the identity is left."""
+        """Reduce the padded tuple ``g``, fixing the base points before
+        ``start``, through the chain: ``None`` if it sifts to the identity
+        (membership), else the residue, which moves its level's base point
+        outside that level's orbit, or a letter past the last level."""
         levels = self._levels
         for idx in range(start, len(levels)):
             p = g[idx + 1]
