@@ -22,7 +22,7 @@ from math import gcd, lcm
 from ._record import Record
 from .permcore import (
     Permutation,
-    _from_images,
+    _from_padded,
     _realizations,
     direct_sum,
     dominates,
@@ -89,8 +89,8 @@ def _restrict(perm: Permutation, letters: tuple[int, ...]) -> Permutation:
     in the order given."""
     position = {x: i for i, x in enumerate(letters, start=1)}
     try:
-        images = perm.images
-        return _from_images(tuple([position[images[x - 1]] for x in letters]))
+        padded = perm.padded
+        return _from_padded((0, *[position[padded[x]] for x in letters]))
     except KeyError:
         raise RuntimeError(f"{perm} does not preserve {letters}") from None
 
@@ -250,8 +250,8 @@ class CoverPair:
         goes to (a(x), b(y)), both encoded x-major."""
         n = self.degree_y
         return tuple(
-            _from_images(
-                tuple([(ax - 1) * n + by for ax in a.images for by in b.images])
+            _from_padded(
+                (0, *[(ax - 1) * n + by for ax in a.images for by in b.images])
             )
             for a, b in zip(self.sigma, self.tau)
         )

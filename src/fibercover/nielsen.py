@@ -189,9 +189,9 @@ def canonical_form(
 
 
 def _key(element: NielsenElement) -> bytes:
-    """A compact dict key for a tuple: its images packed as 32-bit words."""
-    images = itertools.chain.from_iterable(p.images for p in element)
-    return array("I", images).tobytes()
+    """A compact dict key for a tuple: its padded tuples as 32-bit words."""
+    padded = itertools.chain.from_iterable(p.padded for p in element)
+    return array("I", padded).tobytes()
 
 
 class _OrbitTable:

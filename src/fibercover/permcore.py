@@ -10,10 +10,9 @@ Conventions used throughout the package:
   by least element and rotates each cycle to start at its least element.
 * Input is checked once, where it enters: the ``Permutation``
   constructor and ``parse_cycles``.  Results of the operations below are
-  bijections by construction and are built by ``_from_images`` without
-  the check.  A permutation is one slot, its image tuple: equality,
-  hashing and ordering compare it, and ``permgroup``'s stabilizer chain
-  works on the same tuples, padded with a leading 0.
+  bijections by construction, wrapped by ``_from_padded`` unchecked.  A
+  permutation is one slot, its padded image tuple (0, p(1), ..., p(n)),
+  which equality, hashing, ordering and ``permgroup``'s chain all read.
 * A permutation lists its degree's images, so a degree above
   ``LISTING_CAP`` is refused with ``CapExceededError`` before anything
   of that size is made.
@@ -25,6 +24,7 @@ import re
 import sys
 from functools import reduce, total_ordering
 from math import lcm
+from operator import itemgetter
 
 __all__ = [
     "CapExceededError",
@@ -54,21 +54,24 @@ class CapExceededError(RuntimeError):
 class Permutation:
     """An element of S_n given by its image sequence.
 
-    ``images[i - 1]`` is the image of the letter ``i``, kept as a tuple.
+    ``padded`` is the tuple ``(0, p(1), ..., p(n))``, so ``padded[i]`` is
+    the image of the letter ``i``; ``images`` is ``padded[1:]``.
     Instances are immutable and hashable; ordering compares the image
     tuples, the deterministic tie-break of canonical forms.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ("padded",)
 
     def __init__(self, images) -> None:
         images = tuple(images)
         n = len(images)
         if n < 1:
             raise ValueError("degree must be >= 1")
+        if any(type(i) is not int for i in images):
+            raise ValueError(f"images {images} are not all integers")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"images {images} are not a bijection of 1..{n}")
-        _set(self, "images", images)
+        _set(self, "padded", (0, *images))
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"Permutation.{name} is read-only")
@@ -79,48 +82,46 @@ class Permutation:
         return Permutation, (self.images,)
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self.padded)
 
     def __eq__(self, other):
         if other.__class__ is Permutation:
-            return self.images == other.images
+            return self.padded == other.padded
         return NotImplemented
 
     def __lt__(self, other):
         if other.__class__ is Permutation:
-            return self.images < other.images
+            return self.padded < other.padded
         return NotImplemented
 
     # -- basic structure ------------------------------------------------
 
     @property
+    def images(self) -> tuple[int, ...]:
+        return self.padded[1:]
+
+    @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self.padded) - 1
 
     def apply(self, letter: int) -> int:
         """Image of ``letter`` under the right action."""
-        return self.images[letter - 1]
+        return self.padded[letter]
 
     @property
     def is_identity(self) -> bool:
-        return self.images == _IDENTITY_IMAGES[len(self.images)]
+        return self.padded == _IDENTITY[len(self.padded) - 1]
 
     # -- group arithmetic ----------------------------------------------
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Right-action composition: apply ``self`` first, then ``other``."""
-        other_images = other.images
-        if len(self.images) != len(other_images):
-            raise ValueError(
-                f"degree mismatch: {self.degree} vs {other.degree}"
-            )
-        return _from_images(tuple([other_images[i - 1] for i in self.images]))
+        if len(self.padded) != len(other.padded):
+            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
+        return _from_padded(itemgetter(*self.padded)(other.padded))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return _from_images(tuple(inv))
+        return _from_padded(_invert(self.padded))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -137,13 +138,13 @@ class Permutation:
     def conjugate(self, h: "Permutation") -> "Permutation":
         """``h^-1 * self * h`` — moves the support of ``self`` by ``h``:
         the image of ``(j)h`` is ``((j)self)h``."""
-        h_images = h.images
-        if len(self.images) != len(h_images):
+        h_padded = h.padded
+        if len(self.padded) != len(h_padded):
             raise ValueError(f"degree mismatch: {self.degree} vs {h.degree}")
-        images = [0] * len(h_images)
-        for hj, pj in zip(h_images, self.images):
-            images[hj - 1] = h_images[pj - 1]
-        return _from_images(tuple(images))
+        padded = [0] * len(h_padded)
+        for hj, pj in zip(h_padded, self.padded):
+            padded[hj] = h_padded[pj]
+        return _from_padded(tuple(padded))
 
     # -- cycle structure ------------------------------------------------
 
@@ -151,19 +152,19 @@ class Permutation:
         """Disjoint cycles, each rotated to start at its least element,
         sorted by least element.  Fixed points are omitted unless asked for.
         """
-        images = self.images
-        seen = [False] * len(images)
+        padded = self.padded
+        seen = [False] * len(padded)
         out: list[tuple[int, ...]] = []
-        for start in range(1, len(images) + 1):
-            if seen[start - 1]:
+        for start in range(1, len(padded)):
+            if seen[start]:
                 continue
             cyc = [start]
-            seen[start - 1] = True
-            j = images[start - 1]
+            seen[start] = True
+            j = padded[start]
             while j != start:
                 cyc.append(j)
-                seen[j - 1] = True
-                j = images[j - 1]
+                seen[j] = True
+                j = padded[j]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out
@@ -171,17 +172,17 @@ class Permutation:
     def _cycle_lengths(self) -> list[int]:
         """The length of each disjoint cycle, fixed points included, in
         order of least element; one walk that builds no cycle."""
-        images = self.images
-        seen = [False] * len(images)
+        padded = self.padded
+        seen = [False] * len(padded)
         out: list[int] = []
-        for start, j in enumerate(images, start=1):
-            if seen[start - 1]:
+        for start, j in enumerate(padded[1:], start=1):
+            if seen[start]:
                 continue
             length = 1
             while j != start:
-                seen[j - 1] = True
+                seen[j] = True
                 length += 1
-                j = images[j - 1]
+                j = padded[j]
             out.append(length)
         return out
 
@@ -211,35 +212,43 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-class _IdentityImages(dict):
-    """degree -> the identity's image tuple, made on first use.  Every
-    degree-sized list starts here, so this is where a degree above
-    ``LISTING_CAP`` is refused, once per degree."""
+class _Identity(dict):
+    """degree -> the identity's padded tuple (0, 1, ..., n), made on first
+    use.  Every degree-sized list starts here, so this is where a degree
+    above ``LISTING_CAP`` is refused, once per degree."""
 
     def __missing__(self, degree: int) -> tuple[int, ...]:
         if degree > LISTING_CAP:
             raise CapExceededError(
                 f"degree {degree} exceeds the listing cap {LISTING_CAP}"
             )
-        images = self[degree] = tuple(range(1, degree + 1))
-        return images
+        padded = self[degree] = tuple(range(degree + 1))
+        return padded
 
 
-_IDENTITY_IMAGES = _IdentityImages()
+_IDENTITY = _Identity()
 
 
-def _from_images(images: tuple[int, ...]) -> Permutation:
-    """A ``Permutation`` from an image tuple already known to be a
-    bijection of 1..n, built without the constructor's check."""
+def _from_padded(padded: tuple[int, ...]) -> Permutation:
+    """A ``Permutation`` wrapping a padded tuple already known to be a
+    bijection of 0..n fixing 0, built without the constructor's check."""
     p = _new(Permutation)
-    _set(p, "images", images)
+    _set(p, "padded", padded)
     return p
+
+
+def _invert(padded: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a padded tuple, by one scatter over its letters."""
+    inverse = [0] * len(padded)
+    for i, image in enumerate(padded):
+        inverse[image] = i
+    return tuple(inverse)
 
 
 def identity(degree: int) -> Permutation:
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    return _from_images(_IDENTITY_IMAGES[degree])
+    return _from_padded(_IDENTITY[degree])
 
 
 def product(perms, degree: int) -> Permutation:
@@ -310,18 +319,18 @@ def direct_sum(a: Permutation, b: Permutation) -> Permutation:
     """``a`` on the letters 1..m and ``b`` shifted onto m+1..m+n, where
     m and n are the degrees of ``a`` and ``b``."""
     m = a.degree
-    return _from_images(a.images + tuple([m + i for i in b.images]))
+    return _from_padded(a.padded + tuple([m + i for i in b.images]))
 
 
 def split(p: Permutation, m: int) -> tuple[Permutation, Permutation]:
     """The two parts of a permutation that maps 1..m onto itself, as
     permutations of 1..m and of 1..(degree - m); inverse of
     ``direct_sum``."""
-    if not 1 <= m < p.degree or max(p.images[:m]) > m:
+    if not 1 <= m < p.degree or max(p.padded[: m + 1]) > m:
         raise ValueError(f"{p!r} does not preserve the letters 1..{m}")
     return (
-        _from_images(p.images[:m]),
-        _from_images(tuple([i - m for i in p.images[m:]])),
+        _from_padded(p.padded[: m + 1]),
+        _from_padded((0, *[i - m for i in p.padded[m + 1 :]])),
     )
 
 
@@ -342,7 +351,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     remainder = _CYCLE_RE.sub("", stripped)
     if remainder.strip():
         raise ValueError(f"malformed cycle notation: {text!r}")
-    images = list(_IDENTITY_IMAGES[degree])
+    padded = list(_IDENTITY[degree])
     seen: set[int] = set()
     for match in _CYCLE_RE.finditer(stripped):
         body = match.group(1).strip()
@@ -359,8 +368,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
                 raise ValueError(f"repeated entry {e} in {text!r}")
             seen.add(e)
         for a, b in zip(entries, entries[1:] + entries[:1]):
-            images[a - 1] = b
-    return Permutation(tuple(images))
+            padded[a] = b
+    return Permutation(padded[1:])
 
 
 def dominates(s: Permutation, t: Permutation) -> bool:

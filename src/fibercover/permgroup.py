@@ -2,23 +2,22 @@
 
 A ``GeneratedGroup`` is its stabilizer chain with base (1, 2, 3, ...):
 order, membership, element listing and coset minima read the chain's
-levels.  A level holds padded image tuples (0, p(1), ..., p(n)), so the
-product p * q (p first) is ``itemgetter(*p)(q)``; a ``Permutation`` is
-made only for the generators, the elements and coset minima.  Levels go
-down to the last base point that a strong generator moves, and past it a
-sift is one compare with the identity.  The chain is built at any group
-order by Schreier–Sims that repeats no finished work: a new strong
-generator extends each level's orbit without changing an existing
-transversal entry (each level keeps the inverses too), the generators
-are sifted in first, and the Schreier generators are checked from the
-deepest level up, resuming at the level that received a residue and
-sifting each (letter, generator) pair once.  ``_streamed`` (on padded
-tuples, ``_from_padded``) is the one bounded build: it stops once the
-product of the orbit lengths reaches an order bound the caller has
-proved (each orbit of a partial chain lies in the true basic orbit, so
-the product is at most the group order, with equality only for a
-complete chain).  A constructor sets the chain alone; the element list
-and the class walks are cached on first use.
+levels.  A level holds padded image tuples (0, p(1), ..., p(n)), the
+tuple a ``Permutation`` holds, so the chain reads and wraps permutations
+with no conversion.  Levels go down to the last base point that a strong
+generator moves, and past it a sift is one compare with the identity.
+The chain is built at any group order by Schreier–Sims that repeats no
+finished work: a new strong generator extends each level's orbit without
+changing an existing transversal entry (a level keeps the inverses too),
+the generators are sifted in first, and the Schreier generators are
+checked from the deepest level up, resuming at the level that received a
+residue and sifting each (letter, generator) pair once.  ``_streamed``
+is the one bounded build: it stops once the product of the orbit lengths
+reaches an order bound the caller has proved (each orbit of a partial
+chain lies in the true basic orbit, so the product is at most the group
+order, with equality only for a complete chain).  A constructor sets the
+chain alone; the element list and the class walks are cached on first
+use.
 
 Stab(1) is the chain's own tail and builds nothing.  Outside the
 chain, ``_orbit_stabilizer`` is the one walk from scratch: it walks an
@@ -49,7 +48,7 @@ from operator import itemgetter
 
 from ._record import Record
 from .permcore import LISTING_CAP, CapExceededError  # re-exported
-from .permcore import _IDENTITY_IMAGES, Permutation, _from_images, identity
+from .permcore import _IDENTITY, Permutation, _from_padded, _invert, identity
 
 __all__ = [
     "GeneratedGroup",
@@ -72,7 +71,7 @@ def orbits(generators, degree: int) -> list[list[int]]:
     """The orbits of the group generated by ``generators`` on 1..degree,
     each sorted, in order of least letter.  A breadth-first walk over the
     generators' image tuples; no stabilizer chain is built."""
-    image_lists = [g.images for g in generators]
+    padded = [g.padded for g in generators]
     seen = [False] * (degree + 1)
     out: list[list[int]] = []
     for start in range(1, degree + 1):
@@ -83,8 +82,8 @@ def orbits(generators, degree: int) -> list[list[int]]:
         # ``orbit`` doubles as the FIFO queue: the loop reaches letters
         # appended while it runs.
         for p in orbit:
-            for images in image_lists:
-                q = images[p - 1]
+            for g in padded:
+                q = g[p]
                 if not seen[q]:
                     seen[q] = True
                     orbit.append(q)
@@ -96,12 +95,12 @@ def orbits(generators, degree: int) -> list[list[int]]:
 class _Level:
     """One level of the stabilizer chain, for a base point: the strong
     generators fixing every earlier base point, and a breadth-first
-    transversal of the base point's orbit under them, with the inverse
-    of each entry, all padded tuples.  Entries are only ever added.  The
-    generators and the transversal itself are build state, dropped once
-    the chain is complete; the inverses stay.  A fresh level given all
-    generators at once holds the breadth-first transversal of its point,
-    letters in discovery order, as ``_orbit_stabilizer`` walks it."""
+    transversal of the base point's orbit under them, with each entry's
+    inverse (``_invert``), all padded tuples.  Entries are only ever
+    added.  The generators and the transversal are build state, dropped
+    once the chain is complete; the inverses stay.  A fresh level given
+    all generators at once holds the breadth-first transversal of its
+    point, as ``_orbit_stabilizer`` walks it."""
 
     __slots__ = ("gens", "transversal", "inverses")
 
@@ -124,13 +123,12 @@ class _Level:
                 q = s[p]
                 if q not in transversal:
                     u = transversal[q] = to_p(s)
-                    # The inverse: the letters sorted by their images.
-                    inverses[q] = tuple(sorted(range(len(u)), key=u.__getitem__))
+                    inverses[q] = _invert(u)
                     queue.append((q, self.gens))
 
 
 def _letter_image(p: int, g: Permutation) -> int:
-    return g.images[p - 1]
+    return g.padded[p]
 
 
 def _orbit_stabilizer(
@@ -145,17 +143,16 @@ def _orbit_stabilizer(
     chain reads them, and the build stops at |G| / |orbit|, the
     stabilizer's order.  Returns the transversal and the stabilizer, whose
     generators are the Schreier generators that extended its chain."""
-    one = (0, *_IDENTITY_IMAGES[group.degree])
-    padded = [(0, *g.images) for g in group.generators]
+    one = _IDENTITY[group.degree]
     transversal = {start: one}  # y -> t_y, a padded tuple
     # ``members`` doubles as the FIFO queue of members to act on.
     members = [start]
     for x in members:
         t_then = itemgetter(*transversal[x])
-        for g, g_padded in zip(group.generators, padded):
+        for g in group.generators:
             y = act(x, g)
             if y not in transversal:
-                transversal[y] = t_then(g_padded)
+                transversal[y] = t_then(g.padded)
                 members.append(y)
                 _check_listing(len(members), what)
     inverses: dict = {}  # y -> t_y^-1
@@ -163,18 +160,18 @@ def _orbit_stabilizer(
     def schreier():
         for x, t in transversal.items():
             t_then = itemgetter(*t)
-            for g, g_padded in zip(group.generators, padded):
+            for g in group.generators:
                 y = act(x, g)
                 if y not in inverses:
-                    inverses[y] = tuple(sorted(one, key=transversal[y].__getitem__))
+                    inverses[y] = _invert(transversal[y])
                 # t * g * t_y^-1, as ``_verify`` forms it.
-                images = itemgetter(*t_then(g_padded))(inverses[y])
-                if images != one:  # else the edge that found y
-                    yield images
+                padded = itemgetter(*t_then(g.padded))(inverses[y])
+                if padded != one:  # else the edge that found y
+                    yield _from_padded(padded)
 
     bound = group.order() // len(transversal)
-    stabilizer = GeneratedGroup._from_padded(group.degree, schreier(), bound)
-    return {y: _from_images(t[1:]) for y, t in transversal.items()}, stabilizer
+    stabilizer = GeneratedGroup._streamed(group.degree, schreier(), bound)
+    return {y: _from_padded(t) for y, t in transversal.items()}, stabilizer
 
 
 def _generates(group: "GeneratedGroup", candidates: list[Permutation]) -> bool:
@@ -225,29 +222,25 @@ class GeneratedGroup:
     ``_streamed``, which stops once the chain's order reaches B."""
 
     def __init__(self, degree: int, generators: list[Permutation]) -> None:
+        if degree < 1:
+            raise ValueError("degree must be >= 1")
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
         self.generators = [g for g in generators if not g.is_identity]
-        self._build(degree, [(0, *g.images) for g in self.generators], None)
+        self._build(degree, self.generators, None)
 
     @classmethod
     def _streamed(cls, degree: int, generators: Iterable, bound: int) -> GeneratedGroup:
         """The group of ``generators``, permutations of ``degree`` read no
-        further than the proved order ``bound``; its generators are those
-        whose residue extended the chain (an identity never does)."""
-        return cls._from_padded(degree, ((0, *g.images) for g in generators), bound)
-
-    @classmethod
-    def _from_padded(cls, degree: int, padded: Iterable, bound: int) -> GeneratedGroup:
-        """``_streamed`` on padded image tuples."""
+        further than the proved order ``bound``; its generators are the
+        ones passed in whose residue extended the chain (never an identity)."""
         group = cls.__new__(cls)
-        kept = group._build(degree, padded, bound)
-        group.generators = [_from_images(g[1:]) for g in kept]
+        group.generators = group._build(degree, generators, bound)
         return group
 
     def _build(self, degree: int, generators: Iterable, bound: int | None) -> list:
-        """Sift the padded generators in, then close under Schreier generators.
+        """Sift the generators in, then close under Schreier generators.
         Stop once the product of the orbit lengths reaches ``bound``, a
         proved upper bound on |<generators>|: that product never exceeds
         the group order and equals it only for a complete chain.
@@ -257,14 +250,14 @@ class GeneratedGroup:
         through their residues, or was never read because the chain
         already had the bound's order."""
         self.degree = degree
-        self._one = (0, *_IDENTITY_IMAGES[degree])  # the padded identity
+        self._one = _IDENTITY[degree]
         self._levels: list[_Level] = []
         self._order = 1  # the product of the orbit lengths
-        kept: list[tuple[int, ...]] = []
+        kept: list[Permutation] = []
         for g in generators:
             if self._order == bound:
                 break
-            residue = self._sift(g)
+            residue = self._sift(g.padded)
             if residue is not None:
                 self._add_strong_generator(residue)
                 kept.append(g)
@@ -273,7 +266,7 @@ class GeneratedGroup:
         # The strong generators fixing 1 generate Stab(1), the chain's
         # tail; membership, listing and coset minima read only the inverses.
         tail = self._levels[1].gens if len(self._levels) > 1 else []
-        self._tail_generators = [_from_images(g[1:]) for g in tail]
+        self._tail_generators = [_from_padded(g) for g in tail]
         for lvl in self._levels:
             del lvl.gens, lvl.transversal
         if bound is not None and self._order > bound:
@@ -361,7 +354,7 @@ class GeneratedGroup:
         return prod(len(lvl.inverses) for lvl in self._levels[:k])
 
     def contains(self, g: Permutation) -> bool:
-        return g.degree == self.degree and self._sift((0, *g.images)) is None
+        return g.degree == self.degree and self._sift(g.padded) is None
 
     def coset_minimum(self, x: Permutation) -> Permutation:
         """The least element of the right coset H*x, H this group, by one
@@ -369,7 +362,7 @@ class GeneratedGroup:
         level's transversal and s fixing the first base point, sends that
         point where x sends its image under u.  The base is 1, ..., n, so
         each level fixes the next image of the least element."""
-        x = (0, *x.images)
+        x = x.padded
         for lvl in self._levels:
             if len(lvl.inverses) > 1:
                 q = min(lvl.inverses, key=x.__getitem__)
@@ -378,7 +371,7 @@ class GeneratedGroup:
                 for vj, xj in zip(lvl.inverses[q], x):
                     images[vj] = xj
                 x = tuple(images)
-        return _from_images(x[1:])
+        return _from_padded(x)
 
     def elements(self) -> list[Permutation]:
         """Every element, sorted; the list is built once per group."""
@@ -397,7 +390,7 @@ class GeneratedGroup:
             if len(lvl.inverses) > 1:
                 vs = list(lvl.inverses.values())
                 found = [get(v) for get in [itemgetter(*x) for x in found] for v in vs]
-        return [_from_images(x[1:]) for x in sorted(found)]
+        return [_from_padded(x) for x in sorted(found)]
 
     def is_subgroup(self, other: "GeneratedGroup") -> bool:
         """True iff ``self`` is contained in ``other``."""
@@ -523,7 +516,7 @@ class GeneratedGroup:
         _check_listing(index, "cosets")
         reps = [identity(self.degree)]
         labels = {reps[0]: 1}
-        images: list[list[int]] = [[] for _ in self.generators]
+        images: list[list[int]] = [[0] for _ in self.generators]
         # ``reps`` doubles as the FIFO queue of cosets to act on.
         for rep in reps:
             for gi, g in enumerate(self.generators):
@@ -535,7 +528,7 @@ class GeneratedGroup:
                 images[gi].append(target)
         if len(reps) != index:
             raise RuntimeError("coset enumeration mismatch")
-        perms = [_from_images(tuple(img)) for img in images]
+        perms = [_from_padded(tuple(img)) for img in images]
         return perms, index
 
     # -- conjugacy ------------------------------------------------------
@@ -635,8 +628,9 @@ def _symmetric_generators(n: int) -> list[Permutation]:
     """A transposition and an n-cycle; none for n = 1."""
     if n == 1:
         return []
-    cycle = _from_images(tuple(range(2, n + 1)) + (1,))
-    swap = _from_images((2, 1) + tuple(range(3, n + 1)))
+    one = _IDENTITY[n]
+    cycle = _from_padded(one[:1] + one[2:] + (1,))
+    swap = _from_padded((0, 2, 1) + one[3:])
     return [swap, cycle]
 
 
@@ -668,11 +662,11 @@ def _conjugators_onto(p: Permutation, t: Permutation):
                 for shifts in itertools.product(range(k), repeat=len(sources))
             ]
         )
-    images = [0] * p.degree
+    padded = [0] * (p.degree + 1)
     for choice in itertools.product(*choices):
         for sources, matched, shifts in choice:
             for a, b, s in zip(sources, matched, shifts):
                 k = len(a)
                 for i, letter in enumerate(a):
-                    images[letter - 1] = b[(i + s) % k]
-        yield _from_images(tuple(images))
+                    padded[letter] = b[(i + s) % k]
+        yield _from_padded(tuple(padded))

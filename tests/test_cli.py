@@ -377,6 +377,32 @@ class TestNielsenCommands:
         assert main(["nielsen", command, str(path)]) == 4
         assert "not in group" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enum"],
+            ["braid-orbits"],
+            ["braid-orbits", "--mode", "inner"],
+            ["braid-orbits", "--mode", "raw"],
+            ["coalesce", "--at", "1"],
+        ],
+    )
+    def test_degree_0_spec_exit_4(self, argv, degree, tmp_path, capsys):
+        """A group of degree below 1 is refused where it is built, so each
+        loader exits 4 with one ``error:`` line and no traceback."""
+        payload = {"degree": degree, "generators": [], "class_reps": []}
+        if argv[0] == "coalesce":
+            payload = {"degree": degree, "entries": []}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        assert main(["nielsen", argv[0], str(path), *argv[1:]]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert "degree must be >= 1" in captured.err
+
     def test_coalesce_entry_outside_group_exit_4(self, tmp_path, capsys):
         payload = {
             "degree": 4,

@@ -95,6 +95,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             Permutation((1, 1, 3))
 
+    @pytest.mark.parametrize(
+        "images", [(2.0, 1.0, 3.0), (2, 1.0, 3), (True, 2), ("2", "1")]
+    )
+    def test_images_must_be_integers(self, images):
+        with pytest.raises(ValueError, match="not all integers"):
+            Permutation(images)
+
     def test_identity_rejects_degree_0(self):
         with pytest.raises(ValueError):
             identity(0)
@@ -168,6 +175,56 @@ class TestTrustedKernel:
     def test_conjugate_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             p("(1 2)").conjugate(parse_cycles("(1 2)", 3))
+
+
+def _ref_mul(a, b):
+    return tuple(b[i - 1] for i in a)
+
+
+def _ref_inverse(a):
+    return tuple(sorted(range(1, len(a) + 1), key=lambda i: a[i - 1]))
+
+
+def _ref_cycles(a):
+    cycles, seen = [], set()
+    for start in range(1, len(a) + 1):
+        cycle = [start]
+        while a[cycle[-1] - 1] != start:
+            cycle.append(a[cycle[-1] - 1])
+        if start not in seen and len(cycle) > 1:
+            cycles.append(tuple(cycle))
+        seen.update(cycle)
+    return cycles
+
+
+class TestAgainstReference:
+    """Every operation on the padded tuple agrees with a plain reference on
+    unpadded image tuples.  Degree 1 pads to two letters, so ``itemgetter``
+    is never called with a single index, which would return a scalar."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 36])
+    def test_operations(self, n):
+        rng = random.Random(7300 + n)
+        for _ in range(40):
+            a, b = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+            x, y = Permutation(a), Permutation(b)
+            assert x.padded == (0, *a) and x.images == a
+            assert (x * y).images == _ref_mul(a, b)
+            assert x.inverse().images == _ref_inverse(a)
+            assert x.conjugate(y).images == _ref_mul(
+                _ref_mul(_ref_inverse(b), a), b
+            )
+            k = rng.randint(-5, 5)
+            power = a if k >= 0 else _ref_inverse(a)
+            expected = tuple(range(1, n + 1))
+            for _ in range(abs(k)):
+                expected = _ref_mul(expected, power)
+            assert (x**k).images == expected
+            assert x.cycles() == _ref_cycles(a)
+            order, power = 1, a
+            while power != tuple(range(1, n + 1)):
+                order, power = order + 1, _ref_mul(power, a)
+            assert x.order() == order
 
 
 class TestCycleStructure:

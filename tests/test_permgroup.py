@@ -234,6 +234,16 @@ class TestOrderBound:
         s3 = [parse_cycles("(1 2 3)", 3), parse_cycles("(1 2)", 3)]
         assert GeneratedGroup._streamed(3, s3, 6).order() == 6
 
+    def test_streamed_generators_are_the_objects_passed_in(self):
+        """The chain wraps no copy: the kept generators are the very
+        permutations streamed in, identities and repeats dropped."""
+        cycle, again = parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 2 3 4)", 4)
+        swap = parse_cycles("(1 2)", 4)
+        passed = [identity(4), cycle, again, swap]
+        group = GeneratedGroup._streamed(4, iter(passed), 24)
+        assert [id(g) for g in group.generators] == [id(cycle), id(swap)]
+        assert group.order() == 24
+
     def test_bound_below_the_order_is_refused(self):
         s4 = [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 2)", 4)]
         with pytest.raises(RuntimeError, match="exceeds its bound"):

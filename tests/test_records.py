@@ -69,7 +69,7 @@ class TestValueSemantics:
 
     def test_assignment_refused(self, name):
         a = FACTORIES[name]()
-        field = "images" if name == "Permutation" else a._fields[0]
+        field = "padded" if name == "Permutation" else a._fields[0]
         before = getattr(a, field)
         with pytest.raises(AttributeError):
             setattr(a, field, None)
@@ -77,6 +77,9 @@ class TestValueSemantics:
             a.extra = 1
         with pytest.raises(AttributeError):
             delattr(a, field)
+        if name == "Permutation":
+            with pytest.raises(AttributeError):
+                a.images = None
         assert getattr(a, field) is before
 
     @pytest.mark.parametrize(
