@@ -250,10 +250,8 @@ class CoverPair:
         goes to (a(x), b(y)), both encoded x-major."""
         n = self.degree_y
         return tuple(
-            _from_padded(
-                (0, *[(ax - 1) * n + by for ax in a.images for by in b.images])
-            )
-            for a, b in zip(self.sigma, self.tau)
+            _from_padded((0, *[(ax - 1) * n + by for ax in a.images for by in ys]))
+            for a, ys in zip(self.sigma, (b.images for b in self.tau))
         )
 
     # -- components -------------------------------------------------------

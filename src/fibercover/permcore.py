@@ -67,7 +67,7 @@ class Permutation:
         n = len(images)
         if n < 1:
             raise ValueError("degree must be >= 1")
-        if any(type(i) is not int for i in images):
+        if set(map(type, images)) != {int}:
             raise ValueError(f"images {images} are not all integers")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"images {images} are not a bijection of 1..{n}")

@@ -516,7 +516,7 @@ class GeneratedGroup:
         _check_listing(index, "cosets")
         reps = [identity(self.degree)]
         labels = {reps[0]: 1}
-        images: list[list[int]] = [[0] for _ in self.generators]
+        padded: list[list[int]] = [[0] for _ in self.generators]
         # ``reps`` doubles as the FIFO queue of cosets to act on.
         for rep in reps:
             for gi, g in enumerate(self.generators):
@@ -525,10 +525,10 @@ class GeneratedGroup:
                 if target is None:
                     target = labels[least] = len(reps) + 1
                     reps.append(least)
-                images[gi].append(target)
+                padded[gi].append(target)
         if len(reps) != index:
             raise RuntimeError("coset enumeration mismatch")
-        perms = [_from_padded(tuple(img)) for img in images]
+        perms = [_from_padded(tuple(p)) for p in padded]
         return perms, index
 
     # -- conjugacy ------------------------------------------------------
