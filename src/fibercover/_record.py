@@ -2,16 +2,20 @@
 in constructor order, and a class attribute named after a field is its
 default.  A record takes its fields by position or by keyword, runs
 ``_check`` and then refuses assignment, though a ``cached_property``
-still fills its ``__dict__``.  Equality, hashing and the repr read the
-fields."""
+still fills its ``__dict__``.  A subclass of a record extends its base's
+fields and defaults.  Equality, hashing and the repr read the fields."""
 
 from __future__ import annotations
 
 
 class Record:
+    _fields = ()
+    _defaults = {}
+
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        own = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = {f: cls.__dict__[f] for f in own if f in cls.__dict__}
+        cls._fields, cls._defaults = cls._fields + own, {**cls._defaults, **defaults}
 
     def __init__(self, *args, **kwargs) -> None:
         fields, values = self._fields, self.__dict__

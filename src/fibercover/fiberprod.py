@@ -126,8 +126,9 @@ class RamPoint(Record):
         return lcm(self.s, self.t) // self.s
 
 
-class CoverPair:
-    """Two covers over a shared ordered branch-point list.
+class CoverPair(Record):
+    """Two covers over a shared ordered branch-point list, held as an
+    immutable record compared by value.
 
     This is the weak pairing: the two tuples are individually valid and
     are aligned point-by-point (identity entries allowed in the aligned
@@ -135,33 +136,23 @@ class CoverPair:
     common-monodromy pairing is :class:`PairedCover`.
     """
 
-    def __init__(
-        self,
-        branch_points: tuple[str, ...],
-        sigma: tuple[Permutation, ...],
-        tau: tuple[Permutation, ...],
-        degree_x: int,
-        degree_y: int,
-    ) -> None:
-        if not (len(branch_points) == len(sigma) == len(tau)):
-            raise ValueError("branch point / tuple length mismatch")
-        if len(set(branch_points)) != len(branch_points):
-            raise ValueError("branch point labels must be distinct")
-        self.branch_points = branch_points
-        self.sigma = sigma
-        self.tau = tau
-        self.degree_x = degree_x
-        self.degree_y = degree_y
-        for p in sigma:
-            if p.degree != degree_x:
-                raise ValueError("sigma degree mismatch")
-        for p in tau:
-            if p.degree != degree_y:
-                raise ValueError("tau degree mismatch")
-        self._validate_sides()
+    branch_points: tuple[str, ...]
+    sigma: tuple[Permutation, ...]
+    tau: tuple[Permutation, ...]
+    degree_x: int
+    degree_y: int
 
-    def _validate_sides(self) -> None:
-        """Check product-one and transitivity of each side."""
+    def _check(self) -> None:
+        if not (len(self.branch_points) == len(self.sigma) == len(self.tau)):
+            raise ValueError("branch point / tuple length mismatch")
+        if len(set(self.branch_points)) != len(self.branch_points):
+            raise ValueError("branch point labels must be distinct")
+        for p in self.sigma:
+            if p.degree != self.degree_x:
+                raise ValueError("sigma degree mismatch")
+        for p in self.tau:
+            if p.degree != self.degree_y:
+                raise ValueError("tau degree mismatch")
         for tup, deg, name in (
             (self.sigma, self.degree_x, "sigma"),
             (self.tau, self.degree_y, "tau"),
@@ -332,7 +323,8 @@ class CoverPair:
 
 class PairedCover(CoverPair):
     """A pair of covers carrying simultaneous branch cycles of a common
-    abstract element at every branch point.
+    abstract element at every branch point: a record with the five
+    fields of :class:`CoverPair`, compared by value like it.
 
     On top of the weak pairing this checks: no identity entries,
     matching entry orders, and that the joint diagonal group projects
@@ -342,23 +334,16 @@ class PairedCover(CoverPair):
     only the y-side builds a chain of its own.
     """
 
-    def __init__(
-        self,
-        branch_points: tuple[str, ...],
-        sigma: tuple[Permutation, ...],
-        tau: tuple[Permutation, ...],
-        degree_x: int,
-        degree_y: int,
-    ) -> None:
-        super().__init__(branch_points, sigma, tau, degree_x, degree_y)
-        for a, b in zip(sigma, tau):
+    def _check(self) -> None:
+        super()._check()
+        for a, b in zip(self.sigma, self.tau):
             if a.is_identity or b.is_identity:
                 raise InvalidCoverError("paired covers allow no identity entries")
             if a.order() != b.order():
                 raise InvalidCoverError(
                     f"entry orders differ: {a.order()} vs {b.order()}"
                 )
-        _require_common_group(self.joint_group, degree_x, tau, degree_y)
+        _require_common_group(self.joint_group, self.degree_x, self.tau, self.degree_y)
 
     @staticmethod
     def from_joint_tuple(
@@ -480,19 +465,14 @@ class Component:
     @cached_property
     def genus_method2(self) -> int:
         """Riemann–Hurwitz on the projection-to-y branch data: the
-        component covers the y-curve with degree ``deg_over_y``, so
-        2g - 2 = deg_over_y * (2g_y - 2) + sum of local indices, where
-        g_y is the y-cover's genus.  The indices are conjugation
+        component covers the y-curve with degree ell = ``deg_over_y``, so
+        2g - 2 = ell * (2g_y - 2) + sum of local indices, where g_y is the
+        y-cover's genus; that is ``genus_from_tuple`` at degree ell with
+        index sum (sum + 2 * ell * g_y).  The indices are conjugation
         invariants, so no product-one adjustment is needed."""
         index_sum = sum(p.index() for _, p in self._pry_entry_data)
-        g_y = self.pair.y_genus
-        doubled = self.deg_over_y * (2 * g_y - 2) + index_sum + 2
-        if doubled % 2 != 0 or doubled < 0:
-            raise InvalidCoverError(
-                f"inconsistent projection data: index sum {index_sum}, "
-                f"base genus {g_y}"
-            )
-        return doubled // 2
+        ell = self.deg_over_y
+        return genus_from_tuple(ell, index_sum + 2 * ell * self.pair.y_genus)
 
     def pry_branch_cycles(self, search_cap: int = 10**6) -> Cover:
         """A validated branch-cycle description of the projection of this

@@ -69,9 +69,8 @@ class NielsenClassSpec(Record):
         for rep in self.class_reps:
             if not self.group.contains(rep):
                 raise ValueError("class representative not in group")
-        generators = self.group.generators
         for h in self.outer_elements:
-            if not all(self.group.contains(g.conjugate(h)) for g in generators):
+            if not self.group._normalized_by(h):
                 raise ValueError(f"outer element {h} does not normalize the group")
 
     @property

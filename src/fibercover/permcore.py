@@ -106,7 +106,9 @@ class Permutation:
 
     def apply(self, letter: int) -> int:
         """Image of ``letter`` under the right action."""
-        return self.padded[letter]
+        if 0 < letter < len(self.padded):
+            return self.padded[letter]
+        raise ValueError(f"letter {letter} out of range for degree {self.degree}")
 
     @property
     def is_identity(self) -> bool:

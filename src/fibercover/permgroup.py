@@ -593,11 +593,13 @@ class GeneratedGroup:
             for h in _conjugators_onto(g1, t):
                 if group.order() == bound:
                     return group
-                if not group.contains(h) and all(
-                    self.contains(g.conjugate(h)) for g in self.generators
-                ):
+                if not group.contains(h) and self._normalized_by(h):
                     group = GeneratedGroup._streamed(n, group.generators + [h], bound)
         return group
+
+    def _normalized_by(self, h: Permutation) -> bool:
+        """Whether h^-1 g h lies in the group for every generator g."""
+        return all(self.contains(g.conjugate(h)) for g in self.generators)
 
     def class_stabilizer(
         self,

@@ -228,6 +228,56 @@ class TestRamification:
             assert r.ram_index_over_x == lcm(s, t) // s
 
 
+_S2 = parse_cycles("(1 2)", 2)
+_E2 = identity(2)
+_C3 = parse_cycles("(1 2 3)", 3)
+_X = (_S2, _S2)  # a double cover
+_Y = (_C3, _C3.inverse())  # a cyclic triple cover
+_V4 = (parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4))
+_AB = ("a", "b")
+
+# Every refusal of the pair constructors.  PairedCover runs the weak
+# checks first, so the transitivity cases pass through it.
+_REFUSALS = [
+    ("length", CoverPair, (("a",), _X, _Y, 2, 3),
+     ValueError, "branch point / tuple length mismatch"),
+    ("labels", CoverPair, (("a", "a"), _X, _Y, 2, 3),
+     ValueError, "branch point labels must be distinct"),
+    ("sigma-degree", CoverPair, (_AB, _Y, _Y, 2, 3),
+     ValueError, "sigma degree mismatch"),
+    ("tau-degree", CoverPair, (_AB, _X, _Y, 2, 4),
+     ValueError, "tau degree mismatch"),
+    ("sigma-product-one", CoverPair, (_AB, (_S2, _E2), _Y, 2, 3),
+     InvalidCoverError, "sigma tuple fails product-one"),
+    ("tau-product-one", CoverPair, (_AB, _X, (_C3, _C3), 2, 3),
+     InvalidCoverError, "tau tuple fails product-one"),
+    ("sigma-transitive", PairedCover, (_AB, (_E2, _E2), _X, 2, 2),
+     InvalidCoverError, "sigma tuple is not transitive"),
+    ("tau-transitive", PairedCover, (_AB, _X, (_E2, _E2), 2, 2),
+     InvalidCoverError, "tau tuple is not transitive"),
+    ("identity-entry", PairedCover,
+     (("a", "b", "c"), (_S2, _E2, _S2), (_E2, *_X), 2, 2),
+     InvalidCoverError, "paired covers allow no identity entries"),
+    ("entry-orders", PairedCover, (_AB, _X, _Y, 2, 3),
+     InvalidCoverError, "entry orders differ: 2 vs 3"),
+    ("common-group", PairedCover, (("a", "b", "c", "d"), _X * 2, _V4 * 2, 2, 4),
+     InvalidCoverError,
+     "joint group does not project isomorphically to both sides "
+     "(orders 2, 4, joint 4)"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, error, message",
+    [pytest.param(*case[1:], id=case[0]) for case in _REFUSALS],
+)
+def test_pair_constructor_refusals(cls, fields, error, message):
+    with pytest.raises(error) as info:
+        cls(*fields)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 class TestPairValidation:
     def test_order_mismatch_rejected(self):
         with pytest.raises(InvalidCoverError):

@@ -33,6 +33,14 @@ class TestRightAction:
         b = p("(2 3)")
         assert (a * b).apply(1) == 3  # 1 -> 2 under a, 2 -> 3 under b
 
+    @pytest.mark.parametrize("letter", [0, -1, 4])
+    def test_apply_refuses_a_letter_out_of_range(self, letter):
+        x = Permutation((2, 3, 1))
+        assert x.apply(3) == 1
+        message = f"^letter {letter} out of range for degree 3$"
+        with pytest.raises(ValueError, match=message):
+            x.apply(letter)
+
     def test_worked_product_of_involutions_is_four_cycle(self):
         # The merged entry of the first four-point source tuple.
         a = p("(1 6)(2 3)")

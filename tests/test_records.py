@@ -14,7 +14,8 @@ import pytest
 from fibercover import catalog
 from fibercover.catalog import PairedClassSpec
 from fibercover.cover import Cover, ValidityReport
-from fibercover.fiberprod import RamPoint, ScreenReport
+from fibercover._record import Record
+from fibercover.fiberprod import CoverPair, PairedCover, RamPoint, ScreenReport
 from fibercover.nielsen import EquivalenceMode, NielsenClassSpec
 from fibercover.permcore import Permutation, parse_cycles
 from fibercover.permgroup import BlockSystem, GeneratedGroup
@@ -33,6 +34,13 @@ def _spec():
     return NielsenClassSpec(_V4, (_p("(1 2)(3 4)"),) * 2, EquivalenceMode.INNER)
 
 
+# The fields of a weak pair (a double cover and a cyclic triple cover)
+# and of a strong pair (an S3 tuple paired with itself).
+_WEAK = (("a", "b"), (_p("(1 2)", 2),) * 2, (_p("(1 2 3)", 3), _p("(1 3 2)", 3)), 2, 3)
+_S3 = (_p("(1 2)", 3), _p("(2 3)", 3), _p("(1 2 3)", 3))
+_STRONG = (("a", "b", "c"), _S3, _S3, 3, 3)
+
+
 # Each factory builds a new instance from equal fields on every call.
 FACTORIES = {
     "Permutation": lambda: Permutation((2, 3, 1, 4)),
@@ -45,6 +53,8 @@ FACTORIES = {
         False, Fraction(1, 2), 0, ("q",), None, "", True, False, ("n",)
     ),
     "PairedClassSpec": lambda: PairedClassSpec(_spec(), 2, ("z1", "z2")),
+    "CoverPair": lambda: CoverPair(*_WEAK),
+    "PairedCover": lambda: PairedCover(*_STRONG),
 }
 
 
@@ -129,6 +139,37 @@ class TestConstructorSignatures:
     def test_bad_arguments_refused(self, args, kwargs):
         with pytest.raises(TypeError):
             Cover(*args, **kwargs)
+
+    @pytest.mark.parametrize(
+        "cls, fields",
+        [(CoverPair, _WEAK), (PairedCover, _STRONG)],
+        ids=["CoverPair", "PairedCover"],
+    )
+    def test_pairs_bind_by_position_or_keyword(self, cls, fields):
+        labels, sigma, tau, m, n = fields
+        positional = cls(*fields)
+        assert positional == cls(
+            degree_y=n, degree_x=m, tau=tau, sigma=sigma, branch_points=labels
+        )
+        assert positional == cls(labels, sigma, tau, degree_y=n, degree_x=m)
+        with pytest.raises(TypeError):
+            cls(labels, sigma, tau, m)
+        with pytest.raises(TypeError):
+            cls(*fields, degree_x=m)
+
+    def test_subclass_extends_fields_and_defaults(self):
+        class Base(Record):
+            a: int
+            b: int = 2
+
+        class Sub(Base):
+            c: int = 3
+
+        assert PairedCover._fields == CoverPair._fields
+        assert Sub._fields == ("a", "b", "c")
+        assert Sub._defaults == {"b": 2, "c": 3}
+        assert Base._fields == ("a", "b") and Base._defaults == {"b": 2}
+        assert Sub(1) == Sub(1, 2, 3) and Sub(1, c=4).c == 4
 
     def test_checks_still_run(self):
         with pytest.raises(ValueError, match="identity entries"):
