@@ -2,8 +2,9 @@
 in constructor order, and a class attribute named after a field is its
 default.  A record takes its fields by position or by keyword, runs
 ``_check`` and then refuses assignment, though a ``cached_property``
-still fills its ``__dict__``.  A subclass of a record extends its base's
-fields and defaults.  Equality, hashing and the repr read the fields."""
+still fills its ``__dict__``; a copy or a pickle takes the fields alone.
+A subclass of a record extends its base's fields and defaults.
+Equality, hashing and the repr read the fields."""
 
 from __future__ import annotations
 
@@ -35,6 +36,10 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
+
+    def __getstate__(self) -> dict:
+        """The fields alone, so a copy or a pickle carries no cached value."""
+        return {f: self.__dict__[f] for f in self._fields}
 
     def __setattr__(self, name: str, *value) -> None:
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")

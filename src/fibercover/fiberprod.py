@@ -18,11 +18,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
+from operator import itemgetter
 
 from ._record import Record
 from .permcore import (
     Permutation,
+    _conjugation,
     _from_padded,
+    _invert,
     _realizations,
     direct_sum,
     dominates,
@@ -32,7 +35,7 @@ from .permcore import (
     split,
 )
 from .permgroup import CapExceededError, GeneratedGroup, orbits
-from .permgroup import _generates, _letter_image, _orbit_stabilizer
+from .permgroup import _generates, _orbit_stabilizer
 from .cover import Cover, InvalidCoverError, equivalent_tuples, genus_from_tuple
 
 __all__ = [
@@ -197,15 +200,15 @@ class CoverPair(Record):
         return self.joint_group.point_stabilizer(1)
 
     @cached_property
-    def y1_orbit_stabilizer(self) -> tuple[dict[int, Permutation], GeneratedGroup]:
+    def y1_orbit_stabilizer(self) -> tuple[dict[int, tuple[int, ...]], GeneratedGroup]:
         """One walk of the orbit of the y-letter 1 (letter m+1) in the
         joint group, shared by every component's projection to the
-        y-line: the carrier, whose entry for y carries m+1 to y, and
-        Stab(m+1).  The joint group preserves the x/y split, so the orbit
-        is all y-letters."""
-        return _orbit_stabilizer(
-            self.joint_group, self.degree_x + 1, _letter_image, "letters"
-        )
+        y-line: the carrier, whose padded entry for y carries m+1 to y,
+        and Stab(m+1).  The joint group preserves the x/y split, so the
+        orbit is all y-letters."""
+        group = self.joint_group
+        actions = [g.padded.__getitem__ for g in group.generators]
+        return _orbit_stabilizer(group, self.degree_x + 1, actions, "letters")
 
     @cached_property
     def _y1_local_cycles(self) -> tuple[tuple[str, Permutation], ...]:
@@ -228,8 +231,9 @@ class CoverPair(Record):
                 power = powers.get(t)
                 if power is None:
                     power = powers[t] = gamma**t
-                # conjugate(h) is h^-1 * power * h; here h = u^-1.
-                delta = power.conjugate(carrier[m + cyc[0]].inverse())
+                # Conjugation by h = u^-1, whose inverse is u itself.
+                u = carrier[m + cyc[0]]
+                delta = _from_padded(_conjugation(_invert(u), u)(power.padded))
                 if delta.apply(m + 1) != m + 1:
                     raise RuntimeError("conjugated cycle fails to fix y-letter 1")
                 out.append((f"{label}/y{cyc[0]}", delta))
@@ -603,13 +607,16 @@ def _class_by_least_conjugator(
     cosets, centralizer = group._class_walk(p)
     t_p = cosets[p]
     if not t_p.is_identity:  # p did not start the walk
+        back = _invert(t_p.padded)
+        onto = _conjugation(t_p.padded, back)
         centralizer = GeneratedGroup._streamed(
             group.degree,
-            [g.conjugate(t_p) for g in centralizer.generators],
+            [_from_padded(onto(g.padded)) for g in centralizer.generators],
             centralizer.order(),
         )
-        back = t_p.inverse()
-        cosets = {c: back * t for c, t in cosets.items()}
+        # t_p^-1 * t, one composition per member.
+        back_then = itemgetter(*back)
+        cosets = {c: _from_padded(back_then(t.padded)) for c, t in cosets.items()}
     least = {c: centralizer.coset_minimum(t) for c, t in cosets.items()}
     return sorted(least, key=least.__getitem__)
 

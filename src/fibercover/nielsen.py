@@ -14,9 +14,10 @@ from array import array
 from enum import Enum
 from functools import cached_property
 from math import factorial, prod
+from operator import attrgetter, itemgetter
 
 from ._record import Record
-from .permcore import Permutation, _realizations
+from .permcore import Permutation, _conjugation, _from_padded, _invert, _realizations
 from .permgroup import CapExceededError, GeneratedGroup, _check_listing, _generates
 
 __all__ = [
@@ -187,10 +188,10 @@ def canonical_form(
     )
 
 
-def _key(element: NielsenElement) -> bytes:
-    """A compact dict key for a tuple: its padded tuples as 32-bit words."""
-    padded = itertools.chain.from_iterable(p.padded for p in element)
-    return array("I", padded).tobytes()
+def _key(element) -> bytes:
+    """A compact dict key for a tuple of padded tuples: its letters as
+    32-bit words."""
+    return array("I", itertools.chain.from_iterable(element)).tobytes()
 
 
 class _OrbitTable:
@@ -201,36 +202,60 @@ class _OrbitTable:
     with c0 form one orbit of the centralizer C_N(c0).  So a tuple is
     conjugated once onto c0 and its least form is taken over C_N(c0)
     only; those members are keyed, and a later one is a dict lookup.  The
-    result equals ``canonical_form`` over the elements of N.  Members are
-    keyed by packed images, which take a small fraction of the memory of
-    tuples of ``Permutation`` objects."""
+    result equals ``canonical_form`` over the elements of N.  Tuples are
+    conjugated as padded image tuples, which order as their permutations
+    do, and only the least member is wrapped.  Members are keyed by
+    packed images, which take a small fraction of the memory of tuples
+    of ``Permutation`` objects."""
 
     def __init__(self, group: GeneratedGroup) -> None:
         self.group = group
-        # first entry -> (a conjugator onto c0, the elements of C_N(c0))
-        self.onto: dict[Permutation, tuple[Permutation, list[Permutation]]] = {}
+        # first entry, padded -> (h, h^-1) for a conjugator h onto c0, or
+        # None for c0 itself, and the elements of C_N(c0) as (h, h^-1);
+        # all padded.
+        self.onto: dict[tuple[int, ...], tuple] = {}
         self.canonical: dict[bytes, NielsenElement] = {}
 
     def __call__(self, element: NielsenElement) -> NielsenElement:
-        x = element[0]
-        if x not in self.onto:
-            # N's one walk of the N-orbit of first entries, from its start
-            # s: s^t_y = y, s^u = c0, and C_N(c0) = u^-1 C_N(s) u.
-            walk, stabilizer = self.group._class_walk(x)
-            u = walk[min(walk)]
-            centralizer = [h.conjugate(u) for h in stabilizer.elements()]
-            for y, t in walk.items():
-                self.onto[y] = (t.inverse() * u, centralizer)
-        onto, centralizer = self.onto[x]
-        moved = element  # the enumeration's first entries are mostly c0 itself
-        if not onto.is_identity:
-            moved = tuple(p.conjugate(onto) for p in element)
+        moved = [p.padded for p in element]
+        found = self.onto.get(moved[0])
+        if found is None:
+            found = self._walk(element[0])
+        onto, centralizer = found
+        if onto is not None:  # the enumeration's first entries are mostly c0
+            moved = list(map(_conjugation(*onto), moved))
         rep = self.canonical.get(_key(moved))
         if rep is None:
-            members = [tuple(p.conjugate(h) for p in moved) for h in centralizer]
-            rep = min(members)
+            members = [
+                tuple(map(_conjugation(h, h_inverse), moved))
+                for h, h_inverse in centralizer
+            ]
+            rep = tuple(map(_from_padded, min(members)))
             self.canonical.update(dict.fromkeys(map(_key, members), rep))
         return rep
+
+    def _walk(self, x: Permutation) -> tuple:
+        """Record the N-orbit of ``x`` from N's one walk of it, from its
+        start s: s^t_y = y, s^u = c0, so y^(t_y^-1 u) = c0, and
+        C_N(c0) = u^-1 C_N(s) u."""
+        walk, stabilizer = self.group._class_walk(x)
+        c0 = min(walk, key=attrgetter("padded"))
+        u = walk[c0].padded
+        to_c0 = _conjugation(u)
+        centralizer = []
+        for h in stabilizer.elements():
+            c = to_c0(h.padded)
+            centralizer.append((c, _invert(c)))
+        # u^-1 * t_y, the inverse of the conjugator onto c0, is one
+        # composition per member.
+        back_then = itemgetter(*_invert(u))
+        for y, t in walk.items():
+            onto = None
+            if y != c0:
+                onto_inverse = back_then(t.padded)
+                onto = _invert(onto_inverse), onto_inverse
+            self.onto[y.padded] = onto, centralizer
+        return self.onto[x.padded]
 
 
 def enumerate_class(spec: NielsenClassSpec) -> list[NielsenElement]:

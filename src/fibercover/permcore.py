@@ -13,6 +13,9 @@ Conventions used throughout the package:
   bijections by construction, wrapped by ``_from_padded`` unchecked.  A
   permutation is one slot, its padded image tuple (0, p(1), ..., p(n)),
   which equality, hashing, ordering and ``permgroup``'s chain all read.
+* Conjugation is one map on padded tuples, ``_conjugation(h)``, which
+  ``Permutation.conjugate``, the class walks and the Nielsen orbit table
+  all apply.
 * A permutation lists its degree's images, so a degree above
   ``LISTING_CAP`` is refused with ``CapExceededError`` before anything
   of that size is made.
@@ -140,13 +143,9 @@ class Permutation:
     def conjugate(self, h: "Permutation") -> "Permutation":
         """``h^-1 * self * h`` — moves the support of ``self`` by ``h``:
         the image of ``(j)h`` is ``((j)self)h``."""
-        h_padded = h.padded
-        if len(self.padded) != len(h_padded):
+        if len(self.padded) != len(h.padded):
             raise ValueError(f"degree mismatch: {self.degree} vs {h.degree}")
-        padded = [0] * len(h_padded)
-        for hj, pj in zip(h_padded, self.padded):
-            padded[hj] = h_padded[pj]
-        return _from_padded(tuple(padded))
+        return _from_padded(_conjugation(h.padded)(self.padded))
 
     # -- cycle structure ------------------------------------------------
 
@@ -245,6 +244,16 @@ def _invert(padded: tuple[int, ...]) -> tuple[int, ...]:
     for i, image in enumerate(padded):
         inverse[image] = i
     return tuple(inverse)
+
+
+def _conjugation(h: tuple[int, ...], h_inverse: tuple[int, ...] | None = None):
+    """The map x -> h^-1 * x * h on padded tuples of h's degree, the
+    package's one conjugation: ``itemgetter(*x)(h)`` is x * h, and the
+    getter of h^-1's images puts h^-1 before it, so letter i goes to
+    h(x(h^-1(i))).  h is inverted once, here, unless its inverse is
+    passed in."""
+    after_inverse = itemgetter(*(_invert(h) if h_inverse is None else h_inverse))
+    return lambda x: after_inverse(itemgetter(*x)(h))
 
 
 def identity(degree: int) -> Permutation:

@@ -21,11 +21,14 @@ use.
 
 Stab(1) is the chain's own tail and builds nothing.  Outside the
 chain, ``_orbit_stabilizer`` is the one walk from scratch: it walks an
-orbit under any action breadth-first and streams its Schreier generators
-into the stabilizer's own build, bounded by |G| / |orbit|, for point
-stabilizers on letters, centralizers on a conjugacy class, and class
-stabilizers on a class multiset.  A group keeps its class walks
-(``_class_walk``), so each class is walked once for all its readers.
+orbit breadth-first under one action per generator and streams its
+Schreier generators into the stabilizer's own build, bounded by
+|G| / |orbit|, for point stabilizers on letters, centralizers on a
+conjugacy class, and class stabilizers on a class multiset.  Classes and
+multisets are walked as padded tuples under ``permcore._conjugation``,
+so members hash and compare in C; a group keeps its class walks
+(``_class_walk``), wrapped as permutations once, so each class is walked
+once for all its readers.
 Block systems are joins of Atkinson's minimal systems, seeded from the
 orbits of Stab(1), and build no group.
 
@@ -44,11 +47,12 @@ from collections import Counter
 from collections.abc import Iterable
 from functools import cached_property
 from math import factorial, prod
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from ._record import Record
 from .permcore import LISTING_CAP, CapExceededError  # re-exported
 from .permcore import _IDENTITY, Permutation, _from_padded, _invert, identity
+from .permcore import _conjugation
 
 __all__ = [
     "GeneratedGroup",
@@ -127,32 +131,33 @@ class _Level:
                     queue.append((q, self.gens))
 
 
-def _letter_image(p: int, g: Permutation) -> int:
-    return g.padded[p]
-
-
 def _orbit_stabilizer(
-    group: "GeneratedGroup", start, act, what: str
+    group: "GeneratedGroup", start, actions: list, what: str
 ) -> tuple[dict, "GeneratedGroup"]:
-    """The orbit of ``start`` under ``group``, ``act(x, g)`` the image of
-    ``x`` under the generator ``g``, and the stabilizer of ``start``.  The
-    orbit is a breadth-first transversal mapping each member y, in
-    discovery order, to a t with ``act(start, t) == y``; ``what`` names
-    the members in the ``LISTING_CAP`` refusal.  The Schreier generators
-    t_x * g * t_y^-1, y = act(x, g), are formed only as the stabilizer's
-    chain reads them, and the build stops at |G| / |orbit|, the
-    stabilizer's order.  Returns the transversal and the stabilizer, whose
-    generators are the Schreier generators that extended its chain."""
+    """The orbit of ``start`` under ``group`` and the stabilizer of
+    ``start``, ``actions[i](x)`` being the image of the member ``x`` under
+    the generator ``group.generators[i]``: ``g.padded.__getitem__`` on
+    letters, ``_conjugation(g.padded)`` on padded classes.  The orbit is
+    a breadth-first transversal mapping each member y, in discovery
+    order, to the padded t with ``start^t == y``; ``what`` names the
+    members in the ``LISTING_CAP`` refusal.  Members are hashed and
+    compared as the actions return them, so padded members cost no
+    Python-level hash.  The Schreier generators t_x * g * t_y^-1,
+    y = x^g, are formed only as the stabilizer's chain reads them, and
+    the build stops at |G| / |orbit|, the stabilizer's order.  Returns
+    the transversal and the stabilizer, whose generators are the
+    Schreier generators that extended its chain."""
     one = _IDENTITY[group.degree]
+    steps = list(zip([g.padded for g in group.generators], actions))
     transversal = {start: one}  # y -> t_y, a padded tuple
     # ``members`` doubles as the FIFO queue of members to act on.
     members = [start]
     for x in members:
         t_then = itemgetter(*transversal[x])
-        for g in group.generators:
-            y = act(x, g)
+        for g, act in steps:
+            y = act(x)
             if y not in transversal:
-                transversal[y] = t_then(g.padded)
+                transversal[y] = t_then(g)
                 members.append(y)
                 _check_listing(len(members), what)
     inverses: dict = {}  # y -> t_y^-1
@@ -160,18 +165,17 @@ def _orbit_stabilizer(
     def schreier():
         for x, t in transversal.items():
             t_then = itemgetter(*t)
-            for g in group.generators:
-                y = act(x, g)
+            for g, act in steps:
+                y = act(x)
                 if y not in inverses:
                     inverses[y] = _invert(transversal[y])
                 # t * g * t_y^-1, as ``_verify`` forms it.
-                padded = itemgetter(*t_then(g.padded))(inverses[y])
+                padded = itemgetter(*t_then(g))(inverses[y])
                 if padded != one:  # else the edge that found y
                     yield _from_padded(padded)
 
     bound = group.order() // len(transversal)
-    stabilizer = GeneratedGroup._streamed(group.degree, schreier(), bound)
-    return {y: _from_padded(t) for y, t in transversal.items()}, stabilizer
+    return transversal, GeneratedGroup._streamed(group.degree, schreier(), bound)
 
 
 def _generates(group: "GeneratedGroup", candidates: list[Permutation]) -> bool:
@@ -424,7 +428,8 @@ class GeneratedGroup:
         if not 1 <= letter <= self.degree:
             raise ValueError(f"letter {letter} out of range")
         if letter > 1:
-            return _orbit_stabilizer(self, letter, _letter_image, "letters")[1]
+            actions = [g.padded.__getitem__ for g in self.generators]
+            return _orbit_stabilizer(self, letter, actions, "letters")[1]
         first = _Level(1, self._one)
         del first.gens, first.transversal
         tail = GeneratedGroup.__new__(GeneratedGroup)
@@ -534,25 +539,32 @@ class GeneratedGroup:
     # -- conjugacy ------------------------------------------------------
 
     @cached_property
-    def _class_walks(self) -> dict[Permutation, tuple]:
-        return {}  # each member of a walked class -> that class's walk
+    def _class_walks(self) -> dict[tuple[int, ...], tuple]:
+        return {}  # each member of a walked class, padded -> the class's walk
 
     def _class_walk(self, x: Permutation) -> tuple[dict, GeneratedGroup]:
         """The conjugation orbit of ``x`` over the generators, walked once
         per class and kept under every member: each member c -> a t with
         start^t = c, the start being the member the walk began at, and
-        the centralizer C(start).  Refused past ``LISTING_CAP`` members."""
-        walk = self._class_walks.get(x)
+        the centralizer C(start).  The walk conjugates padded tuples, and
+        its members and conjugators are wrapped as permutations once,
+        here.  Refused past ``LISTING_CAP`` members."""
+        walk = self._class_walks.get(x.padded)
         if walk is None:
-            walk = _orbit_stabilizer(self, x, Permutation.conjugate, "class members")
-            self._class_walks.update(dict.fromkeys(walk[0], walk))
+            actions = [_conjugation(g.padded) for g in self.generators]
+            members, centralizer = _orbit_stabilizer(
+                self, x.padded, actions, "class members"
+            )
+            kept = {_from_padded(c): _from_padded(t) for c, t in members.items()}
+            walk = kept, centralizer
+            self._class_walks.update(dict.fromkeys(members, walk))
         return walk
 
     def conjugacy_class(self, x: Permutation) -> list[Permutation]:
         """The G-class of ``x``, sorted, from its kept walk."""
         if not self.contains(x):
             raise ValueError("element not in group")
-        return sorted(self._class_walk(x)[0])
+        return sorted(self._class_walk(x)[0], key=attrgetter("padded"))
 
     def are_conjugate(self, x: Permutation, y: Permutation) -> bool:
         if not self.contains(x):
@@ -617,13 +629,15 @@ class GeneratedGroup:
         if ambient.order() == self._order and self.is_subgroup(ambient):
             return self
 
-        def act(multiset, h: Permutation):
-            return tuple(
-                sorted(tuple(sorted(x.conjugate(h) for x in cls)) for cls in multiset)
+        def on_multisets(h: Permutation):
+            conjugate = _conjugation(h.padded)
+            return lambda multiset: tuple(
+                sorted(tuple(sorted(map(conjugate, cls))) for cls in multiset)
             )
 
-        key = tuple(sorted(tuple(sorted(cls)) for cls in classes))
-        return _orbit_stabilizer(ambient, key, act, "class multisets")[1]
+        key = tuple(sorted(tuple(sorted(x.padded for x in cls)) for cls in classes))
+        actions = [on_multisets(h) for h in ambient.generators]
+        return _orbit_stabilizer(ambient, key, actions, "class multisets")[1]
 
 
 def _symmetric_generators(n: int) -> list[Permutation]:

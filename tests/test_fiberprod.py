@@ -572,9 +572,9 @@ def test_y1_stabilizer_built_once_per_pair(monkeypatch):
     starts = []
     original = permgroup._orbit_stabilizer
 
-    def recording(group, start, act, what):
+    def recording(group, start, actions, what):
         starts.append((group.degree, start))
-        return original(group, start, act, what)
+        return original(group, start, actions, what)
 
     for module in (permgroup, fiberprod):
         monkeypatch.setattr(module, "_orbit_stabilizer", recording)
@@ -595,10 +595,10 @@ def test_projection_walks_each_class_once(monkeypatch):
     walks = []
     original = permgroup._orbit_stabilizer
 
-    def recording(group, start, act, what):
-        if act is Permutation.conjugate:
+    def recording(group, start, actions, what):
+        if what == "class members":
             walks.append(start)
-        return original(group, start, act, what)
+        return original(group, start, actions, what)
 
     monkeypatch.setattr(permgroup, "_orbit_stabilizer", recording)
     pair = catalog.build_sm_pair(8)

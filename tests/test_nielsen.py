@@ -360,10 +360,11 @@ def _recorded_class_walks(monkeypatch):
     walks = []
     original = permgroup._orbit_stabilizer
 
-    def recording(group, start, act, what):
-        result = original(group, start, act, what)
-        if act is Permutation.conjugate:
-            walks.append((group, frozenset(result[0])))
+    def recording(group, start, actions, what):
+        result = original(group, start, actions, what)
+        if what == "class members":
+            members = frozenset(Permutation(c[1:]) for c in result[0])
+            walks.append((group, members))
         return result
 
     monkeypatch.setattr(permgroup, "_orbit_stabilizer", recording)

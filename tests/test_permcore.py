@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fibercover.permcore import (
     CapExceededError,
     Permutation,
+    _conjugation,
     _realizations,
     direct_sum,
     dominates,
@@ -233,6 +234,33 @@ class TestAgainstReference:
             while power != tuple(range(1, n + 1)):
                 order, power = order + 1, _ref_mul(power, a)
             assert x.order() == order
+
+
+def _ref_conjugate(padded_x, padded_h):
+    """h^-1 * x * h by a plain scatter: the image of (j)h is ((j)x)h."""
+    out = [0] * len(padded_h)
+    for j in range(len(padded_h)):
+        out[padded_h[j]] = padded_h[padded_x[j]]
+    return tuple(out)
+
+
+class TestConjugation:
+    """``_conjugation(h)`` is the one conjugation on padded tuples, which
+    ``Permutation.conjugate``, the class walks and the Nielsen orbit table
+    all apply."""
+
+    def test_against_the_scatter_reference(self):
+        rng = random.Random(9013)
+        for n in range(1, 41):
+            for _ in range(8):
+                x, h = (Permutation(rng.sample(range(1, n + 1), n)) for _ in range(2))
+                conjugation = _conjugation(h.padded)
+                expected = _ref_conjugate(x.padded, h.padded)
+                assert conjugation(x.padded) == x.conjugate(h).padded == expected
+                assert _conjugation(h.padded, h.inverse().padded)(x.padded) == expected
+                # One map serves every member, as in a class walk.
+                y = Permutation(rng.sample(range(1, n + 1), n))
+                assert conjugation(y.padded) == _ref_conjugate(y.padded, h.padded)
 
 
 class TestCycleStructure:

@@ -338,11 +338,11 @@ class TestLevelTransversal:
             expected = _bfs_transversal(point, gens, n)
             assert list(level.transversal) == list(expected)
             assert level.transversal == {q: _padded(t) for q, t in expected.items()}
-            walked, _ = permgroup._orbit_stabilizer(
-                GeneratedGroup(n, gens), point, permgroup._letter_image, "letters"
-            )
+            group = GeneratedGroup(n, gens)
+            actions = [g.padded.__getitem__ for g in group.generators]
+            walked, _ = permgroup._orbit_stabilizer(group, point, actions, "letters")
             assert list(walked) == list(expected)
-            assert walked == expected
+            assert walked == {q: _padded(t) for q, t in expected.items()}
             intransitive += len(expected) < n
         assert intransitive > 20
 

@@ -16,6 +16,9 @@
   that fuse classes, the representatives are the canonical forms over
   all conjugators of the generating tuples the plain loop finds;
 * the normalizer and class stabilizer equal a sweep over all of S_n;
+* each listed class is a plain conjugation closure, every kept
+  conjugator carries its walk's start to its member, |class| * |C| =
+  |G|, and class stabilizers equal a sweep over the ambient group;
 * group elements listed from the stabilizer chain equal a closure walk;
 * the lazy product-one adjustment returns what the backward-table
   search returns, and yields every product-one choice in its order;
@@ -59,6 +62,7 @@ from fibercover.nielsen import (
 )
 from fibercover.permcore import (
     Permutation,
+    _conjugation,
     _realizations,
     direct_sum,
     identity,
@@ -761,6 +765,69 @@ class TestNormalizerOracle:
         assert group.is_subgroup(normalizer)
 
 
+# -- conjugation orbits against plain closures ---------------------------------
+
+
+def _plain_class(x, gens):
+    """The class of the image tuple ``x``: its closure under g^-1 x g."""
+    found, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        for g in gens:
+            z = _conj(y, g)
+            if z not in found:
+                found.add(z)
+                todo.append(z)
+    return found
+
+
+class TestConjugationOrbits:
+    def test_classes_and_walks_on_random_groups(self):
+        """Each listed class is the plain closure, sorted; every kept
+        conjugator carries the walk's start to its member; and
+        |class| * |C(start)| = |G|."""
+        rng = random.Random(4409)
+        nontrivial = 0
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            group = GeneratedGroup(n, _random_generators(rng, n))
+            gens = [g.images for g in group.generators]
+            elements = group.elements()
+            for x in rng.sample(elements, min(3, len(elements))):
+                listed = group.conjugacy_class(x)
+                assert [c.images for c in listed] == sorted(_plain_class(x.images, gens))
+                walk, centralizer = group._class_walk(x)
+                (start,) = [c for c, t in walk.items() if t.is_identity]
+                s = start.images
+                assert all(_conj(s, t.images) == c.images for c, t in walk.items())
+                assert len(walk) * centralizer.order() == group.order()
+                assert all(_conj(s, h.images) == s for h in centralizer.generators)
+                nontrivial += len(walk) > 1
+        assert nontrivial > 50
+
+    def test_class_stabilizer_against_ambient_elements(self):
+        """On degrees up to 8, against a sweep over the ambient group's
+        listed elements, for ambient groups of order at most 720."""
+        rng = random.Random(5087)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            group = GeneratedGroup(n, _random_generators(rng, n))
+            ambient = GeneratedGroup(n, group.generators + _random_generators(rng, n))
+            if ambient.order() > 720:
+                continue
+            elements = group.elements()
+            classes = [
+                group.conjugacy_class(rng.choice(elements))
+                for _ in range(rng.randint(1, 3))
+            ]
+            stab = group.class_stabilizer(classes, ambient=ambient)
+            swept = {h.images for h in ambient.elements()}
+            assert _images(stab) == _brute_class_stabilizer(classes, swept)
+            checked += stab.order() < ambient.order()
+        assert checked > 20
+
+
 # -- element listing against a closure walk ------------------------------------
 
 
@@ -801,8 +868,9 @@ class TestClassByLeastConjugator:
                 # once, at the first sorted h with p^h = c.
                 expected = list(dict.fromkeys(p.conjugate(h) for h in elements))
                 assert _class_by_least_conjugator(group, p) == expected
+                actions = [_conjugation(g.padded) for g in group.generators]
                 members, centralizer = _orbit_stabilizer(
-                    group, p, Permutation.conjugate, "class members"
+                    group, p.padded, actions, "class members"
                 )
                 assert centralizer.order() * len(members) == group.order()
                 assert centralizer.order() == sym.centralizer(_sympy_perm(p)).order()
@@ -824,9 +892,9 @@ class TestClassByLeastConjugator:
         walks = []
         original = permgroup._orbit_stabilizer
 
-        def recording(group, start, act, what):
+        def recording(group, start, actions, what):
             walks.append(start)
-            return original(group, start, act, what)
+            return original(group, start, actions, what)
 
         monkeypatch.setattr(permgroup, "_orbit_stabilizer", recording)
         rng = random.Random(6113)

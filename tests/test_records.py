@@ -113,6 +113,23 @@ def test_cached_values_do_not_change_equality():
     assert a == b and hash(a) == hash(b)
 
 
+def test_copies_carry_no_cached_values():
+    """A pair pickles to the same bytes once its components' genus,
+    witnesses and projections are cached as when fresh, and its copies
+    start with its fields alone."""
+    pair = catalog.build_sm_pair(8)
+    fresh, cached = pickle.dumps(pair), set(vars(pair))
+    for component in pair.components:
+        assert component.genus_method1 == component.genus_method2
+        assert component.subgroup_witness[1] == component.deg_over_z
+        assert component.pry_branch_cycles().validate().valid
+    assert set(vars(pair)) > cached > set(pair._fields)
+    assert pickle.dumps(pair) == fresh
+    for clone in (copy.copy(pair), copy.deepcopy(pair), pickle.loads(fresh)):
+        assert vars(clone).keys() == set(pair._fields)
+        assert clone == pair
+
+
 class TestConstructorSignatures:
     def test_positional_keyword_and_default_fields(self):
         spec = catalog.get("deg7-class-3.2.7")
