@@ -18,7 +18,6 @@ from .cover import (
     Cover,
     InvalidCoverError,
     ValidityReport,
-    equivalent_tuples,
     genus_from_tuple,
     multipliers,
 )
@@ -29,9 +28,6 @@ from .fiberprod import (
     RamPoint,
     ScreenReport,
     character_entanglement,
-    detect_clc,
-    double_transitive_complement,
-    genus0_witness,
     pair_covers_over_common_points,
     screen_g1,
 )
@@ -43,7 +39,6 @@ from .nielsen import (
     braid_orbits,
     canonical_form,
     coalesce,
-    coalesce_genus_check,
     enumerate_class,
     h3_structure,
     paired_enumerate,
@@ -75,13 +70,8 @@ __all__ = [
     "catalog",
     "character_entanglement",
     "coalesce",
-    "coalesce_genus_check",
-    "detect_clc",
     "dominates",
-    "double_transitive_complement",
     "enumerate_class",
-    "equivalent_tuples",
-    "genus0_witness",
     "genus_from_tuple",
     "h3_structure",
     "identity",

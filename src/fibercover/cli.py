@@ -281,7 +281,7 @@ def _cmd_catalog(args) -> int:
     try:
         value = catalog.get(args.key)
     except KeyError as exc:
-        raise _BadInput(str(exc)) from exc
+        raise _BadInput(exc.args[0]) from exc
     print(_catalog_json(value))
     return EXIT_OK
 
@@ -290,7 +290,7 @@ def _cmd_growth(args) -> int:
     try:
         pair = catalog.get(args.pair)
     except KeyError as exc:
-        raise _BadInput(str(exc)) from exc
+        raise _BadInput(exc.args[0]) from exc
     if not isinstance(pair, CoverPair):
         raise _BadInput(f"catalog key {args.pair!r} is not a paired cover")
     if args.max_degree < 2:

@@ -23,7 +23,6 @@ __all__ = [
     "InvalidCoverError",
     "genus_from_tuple",
     "multipliers",
-    "equivalent_tuples",
 ]
 
 
@@ -160,17 +159,6 @@ class Cover(Record):
             total += Fraction(1, c.order()) - 1
         return total
 
-    # -- derived covers ---------------------------------------------------
-
-    def self_fiber_subdegrees(self) -> list[int]:
-        """Orbit lengths of the point stabilizer of letter 1, sorted."""
-        self.require_valid()
-        stab = self.group().point_stabilizer(1)
-        return sorted(len(o) for o in stab.orbits())
-
-    def is_doubly_transitive(self) -> bool:
-        return self.self_fiber_subdegrees() == sorted([1, self.degree - 1])
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -212,54 +200,3 @@ def multipliers(group: GeneratedGroup, cycle_class: list[Permutation]) -> set[in
         for u in range(1, n)
         if gcd(u, n) == 1 and rep**u in class_set
     }
-
-
-def equivalent_tuples(
-    tuple_a: tuple[Permutation, ...],
-    tuple_b: tuple[Permutation, ...],
-    degree: int,
-) -> Permutation | None:
-    """A permutation conjugating every entry of ``tuple_a`` to the
-    matching entry of ``tuple_b`` simultaneously, or None.
-
-    Backtracks over letter images, so it stays fast at desk degrees: the
-    least unassigned letter takes each image in ascending order, and each
-    choice extends a copy of the assignment, closed under the entries, so
-    a failed branch needs no undo.  The first conjugator found is the
-    least one, images compared lexicographically.
-    """
-    if len(tuple_a) != len(tuple_b):
-        return None
-    entries = list(zip(tuple_a, tuple_b))
-
-    def extend(assignment: dict[int, int], a: int, b: int) -> dict[int, int] | None:
-        """``assignment`` with a -> b, closed under the entries; None on
-        a conflict."""
-        assignment = dict(assignment)
-        used = set(assignment.values())
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            if x in assignment:
-                if assignment[x] != y:
-                    return None
-            elif y in used:
-                return None
-            else:
-                assignment[x] = y
-                used.add(y)
-                stack.extend((pa.apply(x), pb.apply(y)) for pa, pb in entries)
-        return assignment
-
-    def search(assignment: dict[int, int]) -> Permutation | None:
-        free = [i for i in range(1, degree + 1) if i not in assignment]
-        if not free:
-            return Permutation(tuple(assignment[i] for i in range(1, degree + 1)))
-        for candidate in range(1, degree + 1):
-            extended = extend(assignment, free[0], candidate)
-            found = None if extended is None else search(extended)
-            if found is not None:
-                return found
-        return None
-
-    return search({})

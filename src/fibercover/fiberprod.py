@@ -36,7 +36,7 @@ from .permcore import (
 )
 from .permgroup import CapExceededError, GeneratedGroup, orbits
 from .permgroup import _generates, _orbit_stabilizer
-from .cover import Cover, InvalidCoverError, equivalent_tuples, genus_from_tuple
+from .cover import Cover, InvalidCoverError, genus_from_tuple
 
 __all__ = [
     "CoverPair",
@@ -46,8 +46,6 @@ __all__ = [
     "ScreenReport",
     "character_entanglement",
     "pair_covers_over_common_points",
-    "double_transitive_complement",
-    "detect_clc",
     "screen_g1",
 ]
 
@@ -55,11 +53,6 @@ __all__ = [
 def _tensor_letter(x: int, y: int, n: int) -> int:
     """x-major encoding of the tensor letter (x, y) into 1..m*n."""
     return (x - 1) * n + y
-
-
-def _tensor_pair(letter: int, n: int) -> tuple[int, int]:
-    x, y = divmod(letter - 1, n)
-    return x + 1, y + 1
 
 
 def _joint(x_perms, y_perms) -> tuple[Permutation, ...]:
@@ -360,16 +353,6 @@ class PairedCover(CoverPair):
         sigma, tau = zip(*(split(p, degree_x) for p in element))
         return PairedCover(branch_points, sigma, tau, degree_x, tau[0].degree)
 
-    def swapped(self) -> "PairedCover":
-        return PairedCover(
-            self.branch_points,
-            self.tau,
-            self.sigma,
-            self.degree_y,
-            self.degree_x,
-        )
-
-
 class Component:
     """One component of the fiber product: an orbit on tensor letters."""
 
@@ -399,19 +382,8 @@ class Component:
             for x in range(1, self.pair.degree_x + 1)
             if _tensor_letter(x, 1, n) in self.letter_set
         )
-        assert len(out) == self.deg_over_y
-        return out
-
-    @cached_property
-    def y_orbit_over_x1(self) -> tuple[int, ...]:
-        """I: the y-letters y with (1, y) in this orbit; |I| = deg_over_x."""
-        n = self.pair.degree_y
-        out = tuple(
-            y
-            for y in range(1, n + 1)
-            if _tensor_letter(1, y, n) in self.letter_set
-        )
-        assert len(out) == self.deg_over_x
+        if len(out) != self.deg_over_y:
+            raise RuntimeError("x-orbit over y-letter 1 has the wrong size")
         return out
 
     @cached_property
@@ -423,7 +395,8 @@ class Component:
         order of the tensor letter's stabilizer."""
         pair = self.pair
         y = self.orbit[0]
-        assert y <= pair.degree_y, "least tensor letter has x != 1"
+        if y > pair.degree_y:
+            raise RuntimeError("least tensor letter has x != 1")
         stab = pair.x1_stabilizer.point_stabilizer(pair.degree_x + y)
         index = pair.joint_group.order() // stab.order()
         if index != self.deg_over_z:
@@ -672,39 +645,6 @@ def character_entanglement(
     return {"galois_entangled": galois, "davenport_entangled": davenport}
 
 
-def double_transitive_complement(c: Cover) -> int:
-    """Genus of the non-diagonal component of the self fiber product of a
-    doubly transitive cover, computed from the cycle-pair ramification
-    arithmetic; cross-checked against the orbit-restriction genus."""
-    c.require_valid()
-    if not c.is_doubly_transitive():
-        raise ValueError("cover is not doubly transitive")
-    m = c.degree
-    if m == 2:
-        return 0
-    pair = CoverPair(
-        c.branch_points, c.cycles, c.cycles, c.degree, c.degree
-    )
-    # Ramification route: the index of a branch cycle on the full tensor
-    # square is the sum over its cycle pairs (s, t) of s*t - gcd(s, t);
-    # subtracting the diagonal's contribution leaves the complement.
-    tensor_index = sum(rp.s * rp.t - rp.count for rp in pair.ramification_profile())
-    index_sum = tensor_index - sum(p.index() for p in c.cycles)
-    genus_ram = genus_from_tuple(m * (m - 1), index_sum)
-    # Orbit route via the generic component machinery.
-    complement = [
-        comp for comp in pair.components if comp.deg_over_z == m * (m - 1)
-    ]
-    if len(complement) != 1:
-        raise RuntimeError("expected exactly one non-diagonal component")
-    genus_orbit = complement[0].genus_method1
-    if genus_ram != genus_orbit:
-        raise RuntimeError(
-            f"complement genus mismatch: {genus_ram} vs {genus_orbit}"
-        )
-    return genus_ram
-
-
 def _quotient_covers(c: Cover) -> list[tuple[str, Cover]]:
     """The cover itself plus its quotient through each nontrivial block
     system (degree = number of blocks), one per system: a system has more
@@ -717,52 +657,6 @@ def _quotient_covers(c: Cover) -> list[tuple[str, Cover]]:
         )
         out.append((f"blocks-of-size-{bs.block_size}", quotient))
     return out
-
-
-def detect_clc(f: Cover, g: Cover) -> dict | None:
-    """Search for a common left composite: a shared quotient cover of
-    degree at least 2 through which both covers factor.  Returns a
-    witness description or None."""
-    quotients_g = None  # listed on first need: f of degree 1 never needs them
-    for name_f, qf in _quotient_covers(f):
-        if qf.degree < 2:
-            continue
-        if quotients_g is None:
-            quotients_g = _quotient_covers(g)
-        for name_g, qg in quotients_g:
-            if qg.degree != qf.degree:
-                continue
-            if qf.branch_points != qg.branch_points:
-                continue
-            conj = equivalent_tuples(qf.cycles, qg.cycles, qf.degree)
-            if conj is not None:
-                return {
-                    "f_quotient": name_f,
-                    "g_quotient": name_g,
-                    "degree": qf.degree,
-                    "conjugator": str(conj),
-                }
-    return None
-
-
-def genus0_witness(pair: PairedCover, component: Component) -> dict:
-    """For a genus-0 component, the two branch-cycle covers W -> x-line
-    and W -> y-line whose degrees factor the component's degree over z."""
-    if component.genus_method1 != 0:
-        raise ValueError("component genus is not 0")
-    cover_over_y = component.pry_branch_cycles()
-    swapped = pair.swapped()
-    n = pair.degree_y
-    swapped_orbit = tuple(
-        _tensor_letter(y, x, pair.degree_x)
-        for letter in component.orbit
-        for x, y in [_tensor_pair(letter, n)]
-    )
-    swapped_component = Component(swapped, swapped_orbit)
-    cover_over_x = swapped_component.pry_branch_cycles()
-    assert cover_over_y.degree * pair.degree_y == component.deg_over_z
-    assert cover_over_x.degree * pair.degree_x == component.deg_over_z
-    return {"cover_over_x": cover_over_x, "cover_over_y": cover_over_y}
 
 
 class ScreenReport(Record):

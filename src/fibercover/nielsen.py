@@ -29,7 +29,6 @@ __all__ = [
     "braid_orbits",
     "h3_structure",
     "coalesce",
-    "coalesce_genus_check",
 ]
 
 DEFAULT_SEARCH_CAP = 10**7
@@ -396,11 +395,6 @@ def coalesce(
     else:
         new = element[: at - 1] + (merged,) + element[at + 1 :]
     return new, {"restricted": _generates(group, new), "identity_dropped": dropped}
-
-
-def coalesce_genus_check(genus_before: int, genus_after: int) -> bool:
-    """Coalescing models branch-point collision; the genus cannot rise."""
-    return genus_after <= genus_before
 
 
 # -- paired enumeration -------------------------------------------------------

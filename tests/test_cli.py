@@ -555,6 +555,9 @@ class TestCatalogCommand:
 
     def test_unknown_key_exit_4(self, capsys):
         assert main(["catalog", "get", "nope"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown catalog key 'nope'\n"
 
     def test_get_without_key_exit_4(self, capsys):
         assert main(["catalog", "get"]) == 4
@@ -628,6 +631,7 @@ class TestGrowthCommand:
         [
             ("deg7-cover-1", "3", "catalog key 'deg7-cover-1' is not a paired cover"),
             ("deg7-pair-1", "1", "--max-degree must be at least 2"),
+            ("nope", "3", "unknown catalog key 'nope'"),
         ],
     )
     def test_refusals_exit_4(self, pair, max_degree, message, capsys):

@@ -7,17 +7,17 @@ from fractions import Fraction
 
 import pytest
 
+from fibercover import catalog
 from fibercover.catalog import build_sm_pair, pairs_permutation
 from fibercover.cover import (
     Cover,
     InvalidCoverError,
     ValidityReport,
-    equivalent_tuples,
     genus_from_tuple,
     multipliers,
 )
-from fibercover.fiberprod import character_entanglement
-from fibercover.permcore import Permutation, identity, parse_cycles
+from fibercover.fiberprod import CoverPair, character_entanglement
+from fibercover.permcore import Permutation, identity, parse_cycles, product
 from fibercover.permgroup import GeneratedGroup
 
 
@@ -131,15 +131,18 @@ class TestDerived:
         assert induced.genus() == DEG7_1.genus()
 
     def test_self_fiber_subdegrees(self):
-        assert DEG7_1.self_fiber_subdegrees() == [1, 6]
-        assert DEG7_1.is_doubly_transitive()
+        """The orbits of Stab(1) are {1} and the other six letters, so the
+        degree-7 group is doubly transitive."""
+        stab = DEG7_1.group().point_stabilizer(1)
+        assert sorted(len(o) for o in stab.orbits()) == [1, 6]
 
     def test_imprimitive_cover_not_doubly_transitive(self):
         a = parse_cycles("(1 2 3 4)", 4)
         b = parse_cycles("(1 3)", 4)
         c = Cover(4, ("a", "b", "c"), (a, b, (a * b).inverse()))
         assert c.validate().valid
-        assert not c.is_doubly_transitive()
+        stab = c.group().point_stabilizer(1)
+        assert sorted(len(o) for o in stab.orbits()) != [1, 3]
 
 
 class TestMultipliers:
@@ -218,87 +221,101 @@ class TestEntanglement:
         assert builds == [14, 7]
 
 
+def _graph(h: Permutation) -> tuple[int, ...]:
+    """The tensor letters (x, x^h) of the graph of h, x-major."""
+    n = h.degree
+    return tuple(sorted((x - 1) * n + h.apply(x) for x in range(1, n + 1)))
+
+
+def _graph_orbits(tuple_a, tuple_b, n) -> list[tuple[int, ...]]:
+    """The components of degree n over z of the pair (tuple_a, tuple_b)."""
+    labels = tuple(f"z{i}" for i in range(len(tuple_a)))
+    pair = CoverPair(labels, tuple_a, tuple_b, n, n)
+    return sorted(c.orbit for c in pair.components if c.deg_over_z == n)
+
+
 class TestEquivalentTuples:
+    """Two transitive degree-n tuples are simultaneously conjugate exactly
+    when their pair has a component of degree n over z: the graph
+    {(x, x^h)} of a conjugator h."""
+
     def test_conjugate_tuples_found(self):
-        h = p7("(1 2 3 4 5 6 7)")
-        ta = tuple(DEG7_1.cycles)
-        tb = tuple(x.conjugate(h) for x in ta)
-        conj = equivalent_tuples(ta, tb, 7)
-        assert conj is not None
-        assert all(x.conjugate(conj) == y for x, y in zip(ta, tb))
+        rng = random.Random(7)
+        for key in ("deg7-pair-1", "deg7-pair-2"):
+            pair = catalog.get(key)
+            for entries in (pair.sigma, pair.tau):
+                for _ in range(5):
+                    letters = list(range(1, 8))
+                    rng.shuffle(letters)
+                    h = Permutation(tuple(letters))
+                    conjugates = tuple(x.conjugate(h) for x in entries)
+                    assert _graph_orbits(entries, conjugates, 7) == [_graph(h)]
 
     def test_inequivalent_tuples_rejected(self):
         # Different cycle types cannot be simultaneously conjugate.
-        assert (
-            equivalent_tuples(tuple(DEG7_1.cycles), tuple(DEG7_2.cycles), 7)
-            is None
-        )
+        assert _graph_orbits(DEG7_1.cycles, DEG7_2.cycles, 7) == []
 
     def test_deg7_sigma_and_tau_tuples_are_not_conjugate(self):
         # Points and lines are inequivalent representations: no single
         # relabeling conjugates sigma to tau entrywise, which is exactly
         # what makes the pair interesting.
-        tau = (
-            p7("(1 2)(3 5)"),
-            p7("(1 3 6 7)(4 5)"),
-            p7("(1 7 6 5 4 3 2)"),
-        )
-        assert equivalent_tuples(tuple(DEG7_1.cycles), tau, 7) is None
+        for key in ("deg7-pair-1", "deg7-pair-2"):
+            pair = catalog.get(key)
+            weak = CoverPair(pair.branch_points, pair.sigma, pair.tau, 7, 7)
+            assert sorted(c.deg_over_z for c in weak.components) == [21, 28]
 
     def test_matches_brute_force_over_symmetric_group(self):
-        """Against every h in S_n, in sorted order: None exactly when no
-        simultaneous conjugator exists, and otherwise the least one (the
-        search takes the least unassigned letter first and its candidate
-        images in ascending order).  Entries are random products of a few
-        transpositions, so many tuples are intransitive, and the partner
-        tuple is a conjugate of the whole tuple, or of each entry by its
-        own h, or random."""
+        """Against every h in S_n: the components of degree n are exactly
+        the graphs of the simultaneous conjugators.  Tuples are random
+        product-one transitive tuples, and the partner tuple is a
+        conjugate of the whole tuple, or of each entry by its own h and
+        closed to product one, or random."""
         rng = random.Random(8117)
-        found = missing = intransitive = 0
-        for _ in range(300):
-            n = rng.randint(1, 6)
+        found = missing = 0
+        for _ in range(150):
+            n = rng.randint(2, 5)
             letters = list(range(1, n + 1))
 
             def random_perm():
                 images = letters[:]
-                for _ in range(rng.randint(0, 2)):
-                    i, j = rng.randrange(n), rng.randrange(n)
-                    images[i], images[j] = images[j], images[i]
-                return Permutation(tuple(images))
-
-            def random_h():
-                images = letters[:]
                 rng.shuffle(images)
                 return Permutation(tuple(images))
 
-            ta = tuple(random_perm() for _ in range(rng.randint(1, 3)))
+            def closed(entries):
+                """``entries`` and the inverse of their product, if the
+                result is transitive, else None."""
+                out = (*entries, product(entries, n).inverse())
+                return out if len(GeneratedGroup(n, list(out)).orbits()) == 1 else None
+
+            ta = None
+            while ta is None:
+                ta = closed(tuple(random_perm() for _ in range(rng.randint(1, 2))))
             kind = rng.randrange(3)
-            if kind == 0:
-                h = random_h()
-                tb = tuple(x.conjugate(h) for x in ta)
-            elif kind == 1:
-                tb = tuple(x.conjugate(random_h()) for x in ta)
-            else:
-                tb = tuple(random_perm() for _ in ta)
-            brute = next(
-                (
-                    h
-                    for h in map(Permutation, itertools.permutations(letters))
-                    if all(x.conjugate(h) == y for x, y in zip(ta, tb))
-                ),
-                None,
-            )
-            assert equivalent_tuples(ta, tb, n) == brute
-            found += brute is not None
-            missing += brute is None
-            intransitive += len(GeneratedGroup(n, list(ta)).orbits()) > 1
-        assert found > 100
-        assert missing > 50
-        assert intransitive > 150
+            tb = None
+            while tb is None:
+                if kind == 0:
+                    h = random_perm()
+                    tb = tuple(x.conjugate(h) for x in ta)
+                elif kind == 1:
+                    tb = closed(tuple(x.conjugate(random_perm()) for x in ta[:-1]))
+                else:
+                    tb = closed(tuple(random_perm() for _ in ta[:-1]))
+            conjugators = [
+                h
+                for h in map(Permutation, itertools.permutations(letters))
+                if all(x.conjugate(h) == y for x, y in zip(ta, tb))
+            ]
+            assert _graph_orbits(ta, tb, n) == sorted(map(_graph, conjugators))
+            found += bool(conjugators)
+            missing += not conjugators
+        assert found > 50
+        assert missing > 30
 
     def test_length_mismatch(self):
+        # Tuples of different lengths are never paired.
         ta = tuple(DEG7_1.cycles)
-        assert equivalent_tuples(ta, ta[:2], 7) is None
+        with pytest.raises(ValueError):
+            CoverPair(DEG7_1.branch_points, ta, ta[:2], 7, 7)
 
 
 class TestSerialization:

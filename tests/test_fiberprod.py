@@ -12,13 +12,10 @@ from pathlib import Path
 import pytest
 
 from fibercover import catalog, fiberprod, permgroup
-from fibercover.cover import Cover, InvalidCoverError
+from fibercover.cover import Cover, InvalidCoverError, genus_from_tuple
 from fibercover.fiberprod import (
     CoverPair,
     PairedCover,
-    detect_clc,
-    double_transitive_complement,
-    genus0_witness,
     pair_covers_over_common_points,
     screen_g1,
 )
@@ -40,6 +37,15 @@ def pair2():
 
 def by_size(pair):
     return sorted(pair.components, key=lambda c: len(c.orbit))
+
+
+def swapped(pair):
+    """The pair with its sides exchanged: its components are the
+    transposes {(y, x)} of the pair's, and W -> x-line of a component is
+    the y-projection of its transpose."""
+    return PairedCover(
+        pair.branch_points, pair.tau, pair.sigma, pair.degree_y, pair.degree_x
+    )
 
 
 # A genus-1 degree-6 cover paired with a relabelled copy of itself: the
@@ -69,9 +75,15 @@ class TestComponents:
             assert large.x_orbit_over_y1 == (3, 5, 6, 7)
 
     def test_y_orbits_over_x1(self, pair1):
+        """The y-letters over x-letter 1 are the tensor letters (1, y) = y
+        <= n of the orbit, and the x-letters over y-letter 1 of the
+        transposed component."""
+        for component, transposed in zip(by_size(pair1), by_size(swapped(pair1))):
+            over_x1 = tuple(y for y in component.orbit if y <= pair1.degree_y)
+            assert transposed.x_orbit_over_y1 == over_x1
+            assert len(over_x1) == component.deg_over_x
         small, large = by_size(pair1)
-        assert len(small.y_orbit_over_x1) == 3
-        assert len(large.y_orbit_over_x1) == 4
+        assert (small.deg_over_x, large.deg_over_x) == (3, 4)
 
     def test_subgroup_witness_orders_and_indices(self, pair1):
         small, large = by_size(pair1)
@@ -191,15 +203,13 @@ class TestProjections:
         assert capsys.readouterr().out == expected
 
     def test_genus0_witness_degrees(self, pair2):
+        """W -> y-line and W -> x-line of the genus-0 component, the
+        second from the transposed component: 3 * 7 = 21 both ways."""
         small, _ = by_size(pair2)
-        w = genus0_witness(pair2, small)
-        assert w["cover_over_y"].degree * 7 == 21
-        assert w["cover_over_x"].degree * 7 == 21
-
-    def test_genus0_witness_rejects_positive_genus(self, pair1):
-        _, large = by_size(pair1)
-        with pytest.raises(ValueError):
-            genus0_witness(pair1, large)
+        transposed, _ = by_size(swapped(pair2))
+        assert small.genus_method1 == transposed.genus_method1 == 0
+        assert small.pry_branch_cycles().degree * 7 == 21
+        assert transposed.pry_branch_cycles().degree * 7 == 21
 
 
 class TestRamification:
@@ -327,7 +337,7 @@ class TestPairValidation:
         assert again.branch_points == pair1.branch_points
 
     def test_swapped_exchanges_roles(self, pair1):
-        s = pair1.swapped()
+        s = swapped(pair1)
         assert s.sigma == pair1.tau
         assert s.tau == pair1.sigma
         sizes = sorted(len(c.orbit) for c in s.components)
@@ -352,67 +362,48 @@ class TestPairValidation:
         assert sum(sizes) == 49
 
 
+def _off_diagonal(pair: CoverPair) -> list:
+    """The components of a self pair other than the diagonal, which
+    holds the tensor letter (1, 1) = 1."""
+    return [c for c in pair.components if c.orbit[0] != 1]
+
+
 class TestDoublyTransitiveComplement:
+    """The self pair (c, c) of a doubly transitive cover has the diagonal
+    and one more component, whose genus the ramification profile also
+    gives: a branch cycle's index on the tensor square is the sum over
+    its cycle pairs (s, t) of s*t - gcd(s, t), and the diagonal's part is
+    the cover's own index."""
+
+    def check_complement_genus(self, c: Cover, genus: int) -> None:
+        m = c.degree
+        pair = CoverPair(c.branch_points, c.cycles, c.cycles, m, m)
+        tensor_index = sum(rp.s * rp.t - rp.count for rp in pair.ramification_profile())
+        index_sum = tensor_index - sum(p.index() for p in c.cycles)
+        (complement,) = _off_diagonal(pair)
+        assert complement.deg_over_z == m * (m - 1)
+        assert genus_from_tuple(m * (m - 1), index_sum) == genus
+        assert complement.genus_method1 == complement.genus_method2 == genus
+
     def test_deg7_self_product_complement(self):
         f = Cover.from_cycle_strings(
             7,
             ["z1", "z2", "infinity"],
             ["(1 3)(4 5)", "(1 4 6 7)(2 3)", "(1 7 6 5 4 3 2)"],
         )
-        # Internally cross-checked: ramification route == orbit route.
-        g = double_transitive_complement(f)
-        assert g >= 0
+        self.check_complement_genus(f, 1)
 
     def test_degree2_complement_empty(self):
         f = Cover.from_cycle_strings(2, ["a", "b"], ["(1 2)", "(1 2)"])
-        assert double_transitive_complement(f) == 0
+        self.check_complement_genus(f, 0)
 
     def test_rejects_non_doubly_transitive(self):
+        """An imprimitive cover's self pair has more than one component
+        off the diagonal, so there is no one complement."""
         a = parse_cycles("(1 2 3 4)", 4)
         b = parse_cycles("(1 3)", 4)
-        c = Cover(4, ("a", "b", "c"), (a, b, (a * b).inverse()))
-        with pytest.raises(ValueError):
-            double_transitive_complement(c)
-
-
-class TestCommonComposite:
-    def test_quotient_match_detected(self):
-        # Two covers sharing the same degree-2 quotient through blocks.
-        rot = parse_cycles("(1 2 3 4)", 4)
-        refl = parse_cycles("(1 3)", 4)
-        f = Cover(4, ("a", "b", "c"), (rot, refl, (rot * refl).inverse()))
-        clc = detect_clc(f, f)
-        assert clc is not None
-        assert clc["degree"] >= 2
-
-    def test_primitive_covers_have_no_common_composite(self):
-        f = Cover.from_cycle_strings(
-            7,
-            ["z1", "z2", "infinity"],
-            ["(1 3)(4 5)", "(1 4 6 7)(2 3)", "(1 7 6 5 4 3 2)"],
-        )
-        g = Cover.from_cycle_strings(
-            7,
-            ["z1", "z2", "infinity"],
-            ["(1 2)(3 5)", "(1 3 6 7)(4 5)", "(1 7 6 5 4 3 2)"],
-        )
-        assert detect_clc(f, g) is None
-
-    def test_quotients_of_g_listed_once(self, monkeypatch):
-        """g's quotients are listed on first need and once, not again for
-        every quotient of f."""
-        f = catalog.build_dihedral(12, "2^4")
-        g = catalog.build_cyclic_cover(12, ("t1", "t2"))
-        calls = []
-        original = permgroup.GeneratedGroup.block_systems
-
-        def counting(group):
-            calls.append(group)
-            return original(group)
-
-        monkeypatch.setattr(permgroup.GeneratedGroup, "block_systems", counting)
-        detect_clc(f, g)
-        assert sum(group is g.group() for group in calls) == 1
+        cycles = (a, b, (a * b).inverse())
+        assert len(_off_diagonal(CoverPair(("a", "b", "c"), cycles, cycles, 4, 4))) > 1
 
 
 class TestScreening:

@@ -15,10 +15,10 @@ from fibercover.nielsen import (
     braid_apply,
     canonical_form,
     coalesce,
-    coalesce_genus_check,
     enumerate_class,
     h3_structure,
 )
+from fibercover.fiberprod import PairedCover
 from fibercover.permcore import Permutation, identity, parse_cycles
 from fibercover.permgroup import CapExceededError, GeneratedGroup
 
@@ -504,9 +504,27 @@ class TestCoalescing:
             coalesce(tuples["tuple-1"], DEG7_GROUP, at=4)
 
     def test_genus_check_direction(self):
-        assert coalesce_genus_check(4, 1)
-        assert coalesce_genus_check(1, 1)
-        assert not coalesce_genus_check(0, 1)
+        """Coalescing models branch points colliding, so no component's
+        genus rises: both sides of the six-involution pair coalesced down
+        to the printed 3-tuples."""
+        pair = catalog.get("deg7-pair-2^6")
+        sigma_group = GeneratedGroup(7, list(pair.sigma))
+        tau_group = GeneratedGroup(7, list(pair.tau))
+
+        def genuses(pair):
+            components = sorted(pair.components, key=lambda c: len(c.orbit))
+            return [c.genus_method1 for c in components]
+
+        chain = [genuses(pair)]
+        for at in (4, 4, 1):
+            sigma, _ = coalesce(pair.sigma, sigma_group, at=at)
+            tau, _ = coalesce(pair.tau, tau_group, at=at)
+            labels = pair.branch_points[:at] + pair.branch_points[at + 1 :]
+            pair = PairedCover(labels, sigma, tau, 7, 7)
+            chain.append(genuses(pair))
+        printed = catalog.get("deg7-pair-2")
+        assert (pair.sigma, pair.tau) == (printed.sigma, printed.tau)
+        assert chain == [[4, 9], [3, 6], [1, 3], [0, 0]]
 
 
 class TestPairedEnumerate:
