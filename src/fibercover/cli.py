@@ -133,7 +133,6 @@ def _cmd_invariant(args) -> int:
 
 
 def _component_report(component: Component) -> dict:
-    witness, index = component.subgroup_witness
     pry = component.pry_branch_cycles()
     return {
         "orbit": list(component.orbit),
@@ -142,7 +141,7 @@ def _component_report(component: Component) -> dict:
         "l": component.deg_over_y,
         "genus_m1": component.genus_method1,
         "genus_m2": component.genus_method2,
-        "subgroup_index": index,
+        "subgroup_index": component.subgroup_index,
         "pry_cover": pry.to_json_dict(),
     }
 

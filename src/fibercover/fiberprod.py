@@ -35,7 +35,7 @@ from .permcore import (
     split,
 )
 from .permgroup import CapExceededError, GeneratedGroup, orbits
-from .permgroup import _generates, _orbit_stabilizer
+from .permgroup import _generates, _orbit, _stabilizer
 from .cover import Cover, InvalidCoverError, genus_from_tuple
 
 __all__ = [
@@ -201,7 +201,8 @@ class CoverPair(Record):
         orbit is all y-letters."""
         group = self.joint_group
         actions = [g.padded.__getitem__ for g in group.generators]
-        return _orbit_stabilizer(group, self.degree_x + 1, actions, "letters")
+        carrier = _orbit(group, self.degree_x + 1, actions, "letters")
+        return carrier, _stabilizer(group, carrier, actions)
 
     @cached_property
     def _y1_local_cycles(self) -> tuple[tuple[str, Permutation], ...]:
@@ -387,21 +388,33 @@ class Component:
         return out
 
     @cached_property
-    def subgroup_witness(self) -> tuple[GeneratedGroup, int]:
-        """The stabilizer H of the least tensor letter (1, y) of the
-        orbit, with its index; the index equals the component degree over
-        z.  H is Stab(1) ∩ Stab(m + y) in the joint group on m + n
-        letters, which acts faithfully on the tensor letters, so H has the
-        order of the tensor letter's stabilizer."""
+    def subgroup_index(self) -> int:
+        """The index in the joint group of the stabilizer H of the least
+        tensor letter (1, y) of the orbit, which equals the component
+        degree over z.  H is Stab(1) ∩ Stab(m + y), so its index is m
+        times the length of the orbit of m + y under Stab(1), read off
+        the generators of the joint chain's tail; no chain is built."""
         pair = self.pair
-        y = self.orbit[0]
+        m, y = pair.degree_x, self.orbit[0]
         if y > pair.degree_y:
             raise RuntimeError("least tensor letter has x != 1")
-        stab = pair.x1_stabilizer.point_stabilizer(pair.degree_x + y)
-        index = pair.joint_group.order() // stab.order()
+        tail = pair.joint_group._tail_generators
+        found = orbits(tail, m + pair.degree_y)
+        index = m * len(next(o for o in found if m + y in o))
         if index != self.deg_over_z:
             raise RuntimeError("stabilizer index does not match orbit size")
-        return stab, index
+        return index
+
+    @cached_property
+    def subgroup_witness(self) -> tuple[GeneratedGroup, int]:
+        """H, built, with ``subgroup_index``.  The joint group acts
+        faithfully on the tensor letters, so H has the order of the
+        tensor letter's stabilizer."""
+        pair = self.pair
+        stab = pair.x1_stabilizer.point_stabilizer(pair.degree_x + self.orbit[0])
+        if pair.joint_group.order() // stab.order() != self.subgroup_index:
+            raise RuntimeError("stabilizer index does not match orbit size")
+        return stab, self.subgroup_index
 
     # -- genus, method 1 ----------------------------------------------------
 
@@ -526,7 +539,8 @@ def _product_one_adjust(
             "raise the search_cap parameter of Component.pry_branch_cycles"
         )
     lazy = {p: _ClassFromEntry(image_group, p) for p in perms[:-1]}
-    choices = [lazy[p] for p in perms[:-1]] + [image_group._class_walk(perms[-1])[0]]
+    last = list(map(_from_padded, image_group._class_walk(perms[-1])))
+    choices = [lazy[p] for p in perms[:-1]] + [last]
     found = False
     for chosen in _realizations(choices, image_group.degree):
         found = True
@@ -577,11 +591,12 @@ def _class_by_least_conjugator(
 
     The product-one adjustment asks for one entry at a time, and only
     when its search comes back to that entry's position."""
-    cosets, centralizer = group._class_walk(p)
-    t_p = cosets[p]
-    if not t_p.is_identity:  # p did not start the walk
-        back = _invert(t_p.padded)
-        onto = _conjugation(t_p.padded, back)
+    cosets = group._class_walk(p)
+    centralizer = group._centralizer(cosets)
+    t_p = cosets[p.padded]
+    if p.padded != next(iter(cosets)):  # p did not start the walk
+        back = _invert(t_p)
+        onto = _conjugation(t_p, back)
         centralizer = GeneratedGroup._streamed(
             group.degree,
             [_from_padded(onto(g.padded)) for g in centralizer.generators],
@@ -589,9 +604,9 @@ def _class_by_least_conjugator(
         )
         # t_p^-1 * t, one composition per member.
         back_then = itemgetter(*back)
-        cosets = {c: _from_padded(back_then(t.padded)) for c, t in cosets.items()}
-    least = {c: centralizer.coset_minimum(t) for c, t in cosets.items()}
-    return sorted(least, key=least.__getitem__)
+        cosets = {c: back_then(t) for c, t in cosets.items()}
+    least = {c: centralizer.coset_minimum(_from_padded(t)) for c, t in cosets.items()}
+    return list(map(_from_padded, sorted(least, key=least.__getitem__)))
 
 
 # -- whole-pair operations ---------------------------------------------------

@@ -14,7 +14,7 @@ from array import array
 from enum import Enum
 from functools import cached_property
 from math import factorial, prod
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from ._record import Record
 from .permcore import Permutation, _conjugation, _from_padded, _invert, _realizations
@@ -237,12 +237,12 @@ class _OrbitTable:
         """Record the N-orbit of ``x`` from N's one walk of it, from its
         start s: s^t_y = y, s^u = c0, so y^(t_y^-1 u) = c0, and
         C_N(c0) = u^-1 C_N(s) u."""
-        walk, stabilizer = self.group._class_walk(x)
-        c0 = min(walk, key=attrgetter("padded"))
-        u = walk[c0].padded
+        walk = self.group._class_walk(x)
+        c0 = min(walk)
+        u = walk[c0]
         to_c0 = _conjugation(u)
         centralizer = []
-        for h in stabilizer.elements():
+        for h in self.group._centralizer(walk).elements():
             c = to_c0(h.padded)
             centralizer.append((c, _invert(c)))
         # u^-1 * t_y, the inverse of the conjugator onto c0, is one
@@ -251,9 +251,9 @@ class _OrbitTable:
         for y, t in walk.items():
             onto = None
             if y != c0:
-                onto_inverse = back_then(t.padded)
+                onto_inverse = back_then(t)
                 onto = _invert(onto_inverse), onto_inverse
-            self.onto[y.padded] = onto, centralizer
+            self.onto[y] = onto, centralizer
         return self.onto[x.padded]
 
 

@@ -7,28 +7,31 @@ tuple a ``Permutation`` holds, so the chain reads and wraps permutations
 with no conversion.  Levels go down to the last base point that a strong
 generator moves, and past it a sift is one compare with the identity.
 The chain is built at any group order by Schreier–Sims that repeats no
-finished work: a new strong generator extends each level's orbit without
-changing an existing transversal entry (a level keeps the inverses too),
-the generators are sifted in first, and the Schreier generators are
-checked from the deepest level up, resuming at the level that received a
-residue and sifting each (letter, generator) pair once.  ``_streamed``
-is the one bounded build: it stops once the product of the orbit lengths
-reaches an order bound the caller has proved (each orbit of a partial
-chain lies in the true basic orbit, so the product is at most the group
-order, with equality only for a complete chain).  A constructor sets the
-chain alone; the element list and the class walks are cached on first
-use.
+finished work: a strong generator s enters the levels once, with getters
+for s and s^-1, and extends each level's orbit without changing an
+existing entry; a new entry u*s gets its inverse s^-1*u^-1 composed in
+one call.  The generators are sifted in first, and the Schreier
+generators are checked from the deepest level up, resuming at the level
+that received a residue and sifting each (letter, generator) pair once.
+``_streamed`` is the one bounded build: it stops once the product of the
+orbit lengths reaches an order bound the caller has proved (each orbit
+of a partial chain lies in the true basic orbit, so the product is at
+most the group order, with equality only for a complete chain).  A
+constructor sets the chain alone; the element list, the class walks and
+their centralizers are cached on first use.
 
 Stab(1) is the chain's own tail and builds nothing.  Outside the
-chain, ``_orbit_stabilizer`` is the one walk from scratch: it walks an
-orbit breadth-first under one action per generator and streams its
-Schreier generators into the stabilizer's own build, bounded by
-|G| / |orbit|, for point stabilizers on letters, centralizers on a
-conjugacy class, and class stabilizers on a class multiset.  Classes and
-multisets are walked as padded tuples under ``permcore._conjugation``,
-so members hash and compare in C; a group keeps its class walks
-(``_class_walk``), wrapped as permutations once, so each class is walked
-once for all its readers.
+chain, a walk and its stabilizer are two steps: ``_orbit`` is the one
+walk from scratch, breadth-first under one action per generator, and
+``_stabilizer`` streams a walk's Schreier generators into the
+stabilizer's own build, bounded by |G| / |orbit|.  Point stabilizers
+and class stabilizers (on a class multiset) take both steps.  Classes
+and multisets are walked as padded tuples under
+``permcore._conjugation``, so members hash and compare in C.  A group
+keeps its class walks (``_class_walk``), so each class is walked once
+for all its readers; most read only the members, so the centralizer of
+a walk's start is built on its first read (``_centralizer``), from the
+walk kept.
 Block systems are joins of Atkinson's minimal systems, seeded from the
 orbits of Stab(1), and build no group.
 
@@ -47,7 +50,7 @@ from collections import Counter
 from collections.abc import Iterable
 from functools import cached_property
 from math import factorial, prod
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from ._record import Record
 from .permcore import LISTING_CAP, CapExceededError  # re-exported
@@ -98,58 +101,52 @@ def orbits(generators, degree: int) -> list[list[int]]:
 
 class _Level:
     """One level of the stabilizer chain, for a base point: the strong
-    generators fixing every earlier base point, and a breadth-first
-    transversal of the base point's orbit under them, with each entry's
-    inverse (``_invert``), all padded tuples.  Entries are only ever
+    generators fixing every earlier base point, each as (s, the getter
+    of s, the getter of s^-1), so ``s_then(x)`` is s * x, and a
+    breadth-first transversal of the base point's orbit under them, with
+    each entry's inverse, all padded tuples.  Entries are only ever
     added.  The generators and the transversal are build state, dropped
     once the chain is complete; the inverses stay.  A fresh level given
     all generators at once holds the breadth-first transversal of its
-    point, as ``_orbit_stabilizer`` walks it."""
+    point, as ``_orbit`` walks it."""
 
     __slots__ = ("gens", "transversal", "inverses")
 
     def __init__(self, point: int, one: tuple[int, ...]) -> None:
-        self.gens: list[tuple[int, ...]] = []
+        self.gens: list[tuple] = []
         self.transversal: dict[int, tuple[int, ...]] = {point: one}
         self.inverses: dict[int, tuple[int, ...]] = {point: one}
 
-    def add_generators(self, added: list[tuple[int, ...]]) -> None:
-        """Append ``added`` and extend the orbit: the known letters were
-        closed under the old generators, so they need only the added
-        ones; each new letter needs every generator."""
+    def add_generators(self, added: list[tuple]) -> None:
+        """Append the strong generators ``added`` and extend the orbit:
+        the known letters were closed under the old generators, so they
+        need only the added ones; each new letter needs every generator.
+        A new entry u_p * s has the inverse s^-1 * u_p^-1, one call."""
         self.gens.extend(added)
         transversal, inverses = self.transversal, self.inverses
         # The FIFO queue of letters to act on, each with its generators.
         queue = [(p, added) for p in transversal]
         for p, acting in queue:
             to_p = itemgetter(*transversal[p])
-            for s in acting:
+            for s, _, s_inverse_then in acting:
                 q = s[p]
                 if q not in transversal:
-                    u = transversal[q] = to_p(s)
-                    inverses[q] = _invert(u)
+                    transversal[q] = to_p(s)
+                    inverses[q] = s_inverse_then(inverses[p])
                     queue.append((q, self.gens))
 
 
-def _orbit_stabilizer(
-    group: "GeneratedGroup", start, actions: list, what: str
-) -> tuple[dict, "GeneratedGroup"]:
-    """The orbit of ``start`` under ``group`` and the stabilizer of
-    ``start``, ``actions[i](x)`` being the image of the member ``x`` under
-    the generator ``group.generators[i]``: ``g.padded.__getitem__`` on
-    letters, ``_conjugation(g.padded)`` on padded classes.  The orbit is
-    a breadth-first transversal mapping each member y, in discovery
-    order, to the padded t with ``start^t == y``; ``what`` names the
-    members in the ``LISTING_CAP`` refusal.  Members are hashed and
-    compared as the actions return them, so padded members cost no
-    Python-level hash.  The Schreier generators t_x * g * t_y^-1,
-    y = x^g, are formed only as the stabilizer's chain reads them, and
-    the build stops at |G| / |orbit|, the stabilizer's order.  Returns
-    the transversal and the stabilizer, whose generators are the
-    Schreier generators that extended its chain."""
-    one = _IDENTITY[group.degree]
+def _orbit(group: "GeneratedGroup", start, actions: list, what: str) -> dict:
+    """The orbit of ``start`` under ``group``, ``actions[i](x)`` being the
+    image of the member ``x`` under the generator ``group.generators[i]``:
+    ``g.padded.__getitem__`` on letters, ``_conjugation(g.padded)`` on
+    padded classes.  A breadth-first transversal mapping each member y,
+    in discovery order, to the padded t with ``start^t == y``; ``what``
+    names the members in the ``LISTING_CAP`` refusal.  Members are hashed
+    and compared as the actions return them, so padded members cost no
+    Python-level hash."""
     steps = list(zip([g.padded for g in group.generators], actions))
-    transversal = {start: one}  # y -> t_y, a padded tuple
+    transversal = {start: _IDENTITY[group.degree]}  # y -> t_y, a padded tuple
     # ``members`` doubles as the FIFO queue of members to act on.
     members = [start]
     for x in members:
@@ -160,6 +157,16 @@ def _orbit_stabilizer(
                 transversal[y] = t_then(g)
                 members.append(y)
                 _check_listing(len(members), what)
+    return transversal
+
+
+def _stabilizer(group: "GeneratedGroup", transversal: dict, actions: list):
+    """The stabilizer of the start of ``transversal``, an ``_orbit`` walk
+    under ``actions``: the Schreier generators t_x * g * t_y^-1, y = x^g,
+    formed only as its chain reads them, which stops at |G| / |orbit|;
+    its generators are those that extended its chain."""
+    one = _IDENTITY[group.degree]
+    steps = list(zip([g.padded for g in group.generators], actions))
     inverses: dict = {}  # y -> t_y^-1
 
     def schreier():
@@ -175,7 +182,7 @@ def _orbit_stabilizer(
                     yield _from_padded(padded)
 
     bound = group.order() // len(transversal)
-    return transversal, GeneratedGroup._streamed(group.degree, schreier(), bound)
+    return GeneratedGroup._streamed(group.degree, schreier(), bound)
 
 
 def _generates(group: "GeneratedGroup", candidates: list[Permutation]) -> bool:
@@ -270,7 +277,7 @@ class GeneratedGroup:
         # The strong generators fixing 1 generate Stab(1), the chain's
         # tail; membership, listing and coset minima read only the inverses.
         tail = self._levels[1].gens if len(self._levels) > 1 else []
-        self._tail_generators = [_from_padded(g) for g in tail]
+        self._tail_generators = [_from_padded(s) for s, _, _ in tail]
         for lvl in self._levels:
             del lvl.gens, lvl.transversal
         if bound is not None and self._order > bound:
@@ -300,9 +307,10 @@ class GeneratedGroup:
         levels = self._levels
         last = next(i for i in range(1, self.degree + 1) if g[i] != i) - 1
         levels.extend(_Level(i, self._one) for i in range(len(levels) + 1, last + 2))
+        strong = [(g, itemgetter(*g), itemgetter(*_invert(g)))]
         for lvl in levels[: last + 1]:
             before = len(lvl.transversal)
-            lvl.add_generators([g])
+            lvl.add_generators(strong)
             self._order = self._order // before * len(lvl.transversal)
         return last
 
@@ -315,23 +323,26 @@ class GeneratedGroup:
         which are complete; by Schreier's lemma level i is then complete
         too.  A residue changes only the levels down to the one that
         received it, so the check resumes there.  Transversal entries
-        never change, so a (letter, generator) pair once sifted stays
-        sifted and is never sifted again."""
-        sifted: dict[int, set[tuple[int, int]]] = {}
+        never change and generators are only appended, so a level counts,
+        per letter, the generators already sifted with it, and no
+        (letter, generator) pair is sifted twice."""
+        sifted: dict[int, dict[int, int]] = {}
         one = self._one
         idx = len(self._levels) - 1
         while idx >= 0:
             lvl = self._levels[idx]
-            done = sifted.setdefault(idx, set())
-            inverses = lvl.inverses
+            done = sifted.setdefault(idx, {})
+            gens, inverses = lvl.gens, lvl.inverses
             residue = None
             for p, u in list(lvl.transversal.items()):
-                for gi, g in enumerate(lvl.gens):
-                    if (p, gi) in done:
-                        continue
-                    done.add((p, gi))
-                    # u * g * v^-1, v the entry for p's image.
-                    schreier = itemgetter(*itemgetter(*u)(g))(inverses[g[p]])
+                start = done.get(p, 0)
+                if start == len(gens):
+                    continue
+                u_then = itemgetter(*u)
+                for s, s_then, _ in gens[start:]:
+                    done[p] = start = start + 1
+                    # u * s * v^-1, v the entry for p's image.
+                    schreier = u_then(s_then(inverses[s[p]]))
                     if schreier == one:
                         continue  # the edge that found p's image: trivial
                     residue = self._sift(schreier, idx + 1)
@@ -429,7 +440,7 @@ class GeneratedGroup:
             raise ValueError(f"letter {letter} out of range")
         if letter > 1:
             actions = [g.padded.__getitem__ for g in self.generators]
-            return _orbit_stabilizer(self, letter, actions, "letters")[1]
+            return _stabilizer(self, _orbit(self, letter, actions, "letters"), actions)
         first = _Level(1, self._one)
         del first.gens, first.transversal
         tail = GeneratedGroup.__new__(GeneratedGroup)
@@ -539,37 +550,41 @@ class GeneratedGroup:
     # -- conjugacy ------------------------------------------------------
 
     @cached_property
-    def _class_walks(self) -> dict[tuple[int, ...], tuple]:
+    def _class_walks(self) -> dict[tuple[int, ...], dict]:
         return {}  # each member of a walked class, padded -> the class's walk
 
-    def _class_walk(self, x: Permutation) -> tuple[dict, GeneratedGroup]:
-        """The conjugation orbit of ``x`` over the generators, walked once
-        per class and kept under every member: each member c -> a t with
-        start^t = c, the start being the member the walk began at, and
-        the centralizer C(start).  The walk conjugates padded tuples, and
-        its members and conjugators are wrapped as permutations once,
-        here.  Refused past ``LISTING_CAP`` members."""
+    @cached_property
+    def _centralizers(self) -> dict[tuple[int, ...], GeneratedGroup]:
+        return {}  # the start of a kept walk -> its centralizer
+
+    def _class_walk(self, x: Permutation) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """The conjugation orbit of ``x`` over the generators, an ``_orbit``
+        walk on padded tuples, walked once per class and kept under every
+        member: each member c -> the t with start^t = c, the start being
+        the member the walk began at, its first key.  Refused past
+        ``LISTING_CAP`` members."""
         walk = self._class_walks.get(x.padded)
         if walk is None:
             actions = [_conjugation(g.padded) for g in self.generators]
-            members, centralizer = _orbit_stabilizer(
-                self, x.padded, actions, "class members"
-            )
-            kept = {_from_padded(c): _from_padded(t) for c, t in members.items()}
-            walk = kept, centralizer
-            self._class_walks.update(dict.fromkeys(members, walk))
+            walk = _orbit(self, x.padded, actions, "class members")
+            self._class_walks.update(dict.fromkeys(walk, walk))
         return walk
+
+    def _centralizer(self, walk: dict) -> GeneratedGroup:
+        """C(start) of a kept class walk, built once, on the first read,
+        by streaming the walk's Schreier generators."""
+        start = next(iter(walk))
+        found = self._centralizers.get(start)
+        if found is None:
+            actions = [_conjugation(g.padded) for g in self.generators]
+            found = self._centralizers[start] = _stabilizer(self, walk, actions)
+        return found
 
     def conjugacy_class(self, x: Permutation) -> list[Permutation]:
         """The G-class of ``x``, sorted, from its kept walk."""
         if not self.contains(x):
             raise ValueError("element not in group")
-        return sorted(self._class_walk(x)[0], key=attrgetter("padded"))
-
-    def are_conjugate(self, x: Permutation, y: Permutation) -> bool:
-        if not self.contains(x):
-            raise ValueError("element not in group")
-        return y in self._class_walk(x)[0]
+        return list(map(_from_padded, sorted(self._class_walk(x))))
 
     # -- normalizer in the symmetric group -------------------------------
 
@@ -590,11 +605,11 @@ class GeneratedGroup:
         g1 = min(self.generators, key=_centralizer_order)
         shape = g1.cycle_type()
         targets: list[Permutation] = []
-        covered: set[Permutation] = set()
+        covered: set[tuple[int, ...]] = set()
         for t in self.elements():
-            if t not in covered and t.cycle_type() == shape:
+            if t.padded not in covered and t.cycle_type() == shape:
                 targets.append(t)
-                covered.update(self._class_walk(t)[0])
+                covered.update(self._class_walk(t))
         _check_listing(len(targets) * _centralizer_order(g1), "normalizer candidates")
         bound = len(covered) * _centralizer_order(g1)
         # A candidate is added only when the group so far lacks it, so the
@@ -637,7 +652,8 @@ class GeneratedGroup:
 
         key = tuple(sorted(tuple(sorted(x.padded for x in cls)) for cls in classes))
         actions = [on_multisets(h) for h in ambient.generators]
-        return _orbit_stabilizer(ambient, key, actions, "class multisets")[1]
+        walk = _orbit(ambient, key, actions, "class multisets")
+        return _stabilizer(ambient, walk, actions)
 
 
 def _symmetric_generators(n: int) -> list[Permutation]:

@@ -701,6 +701,7 @@ class TestGoldenStdout:
             "fiber_deg7-pair-1",
             "fiber_deg7-pair-2",
             "fiber_sm-pair-7",
+            "fiber_sm-pair-9",
             "nielsen_braid-orbits_inner",
             "nielsen_braid-orbits_a5-3^5",
             "nielsen_braid-orbits_deg7-class-2.4.7",
@@ -716,6 +717,24 @@ class TestGoldenStdout:
         assert main(_golden_argv(case, tmp_path)) == 0
         expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("key", ["deg7-pair-1", "sm-pair-7", "sm-pair-9"])
+def test_fiber_builds_no_point_stabilizer(key, tmp_path, capsys, monkeypatch):
+    """The report's ``subgroup_index`` is read off an orbit of Stab(1),
+    so ``fiber`` builds no witness stabilizer and prints the golden."""
+    called = []
+    original = permgroup.GeneratedGroup.point_stabilizer
+
+    def recording(group, letter):
+        called.append(letter)
+        return original(group, letter)
+
+    monkeypatch.setattr(permgroup.GeneratedGroup, "point_stabilizer", recording)
+    assert main(_golden_argv(f"fiber_{key}", tmp_path)) == 0
+    expected = (GOLDEN / f"fiber_{key}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
+    assert called == []
 
 
 # -- fuzzing: every subcommand keeps the exit-code contract --------------------

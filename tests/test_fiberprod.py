@@ -561,14 +561,14 @@ def test_y1_stabilizer_built_once_per_pair(monkeypatch):
     Each module's reference to the walk is recorded, so a walk through
     a name imported from ``permgroup`` is counted too."""
     starts = []
-    original = permgroup._orbit_stabilizer
+    original = permgroup._orbit
 
     def recording(group, start, actions, what):
         starts.append((group.degree, start))
         return original(group, start, actions, what)
 
     for module in (permgroup, fiberprod):
-        monkeypatch.setattr(module, "_orbit_stabilizer", recording)
+        monkeypatch.setattr(module, "_orbit", recording)
     source = catalog.get("sm-pair-7")
     m, n = source.degree_x, source.degree_y
     pair = PairedCover(source.branch_points, source.sigma, source.tau, m, n)
@@ -584,14 +584,14 @@ def test_projection_walks_each_class_once(monkeypatch):
     each class once, later entries of a class reuse the walk, and the
     image group keeps it, so listing the classes afterwards walks none."""
     walks = []
-    original = permgroup._orbit_stabilizer
+    original = permgroup._orbit
 
     def recording(group, start, actions, what):
         if what == "class members":
             walks.append(start)
         return original(group, start, actions, what)
 
-    monkeypatch.setattr(permgroup, "_orbit_stabilizer", recording)
+    monkeypatch.setattr(permgroup, "_orbit", recording)
     pair = catalog.build_sm_pair(8)
     counts = []
     for component in pair.components:

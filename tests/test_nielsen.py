@@ -356,18 +356,18 @@ def _fresh(group):
 
 def _recorded_class_walks(monkeypatch):
     """A list that records each class walk as (group, members); the
-    groups' walks go through ``permgroup._orbit_stabilizer``."""
+    groups' walks go through ``permgroup._orbit``."""
     walks = []
-    original = permgroup._orbit_stabilizer
+    original = permgroup._orbit
 
     def recording(group, start, actions, what):
         result = original(group, start, actions, what)
         if what == "class members":
-            members = frozenset(Permutation(c[1:]) for c in result[0])
+            members = frozenset(Permutation(c[1:]) for c in result)
             walks.append((group, members))
         return result
 
-    monkeypatch.setattr(permgroup, "_orbit_stabilizer", recording)
+    monkeypatch.setattr(permgroup, "_orbit", recording)
     return walks
 
 
@@ -405,6 +405,37 @@ class TestClassWalks:
         assert len(classes) == spec.r
         assert set(walks) == {(spec.group, members) for members in classes}
         assert len(walks) == spec.r
+
+
+class TestCentralizersOnFirstRead:
+    def test_members_only_readers_build_no_centralizer(self, monkeypatch):
+        """A kept class walk builds its centralizer on the first read:
+        listing the classes and the normalizer search read members only,
+        so on a fresh PSL(2,7) they build none, and the orbit table then
+        builds one per class of the first entries it reduces."""
+        built = []
+        original = permgroup._stabilizer
+
+        def recording(group, walk, actions):
+            built.append((group, next(iter(walk))))
+            return original(group, walk, actions)
+
+        monkeypatch.setattr(permgroup, "_stabilizer", recording)
+        source = catalog.get("deg7-class-2.4.7")
+        group = _fresh(source.group)
+        spec = NielsenClassSpec(group, source.class_reps, source.mode)
+        assert [len(c) for c in spec.classes()] == [21, 42, 24]
+        assert group.normalizer_in_symmetric().order() == 168
+        assert built == []
+        assert nielsen.braid_orbits(spec)
+        table = spec._orbit_table
+        assert table.group is group
+        walks = {id(w): w for w in map(group._class_walks.get, table.onto)}
+        assert len(walks) > 1
+        assert sorted(start for _, start in built) == sorted(
+            next(iter(w)) for w in walks.values()
+        )
+        assert all(g is group for g, _ in built)
 
 
 class TestH3Structure:

@@ -62,7 +62,6 @@ from fibercover.nielsen import (
 )
 from fibercover.permcore import (
     Permutation,
-    _conjugation,
     _realizations,
     direct_sum,
     identity,
@@ -70,7 +69,7 @@ from fibercover.permcore import (
     product,
     split,
 )
-from fibercover.permgroup import BlockSystem, GeneratedGroup, _orbit_stabilizer, orbits
+from fibercover.permgroup import BlockSystem, GeneratedGroup, orbits
 
 # -- random element generators ------------------------------------------------
 
@@ -332,7 +331,7 @@ def _check_against_tensor_group(pair) -> None:
     for c in pair.components:
         witness, index = c.subgroup_witness
         assert witness.order() == tensor.point_stabilizer(c.orbit[0]).order()
-        assert index == c.deg_over_z
+        assert index == c.subgroup_index == c.deg_over_z
 
 
 class TestTensorGroupOracle:
@@ -796,10 +795,12 @@ class TestConjugationOrbits:
             for x in rng.sample(elements, min(3, len(elements))):
                 listed = group.conjugacy_class(x)
                 assert [c.images for c in listed] == sorted(_plain_class(x.images, gens))
-                walk, centralizer = group._class_walk(x)
-                (start,) = [c for c, t in walk.items() if t.is_identity]
-                s = start.images
-                assert all(_conj(s, t.images) == c.images for c, t in walk.items())
+                walk = group._class_walk(x)
+                centralizer = group._centralizer(walk)
+                (start,) = [c for c, t in walk.items() if t == group._one]
+                assert start == next(iter(walk))
+                s = start[1:]
+                assert all(_conj(s, t[1:]) == c[1:] for c, t in walk.items())
                 assert len(walk) * centralizer.order() == group.order()
                 assert all(_conj(s, h.images) == s for h in centralizer.generators)
                 nontrivial += len(walk) > 1
@@ -868,10 +869,8 @@ class TestClassByLeastConjugator:
                 # once, at the first sorted h with p^h = c.
                 expected = list(dict.fromkeys(p.conjugate(h) for h in elements))
                 assert _class_by_least_conjugator(group, p) == expected
-                actions = [_conjugation(g.padded) for g in group.generators]
-                members, centralizer = _orbit_stabilizer(
-                    group, p.padded, actions, "class members"
-                )
+                members = group._class_walk(p)
+                centralizer = group._centralizer(members)
                 assert centralizer.order() * len(members) == group.order()
                 assert centralizer.order() == sym.centralizer(_sympy_perm(p)).order()
                 both_nontrivial += len(members) > 1 and centralizer.order() > 1
@@ -890,13 +889,13 @@ class TestClassByLeastConjugator:
         |class|·|G| above 60,000 are skipped to keep the brute force
         short."""
         walks = []
-        original = permgroup._orbit_stabilizer
+        original = permgroup._orbit
 
         def recording(group, start, actions, what):
             walks.append(start)
             return original(group, start, actions, what)
 
-        monkeypatch.setattr(permgroup, "_orbit_stabilizer", recording)
+        monkeypatch.setattr(permgroup, "_orbit", recording)
         rng = random.Random(6113)
         reused = 0
         for _ in range(120):
@@ -1010,6 +1009,35 @@ def _conjugated_pair(pair, rng):
         m,
         n,
     )
+
+
+class TestSubgroupIndex:
+    """``subgroup_index`` is m times an orbit length of Stab(1), read off
+    the joint chain's tail with no chain built; it must be the index of
+    the witness that ``subgroup_witness`` builds, and the degree over z."""
+
+    @staticmethod
+    def _pairs():
+        for key in catalog.list_keys():
+            pair = catalog.get(key)
+            if isinstance(pair, CoverPair):
+                yield pair
+        for m in range(5, 10):
+            yield catalog.build_sm_pair(m)
+        rng = random.Random(8387)
+        for key in ("deg7-pair-1", "deg7-pair-2", "sm-pair-7"):
+            for _ in range(2):
+                yield _conjugated_pair(catalog.get(key), rng)
+        for _ in range(2):
+            yield _conjugated_pair(catalog.build_sm_pair(8), rng)
+
+    def test_index_is_the_witness_index_and_the_degree(self):
+        sizes = set()
+        for pair in self._pairs():
+            for c in pair.components:
+                assert c.subgroup_index == c.subgroup_witness[1] == c.deg_over_z
+                sizes.add(c.deg_over_z)
+        assert len(sizes) > 10
 
 
 class TestProductOneAdjustmentOracle:
