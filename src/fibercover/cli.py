@@ -319,9 +319,18 @@ def _cmd_growth(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+# Every command, in the order of ``--help``; ``build_parser`` adds each.
+_COMMANDS = (
+    "validate", "genus", "galois-genus", "ochar", "fiber", "nielsen", "screen",
+    "catalog", "growth",
+)
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with every command's parser or, given a
+    command, with that one's alone; built on the first call and shared
+    after.  The usage line names every command either way."""
     parser = argparse.ArgumentParser(
         prog="fibercover",
         description=(
@@ -329,69 +338,75 @@ def build_parser() -> argparse.ArgumentParser:
             "products, Nielsen classes, screening, catalog."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
 
-    p = sub.add_parser("validate", help="validate a cover JSON file")
-    p.add_argument("cover")
-    p.set_defaults(func=_cmd_validate)
+    def add(name: str, help_text: str) -> argparse.ArgumentParser | None:
+        if command in (None, name):
+            return sub.add_parser(name, help=help_text)
+        return None
+
+    if p := add("validate", "validate a cover JSON file"):
+        p.add_argument("cover")
+        p.set_defaults(func=_cmd_validate)
 
     for name, help_text, invariant in (
         ("genus", "genus of a cover", Cover.genus),
         ("galois-genus", "Galois-closure genus", Cover.galois_closure_genus),
         ("ochar", "orbifold characteristic", Cover.orbifold_char),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("cover")
-        p.set_defaults(func=_cmd_invariant, invariant=invariant)
+        if p := add(name, help_text):
+            p.add_argument("cover")
+            p.set_defaults(func=_cmd_invariant, invariant=invariant)
 
-    p = sub.add_parser("fiber", help="fiber-product component report")
-    p.add_argument("pair")
-    p.add_argument("--report", help="write the full JSON report here")
-    p.set_defaults(func=_cmd_fiber)
+    if p := add("fiber", "fiber-product component report"):
+        p.add_argument("pair")
+        p.add_argument("--report", help="write the full JSON report here")
+        p.set_defaults(func=_cmd_fiber)
 
-    pn = sub.add_parser("nielsen", help="Nielsen class operations")
-    nsub = pn.add_subparsers(dest="nielsen_command", required=True)
+    if pn := add("nielsen", "Nielsen class operations"):
+        nsub = pn.add_subparsers(dest="nielsen_command", required=True)
 
-    p = nsub.add_parser("enum", help="enumerate canonical representatives")
-    p.add_argument("spec")
-    p.add_argument("--mode", choices=[m.value for m in EquivalenceMode])
-    p.set_defaults(func=_cmd_nielsen_enum)
+        p = nsub.add_parser("enum", help="enumerate canonical representatives")
+        p.add_argument("spec")
+        p.add_argument("--mode", choices=[m.value for m in EquivalenceMode])
+        p.set_defaults(func=_cmd_nielsen_enum)
 
-    p = nsub.add_parser("braid-orbits", help="partition into braid orbits")
-    p.add_argument("spec")
-    p.add_argument("--mode", choices=[m.value for m in EquivalenceMode])
-    p.set_defaults(func=_cmd_nielsen_braid_orbits)
+        p = nsub.add_parser("braid-orbits", help="partition into braid orbits")
+        p.add_argument("spec")
+        p.add_argument("--mode", choices=[m.value for m in EquivalenceMode])
+        p.set_defaults(func=_cmd_nielsen_braid_orbits)
 
-    p = nsub.add_parser("coalesce", help="multiply adjacent entries")
-    p.add_argument("element")
-    p.add_argument("--at", type=int, default=None)
-    p.set_defaults(func=_cmd_nielsen_coalesce)
+        p = nsub.add_parser("coalesce", help="multiply adjacent entries")
+        p.add_argument("element")
+        p.add_argument("--at", type=int, default=None)
+        p.set_defaults(func=_cmd_nielsen_coalesce)
 
-    p = sub.add_parser("screen", help="genus-growth screening flags")
-    p.add_argument("prw")
-    p.add_argument("g1")
-    p.add_argument("--joint", help="weak-pair JSON for the fail2d check")
-    p.set_defaults(func=_cmd_screen)
+    if p := add("screen", "genus-growth screening flags"):
+        p.add_argument("prw")
+        p.add_argument("g1")
+        p.add_argument("--joint", help="weak-pair JSON for the fail2d check")
+        p.set_defaults(func=_cmd_screen)
 
-    p = sub.add_parser("catalog", help="built-in constructions")
-    p.add_argument("action", choices=["list", "get"])
-    p.add_argument("key", nargs="?")
-    p.set_defaults(func=_cmd_catalog)
+    if p := add("catalog", "built-in constructions"):
+        p.add_argument("action", choices=["list", "get"])
+        p.add_argument("key", nargs="?")
+        p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("growth", help="empirical genus-growth table")
-    p.add_argument("--pair", required=True, help="catalog paired-cover key")
-    p.add_argument(
-        "--g1-family", required=True, choices=["chebyshev", "cyclic"]
-    )
-    p.add_argument("--max-degree", type=int, required=True)
-    p.set_defaults(func=_cmd_growth)
+    if p := add("growth", "empirical genus-growth table"):
+        p.add_argument("--pair", required=True, help="catalog paired-cover key")
+        p.add_argument("--g1-family", required=True, choices=["chebyshev", "cyclic"])
+        p.add_argument("--max-degree", type=int, required=True)
+        p.set_defaults(func=_cmd_growth)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A named command builds its parser alone; anything else, the whole tree.
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(named).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit

@@ -35,7 +35,7 @@ from .permcore import (
     split,
 )
 from .permgroup import CapExceededError, GeneratedGroup, orbits
-from .permgroup import _generates, _orbit, _stabilizer
+from .permgroup import _generates, _orbit
 from .cover import Cover, InvalidCoverError, genus_from_tuple
 
 __all__ = [
@@ -61,18 +61,26 @@ def _joint(x_perms, y_perms) -> tuple[Permutation, ...]:
     return tuple(direct_sum(a, b) for a, b in zip(x_perms, y_perms))
 
 
+def _swapped(joint: GeneratedGroup, m: int) -> GeneratedGroup:
+    """``joint``, on m x-letters followed by the y-letters, with the
+    y-letters first, built with the exact joint order as its bound, so
+    the chain is complete when the build stops."""
+    generators = [direct_sum(*reversed(split(g, m))) for g in joint.generators]
+    return GeneratedGroup._streamed(joint.degree, generators, joint.order())
+
+
 def _require_common_group(
-    joint: GeneratedGroup, m: int, y_gens, n: int
+    joint: GeneratedGroup, swapped: GeneratedGroup, m: int
 ) -> None:
     """Check that ``joint``, the diagonal group on m x-letters followed by
     n y-letters, projects isomorphically onto both sides.  Each side is a
-    quotient of it, so equal orders suffice.  The x-side order is the
-    product of the joint chain's first m orbit lengths, |G| over the
-    kernel on the x-letters; the y-side, generated by ``y_gens``, is
-    built with the joint order as its bound."""
+    quotient of it, so equal orders suffice.  A side's order is |G| over
+    the kernel on its letters, the product of the first orbit lengths of
+    a chain that starts on them: the joint chain's first m, and the first
+    n of ``swapped``, the same group with the y-letters first."""
     joint_order = joint.order()
     x_order = joint._leading_order(m)
-    y_order = GeneratedGroup._streamed(n, y_gens, joint_order).order()
+    y_order = swapped._leading_order(joint.degree - m)
     if not (joint_order == x_order == y_order):
         raise InvalidCoverError(
             "joint group does not project isomorphically to both sides "
@@ -193,16 +201,24 @@ class CoverPair(Record):
         return self.joint_group.point_stabilizer(1)
 
     @cached_property
-    def y1_orbit_stabilizer(self) -> tuple[dict[int, tuple[int, ...]], GeneratedGroup]:
+    def _swapped_group(self) -> GeneratedGroup:
+        """The joint group with the y-letters first: one chain for the
+        y-side order and Stab(m+1), the stabilizer of its letter 1."""
+        return _swapped(self.joint_group, self.degree_x)
+
+    @cached_property
+    def y1_orbit_stabilizer(self) -> tuple[dict[int, tuple[int, ...]], list[Permutation]]:
         """One walk of the orbit of the y-letter 1 (letter m+1) in the
         joint group, shared by every component's projection to the
-        y-line: the carrier, whose padded entry for y carries m+1 to y,
-        and Stab(m+1).  The joint group preserves the x/y split, so the
-        orbit is all y-letters."""
+        y-line: the carrier, whose padded entry for y carries m+1 to y;
+        and generators of Stab(m+1), the swapped chain's tail swapped
+        back.  The joint group preserves the x/y split, so the orbit is
+        all y-letters."""
         group = self.joint_group
         actions = [g.padded.__getitem__ for g in group.generators]
         carrier = _orbit(group, self.degree_x + 1, actions, "letters")
-        return carrier, _stabilizer(group, carrier, actions)
+        tail = self._swapped_group._tail_generators
+        return carrier, [direct_sum(*reversed(split(s, self.degree_y))) for s in tail]
 
     @cached_property
     def _y1_local_cycles(self) -> tuple[tuple[str, Permutation], ...]:
@@ -328,8 +344,9 @@ class PairedCover(CoverPair):
     matching entry orders, and that the joint diagonal group projects
     isomorphically onto both factors (equal orders) — certifying that
     the two covers have equivalent Galois closures.  The x-side order is
-    read off the joint chain, whose first m levels act on the x-letters;
-    only the y-side builds a chain of its own.
+    read off the joint chain, whose first m levels act on the x-letters,
+    and the y-side order off the pair's one swapped chain, whose first n
+    levels act on the y-letters; its tail later gives Stab(m+1).
     """
 
     def _check(self) -> None:
@@ -341,7 +358,7 @@ class PairedCover(CoverPair):
                 raise InvalidCoverError(
                     f"entry orders differ: {a.order()} vs {b.order()}"
                 )
-        _require_common_group(self.joint_group, self.degree_x, self.tau, self.degree_y)
+        _require_common_group(self.joint_group, self._swapped_group, self.degree_x)
 
     @staticmethod
     def from_joint_tuple(
@@ -450,7 +467,7 @@ class Component:
         to J — the monodromy group of the projection to the y-line."""
         J = self.x_orbit_over_y1
         _, stabilizer = self.pair.y1_orbit_stabilizer
-        return GeneratedGroup(len(J), [_restrict(g, J) for g in stabilizer.generators])
+        return GeneratedGroup(len(J), [_restrict(g, J) for g in stabilizer])
 
     @cached_property
     def genus_method2(self) -> int:
@@ -645,7 +662,7 @@ def character_entanglement(
     m = t1_gens[0].degree
     n = t2_gens[0].degree
     joint = GeneratedGroup(m + n, list(_joint(t1_gens, t2_gens)))
-    _require_common_group(joint, m, t2_gens, n)
+    _require_common_group(joint, _swapped(joint, m), m)
     galois = True
     davenport = True
     for x in joint.elements():

@@ -272,15 +272,16 @@ def _realizations(choices: list[list[Permutation]], degree: int):
     """Every choice of one entry per position whose ordered product is
     the identity, in lexicographic order of the positions' lists.
 
-    A lazy depth-first search: ``_completions`` is called once per
-    (position, partial product) state it enters.  The last entry is
-    forced: the inverse of the product before it, found by looking that
-    product up among the inverses of the last list.  A state whose call
-    yields nothing is recorded as dead and is never entered again; a
-    state that did complete may be entered again under another prefix,
-    whose completions are new choices.  The recursion depth is the
-    number of positions (56 for the projection of ``sm-pair-13``, 154
-    for ``build_sm_pair(20)``); more positions than half of
+    A lazy depth-first search on padded tuples: ``_completions`` is
+    called once per (position, partial product) state it enters.  The
+    last entry is forced: the inverse of the product before it, found by
+    looking that product up among the inverses of the last list.  The
+    choices hold the lists' own permutations.  A state whose call yields
+    nothing is recorded as dead and is never entered again; a state that
+    did complete may be entered again under another prefix, whose
+    completions are new choices.  The recursion depth is the number of
+    positions (56 for the projection of ``sm-pair-13``, 154 for
+    ``build_sm_pair(20)``); more positions than half of
     ``sys.getrecursionlimit()`` are refused with ``CapExceededError``
     before the search starts, leaving the other half to the callers.
     The generators are module-level, not a recursive closure, which
@@ -293,30 +294,31 @@ def _realizations(choices: list[list[Permutation]], degree: int):
             f"product-one search over {len(choices)} positions exceeds the "
             f"depth limit {depth_limit}, half of sys.getrecursionlimit()"
         )
-    one = identity(degree)
-    closing_for = {c.inverse(): c for c in choices[-1]}
+    one = _IDENTITY[degree]
+    closing_for = {_invert(c.padded): c for c in choices[-1]}
     if len(choices) == 1:
         if one in closing_for:
-            yield [one]
+            yield [closing_for[one]]
         return
-    dead: list[set[Permutation]] = [set() for _ in choices]
+    dead: list[set[tuple[int, ...]]] = [set() for _ in choices]
     yield from _completions(choices, closing_for, dead, 0, one, [])
 
 
 def _completions(choices, closing_for, dead, j, prefix, chosen):
     """The completions of ``chosen``, the entries at positions before
-    ``j`` with product ``prefix``; returns whether there was one, and
-    records the state in ``dead[j]`` when there was none."""
+    ``j`` with padded product ``prefix``; returns whether there was one,
+    and records the state in ``dead[j]`` when there was none."""
     found = False
+    then = itemgetter(*prefix)  # then(q.padded) is prefix * q
     if j == len(choices) - 2:
         for q in choices[j]:
-            closing = closing_for.get(prefix * q)
+            closing = closing_for.get(then(q.padded))
             if closing is not None:
                 found = True
                 yield chosen + [q, closing]
     else:
         for q in choices[j]:
-            nxt = prefix * q
+            nxt = then(q.padded)
             if nxt not in dead[j + 1]:
                 found |= yield from _completions(
                     choices, closing_for, dead, j + 1, nxt, chosen + [q]

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface, invoked in-process."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibercover
-from fibercover import catalog, fiberprod, permgroup
+from fibercover import catalog, cli, fiberprod, permgroup
 from fibercover.cli import _catalog_json, main
 from fibercover.cover import Cover
 from fibercover.permcore import parse_cycles
@@ -735,6 +736,110 @@ def test_fiber_builds_no_point_stabilizer(key, tmp_path, capsys, monkeypatch):
     expected = (GOLDEN / f"fiber_{key}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
     assert called == []
+
+
+# -- the parser: one command's alone, or every command --------------------------
+
+_PARSER_ARGV = [
+    *(
+        [command, "{cover}"]
+        for command in ("validate", "genus", "galois-genus", "ochar")
+    ),
+    ["fiber", "{pair}"],
+    ["fiber", "{pair}", "--report", "{report}"],
+    ["nielsen", "enum", "{spec}"],
+    ["nielsen", "braid-orbits", "{spec}", "--mode", "inner"],
+    ["nielsen", "coalesce", "{element}", "--at", "1"],
+    ["screen", "{cover}", "{cover}"],
+    ["catalog", "list"],
+    ["catalog", "get", "deg7-cover-1"],
+    ["growth", "--pair", "deg7-pair-2", "--g1-family", "cyclic", "--max-degree", "3"],
+    # Help, at every level.
+    ["-h"],
+    ["--help"],
+    ["fiber", "-h"],
+    ["nielsen", "-h"],
+    ["nielsen", "enum", "-h"],
+    # A missing argument, command or subcommand.
+    [],
+    ["validate"],
+    ["fiber"],
+    ["nielsen"],
+    ["nielsen", "coalesce"],
+    ["growth", "--pair", "deg7-pair-2"],
+    # An extra argument or an unknown option.
+    ["genus", "{cover}", "extra"],
+    ["fiber", "{pair}", "extra"],
+    ["fiber", "{pair}", "--bogus"],
+    ["catalog", "get", "deg7-cover-1", "extra"],
+    # A bad choice.
+    ["nielsen", "enum", "{spec}", "--mode", "bogus"],
+    ["growth", "--pair", "deg7-pair-2", "--g1-family", "bogus", "--max-degree", "3"],
+    ["catalog", "bogus"],
+    ["nielsen", "bogus"],
+    ["bogus"],
+    ["--report", "x", "fiber"],
+]
+
+
+def _outcome(argv, capsys):
+    """The exit code, stdout and stderr of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _subcommands(parser) -> list[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+class TestOneCommandParser:
+    """``main`` builds the parser of the command it is given alone, and
+    the full tree for anything else; both give the same exit code,
+    stdout and stderr as the full parser."""
+
+    @pytest.mark.parametrize(
+        "argv", _PARSER_ARGV, ids=[" ".join(a) or "no-argument" for a in _PARSER_ARGV]
+    )
+    def test_same_outcome_as_the_full_parser(
+        self, argv, deg7_cover_file, deg7_pair_file, nielsen_spec_file, tmp_path,
+        capsys, monkeypatch,
+    ):
+        files = {
+            "cover": deg7_cover_file,
+            "pair": deg7_pair_file,
+            "spec": nielsen_spec_file,
+            "element": str(GOLDEN / "coalesce_tuple-2.json"),
+            "report": str(tmp_path / "report.json"),
+        }
+        argv = [a.format(**files) for a in argv]
+        built = []
+        one_command = cli.build_parser
+
+        def recording(command=None):
+            built.append(command)
+            return one_command(command)
+
+        monkeypatch.setattr(cli, "build_parser", recording)
+        got = _outcome(argv, capsys)
+        named = argv[0] if argv and argv[0] in cli._COMMANDS else None
+        assert built == [named]
+        full = one_command()
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+        assert _outcome(argv, capsys) == got
+
+    def test_full_parser_lists_the_table(self):
+        assert _subcommands(cli.build_parser()) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_one_command_parser_keeps_the_usage_line(self, command):
+        parser = cli.build_parser(command)
+        assert _subcommands(parser) == [command]
+        assert parser.format_usage() == cli.build_parser().format_usage()
 
 
 # -- fuzzing: every subcommand keeps the exit-code contract --------------------

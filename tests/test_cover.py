@@ -205,8 +205,9 @@ class TestEntanglement:
             )
 
     def test_common_group_check_builds_two_chains(self, monkeypatch):
-        """The joint chain gives the first action's order; only the second
-        action builds a chain of its own."""
+        """The joint chain gives the first action's order, and one chain
+        of the same group with the second action's letters first gives
+        the second's."""
         builds = []
         original = GeneratedGroup._build
 
@@ -218,7 +219,7 @@ class TestEntanglement:
         t1 = [p7("(1 3)(4 5)"), p7("(1 4 6 7)(2 3)")]
         t2 = [p7("(1 2)(3 5)"), p7("(1 3 6 7)(4 5)")]
         character_entanglement(t1, t2)
-        assert builds == [14, 7]
+        assert builds == [14, 14]
 
 
 def _graph(h: Permutation) -> tuple[int, ...]:

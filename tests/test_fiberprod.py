@@ -539,13 +539,14 @@ class TestNoTensorChain:
 
     @pytest.mark.parametrize("m", [7, 8])
     def test_paired_cover_builds_two_chains(self, m, chain_degrees):
-        """The joint group and the y-side: the x-side order is read off
-        the joint chain's first m levels."""
+        """The joint group, and the same group with the y-letters first:
+        the x-side order is read off the joint chain's first m levels,
+        the y-side order off the swapped chain's first n."""
         source = catalog.build_sm_pair(m)
         n = source.degree_y
         chain_degrees.clear()  # the catalog's own pair
         PairedCover(source.branch_points, source.sigma, source.tau, m, n)
-        assert chain_degrees == [m + n, n]
+        assert chain_degrees == [m + n, m + n]
 
     def test_validate_builds_no_chain(self, chain_degrees):
         source = catalog.get("deg7-cover-1")
@@ -556,19 +557,25 @@ class TestNoTensorChain:
 
 def test_y1_stabilizer_built_once_per_pair(monkeypatch):
     """Every component's projection to the y-line reads the carrier of
-    the y-letter 1 and Stab(m+1) of the joint group from the pair's one
-    walk of that orbit, so the orbit is walked once, not per component.
+    the y-letter 1 from the pair's one walk of that orbit, so the orbit
+    is walked once, not per component; Stab(m+1) is the tail of the
+    pair's swapped chain, so no stabilizer is streamed from the walk.
     Each module's reference to the walk is recorded, so a walk through
     a name imported from ``permgroup`` is counted too."""
-    starts = []
-    original = permgroup._orbit
+    starts, stabilized = [], []
+    walk, stabilizer = permgroup._orbit, permgroup._stabilizer
 
     def recording(group, start, actions, what):
         starts.append((group.degree, start))
-        return original(group, start, actions, what)
+        return walk(group, start, actions, what)
+
+    def recording_stabilizer(group, transversal, actions):
+        stabilized.append(group.degree)
+        return stabilizer(group, transversal, actions)
 
     for module in (permgroup, fiberprod):
         monkeypatch.setattr(module, "_orbit", recording)
+        monkeypatch.setattr(module, "_stabilizer", recording_stabilizer, raising=False)
     source = catalog.get("sm-pair-7")
     m, n = source.degree_x, source.degree_y
     pair = PairedCover(source.branch_points, source.sigma, source.tau, m, n)
@@ -576,6 +583,7 @@ def test_y1_stabilizer_built_once_per_pair(monkeypatch):
     for component in pair.components:
         assert component.pry_branch_cycles().validate().valid
     assert starts.count((m + n, m + 1)) == 1
+    assert m + n not in stabilized
 
 
 def test_projection_walks_each_class_once(monkeypatch):

@@ -1011,33 +1011,78 @@ def _conjugated_pair(pair, rng):
     )
 
 
+def _catalog_pairs_and_conjugates():
+    """Every catalog pair, ``build_sm_pair(5..9)``, and two seeded
+    conjugates each of ``deg7-pair-1/2`` and ``sm-pair-7/8``."""
+    for key in catalog.list_keys():
+        pair = catalog.get(key)
+        if isinstance(pair, CoverPair):
+            yield pair
+    for m in range(5, 10):
+        yield catalog.build_sm_pair(m)
+    rng = random.Random(8387)
+    for key in ("deg7-pair-1", "deg7-pair-2", "sm-pair-7"):
+        for _ in range(2):
+            yield _conjugated_pair(catalog.get(key), rng)
+    for _ in range(2):
+        yield _conjugated_pair(catalog.build_sm_pair(8), rng)
+
+
 class TestSubgroupIndex:
     """``subgroup_index`` is m times an orbit length of Stab(1), read off
     the joint chain's tail with no chain built; it must be the index of
     the witness that ``subgroup_witness`` builds, and the degree over z."""
 
-    @staticmethod
-    def _pairs():
-        for key in catalog.list_keys():
-            pair = catalog.get(key)
-            if isinstance(pair, CoverPair):
-                yield pair
-        for m in range(5, 10):
-            yield catalog.build_sm_pair(m)
-        rng = random.Random(8387)
-        for key in ("deg7-pair-1", "deg7-pair-2", "sm-pair-7"):
-            for _ in range(2):
-                yield _conjugated_pair(catalog.get(key), rng)
-        for _ in range(2):
-            yield _conjugated_pair(catalog.build_sm_pair(8), rng)
-
     def test_index_is_the_witness_index_and_the_degree(self):
         sizes = set()
-        for pair in self._pairs():
+        for pair in _catalog_pairs_and_conjugates():
             for c in pair.components:
                 assert c.subgroup_index == c.subgroup_witness[1] == c.deg_over_z
                 sizes.add(c.deg_over_z)
         assert len(sizes) > 10
+
+
+class TestSwappedChain:
+    """A pair's one chain of the joint group with the y-letters first
+    gives the y-side order (its first n orbit lengths) and Stab(m+1)
+    (its tail, swapped back), which every projection to the y-line
+    reads.  Both must match what is built directly: the y-side's own
+    group, and the joint group's point stabilizer of m+1."""
+
+    @staticmethod
+    def _check(pair) -> None:
+        m, n = pair.degree_x, pair.degree_y
+        joint = pair.joint_group
+        y_order = GeneratedGroup(n, list(pair.tau)).order()
+        assert pair._swapped_group._leading_order(n) == y_order
+        _, generators = pair.y1_orbit_stabilizer
+        tail = GeneratedGroup(m + n, generators)
+        stabilizer = joint.point_stabilizer(m + 1)
+        assert tail.order() == stabilizer.order()
+        assert all(stabilizer.contains(g) for g in generators)
+        assert all(tail.contains(g) for g in stabilizer.generators)
+
+    def test_catalog_pairs_and_conjugates(self):
+        for pair in _catalog_pairs_and_conjugates():
+            self._check(pair)
+
+    def test_weak_pairs_with_unbranched_labels(self):
+        a = parse_cycles("(1 2)", 3)
+        b = parse_cycles("(1 2 3)", 3)
+        c = (a * b).inverse()
+        one = identity(3)
+        # A label unbranched on both sides.
+        self._check(
+            CoverPair(("z0", "z1", "z2", "z3"), (one, a, b, c), (one, a, b, c), 3, 3)
+        )
+        # Labels unbranched on one side only.
+        rng = random.Random(6151)
+        unbranched = 0
+        for _ in range(40):
+            pair = _random_weak_pair(rng)
+            unbranched += any(p.is_identity for p in pair.sigma + pair.tau)
+            self._check(pair)
+        assert unbranched > 10
 
 
 class TestProductOneAdjustmentOracle:
