@@ -741,10 +741,10 @@ def test_fiber_builds_no_point_stabilizer(key, tmp_path, capsys, monkeypatch):
 # -- the parser: one command's alone, or every command --------------------------
 
 _PARSER_ARGV = [
-    *(
-        [command, "{cover}"]
-        for command in ("validate", "genus", "galois-genus", "ochar")
-    ),
+    ["validate", "{cover}"],
+    ["genus", "{cover}"],
+    ["galois-genus", "{cover}"],
+    ["ochar", "{cover}"],
     ["fiber", "{pair}"],
     ["fiber", "{pair}", "--report", "{report}"],
     ["nielsen", "enum", "{spec}"],
