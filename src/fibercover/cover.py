@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from ._record import Record
 from .permcore import Permutation, parse_cycles, product
@@ -152,12 +152,12 @@ class Cover(Record):
         return genus_from_tuple(g_order, index_sum)
 
     def orbifold_char(self) -> Fraction:
-        """2 + sum(1/ord - 1); equals 2(1 - galois_genus)/|G|."""
+        """2 + sum(1/ord - 1); equals 2(1 - galois_genus)/|G|.  One
+        ``Fraction``: (2L + sum(L/ord - L)) / L, L the lcm of the orders."""
         self.require_valid()
-        total = Fraction(2)
-        for c in self.cycles:
-            total += Fraction(1, c.order()) - 1
-        return total
+        orders = [c.order() for c in self.cycles]
+        common = lcm(*orders)
+        return Fraction(2 * common + sum(common // o - common for o in orders), common)
 
     # -- serialization -----------------------------------------------------
 

@@ -732,13 +732,16 @@ def screen_g1(
     pr_w.require_valid()
     g1.require_valid()
     if joint is not None:
-        for side, cover, which in (
-            (joint.sigma_cover(), pr_w, "x-side is not pr_w"),
-            (joint.tau_cover(), g1, "y-side is not g1"),
+        for degree, side, cover, which in (
+            (joint.degree_x, joint.sigma, pr_w, "x-side is not pr_w"),
+            (joint.degree_y, joint.tau, g1, "y-side is not g1"),
         ):
-            if side.degree != cover.degree or dict(
-                zip(side.branch_points, side.cycles)
-            ) != dict(zip(cover.branch_points, cover.cycles)):
+            branched = {
+                b: p for b, p in zip(joint.branch_points, side) if not p.is_identity
+            }
+            if degree != cover.degree or branched != dict(
+                zip(cover.branch_points, cover.cycles)
+            ):
                 raise InvalidCoverError(f"the joint pair's {which}, label by label")
     notes: list[str] = []
 

@@ -242,8 +242,8 @@ class _OrbitTable:
         u = walk[c0]
         to_c0 = _conjugation(u)
         centralizer = []
-        for h in self.group._centralizer(walk).elements():
-            c = to_c0(h.padded)
+        for h in self.group._centralizer(walk)._padded_elements():
+            c = to_c0(h)
             centralizer.append((c, _invert(c)))
         # u^-1 * t_y, the inverse of the conjugator onto c0, is one
         # composition per member.

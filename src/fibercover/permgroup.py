@@ -16,9 +16,9 @@ that received a residue and sifting each (letter, generator) pair once.
 ``_streamed`` is the one bounded build: it stops once the product of the
 orbit lengths reaches an order bound the caller has proved (each orbit
 of a partial chain lies in the true basic orbit, so the product is at
-most the group order, with equality only for a complete chain).  A
-constructor sets the chain alone; the element list, the class walks and
-their centralizers are cached on first use.
+most the group order, with equality only for a complete chain); a full
+build stops at n!.  A constructor sets the chain alone; the element
+list, the class walks and their centralizers are cached on first use.
 
 Stab(1) is the chain's own tail and builds nothing.  Outside the
 chain, a walk and its stabilizer are two steps: ``_orbit`` is the one
@@ -254,7 +254,9 @@ class GeneratedGroup:
         """Sift the generators in, then close under Schreier generators.
         Stop once the product of the orbit lengths reaches ``bound``, a
         proved upper bound on |<generators>|: that product never exceeds
-        the group order and equals it only for a complete chain.
+        the group order and equals it only for a complete chain.  A full
+        build (``bound`` None) stops at n!, which bounds every subgroup of
+        S_n, compared only once the chain has n - 1 levels.
 
         Returns the generators whose residue extended the chain.  They
         generate the whole group: every other one sifted to the identity
@@ -266,13 +268,13 @@ class GeneratedGroup:
         self._order = 1  # the product of the orbit lengths
         kept: list[Permutation] = []
         for g in generators:
-            if self._order == bound:
+            if self._reached(bound):
                 break
             residue = self._sift(g.padded)
             if residue is not None:
                 self._add_strong_generator(residue)
                 kept.append(g)
-        if self._order != bound:
+        if not self._reached(bound):
             self._verify(bound)
         # The strong generators fixing 1 generate Stab(1), the chain's
         # tail; membership, listing and coset minima read only the inverses.
@@ -283,6 +285,16 @@ class GeneratedGroup:
         if bound is not None and self._order > bound:
             raise RuntimeError(f"group order {self._order} exceeds its bound {bound}")
         return kept
+
+    def _reached(self, bound: int | None) -> bool:
+        """Whether the chain's order has reached ``bound``, or n! for a
+        full build (``bound`` None).  A chain of order n! has all n - 1
+        levels, so no factorial is formed for a chain with fewer."""
+        if bound is None:
+            if len(self._levels) < self.degree - 1:
+                return False
+            bound = factorial(self.degree)
+        return self._order == bound
 
     def _sift(self, g: tuple[int, ...], start: int = 0) -> tuple[int, ...] | None:
         """Reduce the padded tuple ``g``, fixing the base points before
@@ -354,7 +366,7 @@ class GeneratedGroup:
                 idx -= 1
                 continue
             idx = self._add_strong_generator(residue)
-            if self._order == bound:
+            if self._reached(bound):
                 return
 
     # -- basic queries --------------------------------------------------
@@ -394,18 +406,22 @@ class GeneratedGroup:
 
     @cached_property
     def _elements(self) -> list[Permutation]:
-        """Listed from the stabilizer chain: G is the disjoint union of
-        the cosets t^-1 * G_1, t^-1 in the first level's inverse
-        transversal, so each element is one product of inverse
-        transversal elements, one per level from the top down.  The list
-        costs about |G| products and needs no membership test."""
+        return [_from_padded(x) for x in sorted(self._padded_elements())]
+
+    def _padded_elements(self) -> list[tuple[int, ...]]:
+        """Every element as a padded tuple, unsorted and not kept, listed
+        from the stabilizer chain: G is the disjoint union of the cosets
+        t^-1 * G_1, t^-1 in the first level's inverse transversal, so
+        each element is one product of inverse transversal elements, one
+        per level from the top down.  The list costs about |G| products
+        and needs no membership test."""
         _check_listing(self._order, "group elements")
         found = [self._one]
         for lvl in self._levels:
             if len(lvl.inverses) > 1:
                 vs = list(lvl.inverses.values())
                 found = [get(v) for get in [itemgetter(*x) for x in found] for v in vs]
-        return [_from_padded(x) for x in sorted(found)]
+        return found
 
     def is_subgroup(self, other: "GeneratedGroup") -> bool:
         """True iff ``self`` is contained in ``other``."""

@@ -678,15 +678,16 @@ def _golden_argv(case: str, tmp_path) -> list[str]:
         # tuple-2 with no group_generators: the group is A7, its entries'.
         element = str(GOLDEN / "coalesce_tuple-2.json")
         return ["nielsen", "coalesce", element, "--at", "1"]
-    if case == "growth_deg7-pair-2_chebyshev_6":
+    if case.startswith("growth_"):
+        key, family, max_degree = case[len("growth_") :].rsplit("_", 2)
         return [
             "growth",
             "--pair",
-            "deg7-pair-2",
+            key,
             "--g1-family",
-            "chebyshev",
+            family,
             "--max-degree",
-            "6",
+            max_degree,
         ]
     return ["catalog", "get", case[len("catalog_get_") :]]
 
@@ -708,6 +709,7 @@ class TestGoldenStdout:
             "nielsen_braid-orbits_deg7-class-2.4.7",
             "nielsen_braid-orbits_psl33-2^3.13",
             "growth_deg7-pair-2_chebyshev_6",
+            "growth_deg7-pair-1_cyclic_6",
             "catalog_get_deg7-pair-2^3.7",
             "catalog_get_hilbert-siegel-m5",
             "catalog_get_deg7-coalesce-tuples",
@@ -718,6 +720,34 @@ class TestGoldenStdout:
         assert main(_golden_argv(case, tmp_path)) == 0
         expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+
+def test_screen_along_the_growth_table_matches_golden(tmp_path, capsys):
+    """Every step of ``scripts/growth_table.py`` on both degree-7 pairs, in
+    both families, d = 2..6: the full report of ``fibercover screen`` on
+    the projection, g1 and their weak pair, field by field."""
+    out = []
+    for key in ("deg7-pair-1", "deg7-pair-2"):
+        components = sorted(catalog.get(key).components, key=lambda c: len(c.orbit))
+        for ci, component in enumerate(components, start=1):
+            pry = component.pry_branch_cycles()
+            for family in ("chebyshev", "cyclic"):
+                for d in range(2, 7):
+                    g1 = catalog.growth_family_cover(family, d, pry)
+                    if g1 is None:
+                        break
+                    joint = fiberprod.pair_covers_over_common_points(pry, g1)
+                    files = []
+                    for name, value in (("prw", pry), ("g1", g1), ("joint", joint)):
+                        path = tmp_path / f"{name}.json"
+                        path.write_text(value.to_json())
+                        files.append(str(path))
+                    argv = ["screen", files[0], files[1], "--joint", files[2]]
+                    assert main(argv) == 0
+                    out.append(f"== {key} component {ci} {family} degree {d}\n")
+                    out.append(capsys.readouterr().out)
+    expected = (GOLDEN / "screen_growth_steps.txt").read_text(encoding="utf-8")
+    assert "".join(out) == expected
 
 
 @pytest.mark.parametrize("key", ["deg7-pair-1", "sm-pair-7", "sm-pair-9"])

@@ -76,6 +76,69 @@ class TestGenus:
         assert c.orbifold_char() == Fraction(2, 5)
 
 
+def _seeded_cover(rng: random.Random, n: int) -> Cover:
+    """A valid cover of degree ``n`` with two to five branch points, its
+    entries drawn from S_n or from the cyclic group of the n-cycle, the
+    last one closing the product."""
+    cycle = Permutation(tuple(range(2, n + 1)) + (1,))
+    while True:
+        r = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            entries = [cycle ** rng.randrange(n) for _ in range(r - 1)]
+        else:
+            entries = [
+                Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                for _ in range(r - 1)
+            ]
+        entries.append(product(entries, n).inverse())
+        labels = tuple(f"z{i}" for i in range(r))
+        if any(p.is_identity for p in entries):
+            continue
+        cover = Cover(n, labels, tuple(entries))
+        if cover.validate().valid:
+            return cover
+
+
+def _check_orbifold_char(cover: Cover) -> None:
+    ochar = cover.orbifold_char()
+    assert type(ochar) is Fraction
+    assert ochar == 2 + sum(Fraction(1, c.order()) - 1 for c in cover.cycles)
+    order = cover.group().order()
+    assert ochar == Fraction(2 * (1 - cover.galois_closure_genus()), order)
+
+
+class TestOrbifoldChar:
+    """``orbifold_char`` is one ``Fraction`` over the lcm of the entry
+    orders; it must equal the sum of fractions it replaced and the
+    Riemann-Hurwitz value 2(1 - galois_closure_genus)/|G|."""
+
+    def test_catalog_covers(self):
+        values = [catalog.get(key) for key in catalog.list_keys()]
+        covers = [v for v in values if isinstance(v, Cover)]
+        assert covers
+        for cover in covers:
+            _check_orbifold_char(cover)
+
+    def test_catalog_projections(self):
+        values = [catalog.get(key) for key in catalog.list_keys()]
+        pairs = [v for v in values if isinstance(v, CoverPair)]
+        assert pairs
+        for pair in pairs:
+            for component in pair.components:
+                _check_orbifold_char(component.pry_branch_cycles())
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_seeded_covers(self, n):
+        rng = random.Random(65537 + n)
+        for _ in range(8):
+            _check_orbifold_char(_seeded_cover(rng, n))
+
+    def test_trivial_cover(self):
+        cover = Cover(1, (), ())
+        assert cover.orbifold_char() == Fraction(2)
+        _check_orbifold_char(cover)
+
+
 class TestValidity:
     def test_identity_entries_rejected_at_construction(self):
         with pytest.raises(ValueError):

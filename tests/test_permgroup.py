@@ -251,6 +251,122 @@ class TestOrderBound:
             GeneratedGroup._streamed(4, s4, 5)
 
 
+def _random_symmetric_generators(rng: random.Random, n: int) -> list[Permutation]:
+    """Two or three random permutations that generate S_n, by the oracle;
+    none for n = 1."""
+    if n == 1:
+        return []
+    while True:
+        gens = [_random_perm(rng, n) for _ in range(rng.randint(2, 3))]
+        sym = PermutationGroup([SymPerm([i - 1 for i in g.images]) for g in gens])
+        if sym.order() == factorial(n):
+            return gens
+
+
+def _sifted_symmetric_generators(rng: random.Random, n: int) -> list[Permutation]:
+    """The cycles (k k+1 ... n), k < n, in a random order, then a few
+    random permutations.  Sifting the cycles alone fills every level (the
+    cycle on k..n is the only one moving k), so the chain reaches n!
+    before the random ones are read."""
+    cycles = [
+        Permutation(tuple(range(1, k)) + tuple(range(k + 1, n + 1)) + (k,))
+        for k in range(1, n)
+    ]
+    rng.shuffle(cycles)
+    return cycles + [_random_perm(rng, n) for _ in range(3)]
+
+
+def _assert_matches_sympy(g: GeneratedGroup, rng: random.Random) -> None:
+    """Order, membership of random elements, the element list and the
+    orbits of Stab(1) against the oracle."""
+    n = g.degree
+    sym = to_sympy_group(g)
+    assert g.order() == sym.order()
+    for _ in range(20):
+        x = _random_perm(rng, n)
+        assert g.contains(x) == sym.contains(SymPerm([i - 1 for i in x.images]))
+    listed = [tuple(i + 1 for i in p.array_form) for p in sym.generate()]
+    assert [x.images for x in g.elements()] == sorted(listed)
+    ours = g.point_stabilizer(1).orbits()
+    theirs = sym.stabilizer(0).orbits()
+    assert ours == sorted(sorted(i + 1 for i in orb) for orb in theirs)
+
+
+class TestFullBuildStopsAtFactorial:
+    """A full build stops once its chain's order reaches n!, which bounds
+    every subgroup of S_n, so a symmetric group's complete chain is never
+    verified; n! is formed only once the chain has all n - 1 levels."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sifted_symmetric_group_skips_verify(self, n, monkeypatch):
+        rng = random.Random(8191 + n)
+
+        def refuse(group, bound):
+            raise AssertionError("a symmetric group's chain was verified")
+
+        monkeypatch.setattr(permgroup.GeneratedGroup, "_verify", refuse)
+        formed = []
+        monkeypatch.setattr(
+            permgroup, "factorial", lambda k: formed.append(k) or factorial(k)
+        )
+        g = GeneratedGroup(n, _sifted_symmetric_generators(rng, n))
+        assert g.order() == factorial(n)
+        assert set(formed) == {n}
+        monkeypatch.undo()
+        _assert_matches_sympy(g, rng)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_symmetric_chain_verifies_nothing_once_complete(self, n, monkeypatch):
+        """From random generators the Schreier generators find the strong
+        generators, and the check stops as the order reaches n!."""
+        rng = random.Random(131071 + n)
+        late = []
+        original = permgroup.GeneratedGroup._sift
+
+        def sift(group, g, start=0):
+            if start > 0 and group._order == factorial(group.degree):
+                late.append(g)
+            return original(group, g, start)
+
+        monkeypatch.setattr(permgroup.GeneratedGroup, "_sift", sift)
+        g = GeneratedGroup(n, _random_symmetric_generators(rng, n))
+        monkeypatch.undo()
+        assert late == []
+        assert g.order() == factorial(n)
+        _assert_matches_sympy(g, rng)
+
+    @pytest.mark.parametrize(
+        "degree, generators, order",
+        [
+            (4, ["(1 2 3)", "(2 3 4)"], 12),
+            (5, ["(1 2 3)", "(1 2 3 4 5)"], 60),
+            (6, ["(1 2 3)", "(2 3 4 5 6)"], 360),
+            (7, ["(1 2 3)", "(1 2 3 4 5 6 7)"], 2520),
+            (7, ["(1 3)(4 5)", "(1 4 6 7)(2 3)", "(1 7 6 5 4 3 2)"], 168),  # PSL(3,2)
+        ],
+    )
+    def test_other_groups_are_verified(self, degree, generators, order, monkeypatch):
+        verified = []
+        original = permgroup.GeneratedGroup._verify
+
+        def recording(group, bound):
+            verified.append(bound)
+            return original(group, bound)
+
+        monkeypatch.setattr(permgroup.GeneratedGroup, "_verify", recording)
+        g = GeneratedGroup(degree, [parse_cycles(c, degree) for c in generators])
+        assert verified == [None]
+        assert g.order() == to_sympy_group(g).order() == order
+
+    def test_large_degree_forms_no_factorial(self, monkeypatch):
+        formed = []
+        monkeypatch.setattr(permgroup, "factorial", lambda k: formed.append(k) or 1)
+        n = 100_000
+        g = GeneratedGroup(n, [parse_cycles("(1 2)", n)])
+        assert g.order() == 2
+        assert formed == []
+
+
 def _first_moved(x: Permutation) -> int:
     return next(i for i, image in enumerate(x.images, start=1) if image != i)
 
