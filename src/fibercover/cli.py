@@ -19,7 +19,7 @@ import sys
 from functools import cache
 
 from . import catalog, nielsen
-from .cover import Cover, InvalidCoverError
+from .cover import Cover, InvalidCoverError, _strings
 from .fiberprod import (
     Component,
     CoverPair,
@@ -86,11 +86,11 @@ def _load_nielsen_spec(path: str, mode_override: str | None) -> NielsenClassSpec
         cap = _search_cap_override()
         kwargs = {} if cap is None else {"search_cap": cap}
         degree = int(data["degree"])
-        generators = [parse_cycles(s, degree) for s in data["generators"]]
-        reps = tuple(parse_cycles(s, degree) for s in data["class_reps"])
+        generators = [parse_cycles(s, degree) for s in _strings(data, "generators")]
+        reps = tuple(parse_cycles(s, degree) for s in _strings(data, "class_reps"))
         mode = EquivalenceMode(mode_override or data.get("mode", "absolute"))
         outer = tuple(
-            parse_cycles(s, degree) for s in data.get("outer_elements", [])
+            parse_cycles(s, degree) for s in _strings(data, "outer_elements", [])
         )
         include_reorderings = data.get("include_reorderings", True)
         if not isinstance(include_reorderings, bool):
@@ -196,8 +196,9 @@ def _cmd_nielsen_braid_orbits(args) -> int:
 def _cmd_nielsen_coalesce(args) -> int:
     def build(data: dict):
         degree = int(data["degree"])
-        gen_strings = data.get("group_generators", data["entries"])
-        entries = tuple(parse_cycles(s, degree) for s in data["entries"])
+        entry_strings = _strings(data, "entries")
+        gen_strings = _strings(data, "group_generators", entry_strings)
+        entries = tuple(parse_cycles(s, degree) for s in entry_strings)
         group = GeneratedGroup(degree, [parse_cycles(s, degree) for s in gen_strings])
         nielsen._require_members(entries, group)
         return entries, group

@@ -172,16 +172,25 @@ class Cover(Record):
     def from_json_dict(data: dict) -> "Cover":
         return Cover.from_cycle_strings(
             int(data["degree"]),
-            [str(b) for b in data["branch_points"]],
-            [str(c) for c in data["cycles"]],
+            _strings(data, "branch_points"),
+            _strings(data, "cycles"),
         )
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "Cover":
-        return Cover.from_json_dict(json.loads(text))
+
+def _strings(data: dict, key: str, default: list[str] | None = None) -> list[str]:
+    """``data[key]`` (or ``default`` where the key is absent, if given),
+    which must be a JSON array of strings; anything else is refused with
+    a ``TypeError`` naming the key."""
+    value = data[key] if default is None else data.get(key, default)
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be an array, got {value!r}")
+    for i, item in enumerate(value):
+        if not isinstance(item, str):
+            raise TypeError(f"{key}[{i}] must be a string, got {item!r}")
+    return value
 
 
 # -- class-level helpers ---------------------------------------------------

@@ -36,7 +36,7 @@ from .permcore import (
 )
 from .permgroup import CapExceededError, GeneratedGroup, orbits
 from .permgroup import _generates, _orbit
-from .cover import Cover, InvalidCoverError, genus_from_tuple
+from .cover import Cover, InvalidCoverError, _strings, genus_from_tuple
 
 __all__ = [
     "CoverPair",
@@ -102,8 +102,7 @@ def _restrict(perm: Permutation, letters: tuple[int, ...]) -> Permutation:
 class RamPoint(Record):
     """Points of the fiber product over one branch point, coming from a
     disjoint-cycle pair (x-cycle of length s, y-cycle of length t):
-    gcd(s, t) points, each of index lcm(s, t)/t over y and lcm(s, t)/s
-    over x."""
+    gcd(s, t) points, each of index lcm(s, t)/t over y."""
 
     branch_index: int
     x_cycle: tuple[int, ...]
@@ -124,10 +123,6 @@ class RamPoint(Record):
     @property
     def ram_index_over_y(self) -> int:
         return lcm(self.s, self.t) // self.t
-
-    @property
-    def ram_index_over_x(self) -> int:
-        return lcm(self.s, self.t) // self.s
 
 
 class CoverPair(Record):
@@ -170,9 +165,6 @@ class CoverPair(Record):
 
     def sigma_cover(self) -> Cover:
         return Cover.from_aligned(self.degree_x, self.branch_points, self.sigma)
-
-    def tau_cover(self) -> Cover:
-        return Cover.from_aligned(self.degree_y, self.branch_points, self.tau)
 
     @cached_property
     def y_genus(self) -> int:
@@ -323,16 +315,12 @@ class CoverPair(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoverPair":
-        labels = tuple(str(b) for b in data["branch_points"])
+        labels = tuple(_strings(data, "branch_points"))
         m = int(data["sigma"]["degree"])
         n = int(data["tau"]["degree"])
-        sigma = tuple(parse_cycles(s, m) for s in data["sigma"]["cycles"])
-        tau = tuple(parse_cycles(s, n) for s in data["tau"]["cycles"])
+        sigma = tuple(parse_cycles(s, m) for s in _strings(data["sigma"], "cycles"))
+        tau = tuple(parse_cycles(s, n) for s in _strings(data["tau"], "cycles"))
         return cls(labels, sigma, tau, m, n)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoverPair":
-        return cls.from_json_dict(json.loads(text))
 
 
 class PairedCover(CoverPair):

@@ -132,8 +132,7 @@ class NielsenClassSpec(Record):
                 self.group.degree,
                 list(self.group.generators) + list(self.outer_elements),
             )
-        normalizer = self.group.normalizer_in_symmetric()
-        return self.group.class_stabilizer(self.classes(), ambient=normalizer)
+        return self.group.class_stabilizer(self.classes())
 
     @cached_property
     def _orbit_table(self) -> _OrbitTable:
@@ -302,10 +301,6 @@ def braid_apply(element: NielsenElement, word: str) -> NielsenElement:
     return current
 
 
-def braid_generators(r: int) -> list[str]:
-    return [f"q{i}" for i in range(1, r)] + ["sh"]
-
-
 def braid_orbits(spec: NielsenClassSpec) -> list[list[NielsenElement]]:
     """Partition of the canonical representatives into braid-group
     orbits, by closure under the twists and the shift: one breadth-first
@@ -318,7 +313,7 @@ def braid_orbits(spec: NielsenClassSpec) -> list[list[NielsenElement]]:
     reps = enumerate_class(spec)
     members = set(reps)
     canonical = spec._orbit_table
-    gens = braid_generators(spec.r)
+    gens = [f"q{i}" for i in range(1, spec.r)] + ["sh"]
     seen: set[NielsenElement] = set()
     orbits: list[list[NielsenElement]] = []
     for rep in reps:

@@ -36,9 +36,9 @@ Block systems are joins of Atkinson's minimal systems, seeded from the
 orbits of Stab(1), and build no group.
 
 Caps sit at the work that grows with the group: ``LISTING_CAP`` bounds
-every listing of group elements, class members or cosets, and the
-number of candidates the normalizer search forms, counted before the
-first is formed.  ``LISTING_CAP`` and ``CapExceededError`` live in
+every listing of group elements or class members, and the number of
+candidates the normalizer search forms, counted before the first is
+formed.  ``LISTING_CAP`` and ``CapExceededError`` live in
 ``permcore``, which refuses a degree above the cap, and are re-exported
 here.
 """
@@ -54,7 +54,7 @@ from operator import itemgetter
 
 from ._record import Record
 from .permcore import LISTING_CAP, CapExceededError  # re-exported
-from .permcore import _IDENTITY, Permutation, _from_padded, _invert, identity
+from .permcore import _IDENTITY, Permutation, _from_padded, _invert
 from .permcore import _conjugation
 
 __all__ = [
@@ -523,45 +523,6 @@ class GeneratedGroup:
                     found[joined] = None
                     systems.append(joined)
         return sorted(found, key=lambda b: (b.block_size, b.blocks))
-
-    def is_primitive(self) -> bool:
-        """Whether there is no nontrivial block system: every system is a
-        join of minimal ones, so the minimal systems alone answer it."""
-        return all(bs is None for bs in self._minimal_systems())
-
-    # -- coset actions --------------------------------------------------
-
-    def coset_action(
-        self, h: "GeneratedGroup"
-    ) -> tuple[list[Permutation], int]:
-        """Right action of the generators on the right cosets of ``h``.
-
-        Cosets are labeled 1..[g:h] with the coset of ``h`` itself
-        labeled 1 and the rest by breadth-first discovery over the
-        generators in input order — byte-reproducible output.  A coset is
-        keyed by its least element, one walk down the chain of ``h``, so
-        the index, checked against ``LISTING_CAP`` first, bounds the cost.
-        """
-        if not h.is_subgroup(self):
-            raise ValueError("h is not a subgroup of g")
-        index = self._order // h.order()
-        _check_listing(index, "cosets")
-        reps = [identity(self.degree)]
-        labels = {reps[0]: 1}
-        padded: list[list[int]] = [[0] for _ in self.generators]
-        # ``reps`` doubles as the FIFO queue of cosets to act on.
-        for rep in reps:
-            for gi, g in enumerate(self.generators):
-                least = h.coset_minimum(rep * g)
-                target = labels.get(least)
-                if target is None:
-                    target = labels[least] = len(reps) + 1
-                    reps.append(least)
-                padded[gi].append(target)
-        if len(reps) != index:
-            raise RuntimeError("coset enumeration mismatch")
-        perms = [_from_padded(tuple(p)) for p in padded]
-        return perms, index
 
     # -- conjugacy ------------------------------------------------------
 

@@ -157,6 +157,80 @@ class TestLoaderErrors:
             ),
             (["nielsen", "enum"], {"degree": 7}, "bad Nielsen spec: 'generators'"),
             (["nielsen", "coalesce"], {"degree": 7}, "bad element data: 'entries'"),
+            # A string, an object or a null where an array of strings belongs.
+            (
+                ["validate"],
+                {"degree": 2, "branch_points": "ab", "cycles": ["(1 2)", "(1 2)"]},
+                "bad cover data: branch_points must be an array, got 'ab'",
+            ),
+            (
+                ["validate"],
+                {"degree": 2, "branch_points": {"a": 0, "b": 1}, "cycles": []},
+                "bad cover data: branch_points must be an array, got {'a': 0, 'b': 1}",
+            ),
+            (
+                ["genus"],
+                {"degree": 2, "branch_points": ["a", None], "cycles": []},
+                "bad cover data: branch_points[1] must be a string, got None",
+            ),
+            (
+                ["ochar"],
+                {"degree": 2, "branch_points": ["a"], "cycles": "(1 2)"},
+                "bad cover data: cycles must be an array, got '(1 2)'",
+            ),
+            (
+                ["fiber"],
+                {
+                    "branch_points": "ab",
+                    "sigma": {"degree": 2, "cycles": ["(1 2)", "(1 2)"]},
+                    "tau": {"degree": 2, "cycles": ["(1 2)", "(1 2)"]},
+                },
+                "bad paired-cover data: branch_points must be an array, got 'ab'",
+            ),
+            (
+                ["fiber"],
+                {
+                    "branch_points": ["a", "b"],
+                    "sigma": {"degree": 2, "cycles": {"(1 2)": 0}},
+                    "tau": {"degree": 2, "cycles": ["(1 2)", "(1 2)"]},
+                },
+                "bad paired-cover data: cycles must be an array, got {'(1 2)': 0}",
+            ),
+            (
+                ["nielsen", "enum"],
+                {
+                    "degree": 4,
+                    "generators": {"(1 2)": 0, "(1 2 3 4)": 1},
+                    "class_reps": ["(1 2)", "(1 2 3 4)", "(1 2 3)"],
+                },
+                "bad Nielsen spec: generators must be an array, "
+                "got {'(1 2)': 0, '(1 2 3 4)': 1}",
+            ),
+            (
+                ["nielsen", "braid-orbits"],
+                {"degree": 2, "generators": ["(1 2)"], "class_reps": "(1 2)"},
+                "bad Nielsen spec: class_reps must be an array, got '(1 2)'",
+            ),
+            (
+                ["nielsen", "enum"],
+                {
+                    "degree": 2,
+                    "generators": ["(1 2)"],
+                    "class_reps": ["(1 2)", "(1 2)"],
+                    "outer_elements": None,
+                },
+                "bad Nielsen spec: outer_elements must be an array, got None",
+            ),
+            (
+                ["nielsen", "coalesce"],
+                {"degree": 2, "entries": "(1 2)"},
+                "bad element data: entries must be an array, got '(1 2)'",
+            ),
+            (
+                ["nielsen", "coalesce"],
+                {"degree": 2, "entries": ["(1 2)"], "group_generators": {"(1 2)": 0}},
+                "bad element data: group_generators must be an array, got {'(1 2)': 0}",
+            ),
         ],
     )
     def test_bad_data_prefix(self, argv, doc, prefix, tmp_path, capsys):
@@ -1053,11 +1127,15 @@ class TestFuzz:
     @pytest.mark.parametrize(
         "argv, doc",
         [
+            ([command], dict(_FUZZ_COVER, cycles=["(1 2)", 12, "(1 4 3)"]))
+            for command in ("validate", "genus", "galois-genus", "ochar")
+        ]
+        + [
             (["fiber"], dict(_FUZZ_PAIR, sigma={"degree": 3, "cycles": [12, "(1 3)"]})),
             (["nielsen", "enum"], dict(_FUZZ_SPEC, class_reps=[None, "(1 2)"])),
             (["nielsen", "coalesce"], dict(_FUZZ_ELEMENT, entries=[["(1 2)"], "(1 2)"])),
         ],
-        ids=["fiber", "enum", "coalesce"],
+        ids=["validate", "genus", "galois-genus", "ochar", "fiber", "enum", "coalesce"],
     )
     def test_non_string_cycle_exit_4(self, argv, doc, tmp_path, capsys):
         path = tmp_path / "doc.json"

@@ -129,6 +129,14 @@ class TestOrderAndMembership:
     def test_elements_listed_once(self, deg7):
         assert deg7.elements() is deg7.elements()
 
+    def test_coset_minimum_is_least_coset_element(self):
+        rng = random.Random(5003)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            h = GeneratedGroup(n, [_random_perm(rng, n) for _ in range(rng.randint(0, 2))])
+            x = _random_perm(rng, n)
+            assert h.coset_minimum(x) == min(y * x for y in h.elements())
+
 
 class TestOrbitsAndStabilizers:
     def test_transitive(self, deg7):
@@ -614,7 +622,7 @@ class TestGenerationTest:
 
 class TestBlocks:
     def test_deg7_group_primitive(self, deg7):
-        assert deg7.is_primitive()
+        assert deg7.block_systems() == []
         assert to_sympy_group(deg7).is_primitive()
 
     def test_dihedral_blocks(self):
@@ -626,7 +634,6 @@ class TestBlocks:
         systems = g.block_systems()
         sizes = sorted(bs.block_size for bs in systems)
         assert sizes == [2, 3]
-        assert not g.is_primitive()
         assert not to_sympy_group(g).is_primitive()
 
     def test_cyclic_group_of_composite_order_blocks(self):
@@ -640,21 +647,12 @@ class TestBlocks:
         b = BlockSystem.from_partition([[1, 3], [2, 4]])
         assert a == b
 
-    def test_matches_brute_force_on_random_transitive_groups(self, monkeypatch):
+    def test_matches_brute_force_on_random_transitive_groups(self):
         """Every block B through 1 whose images under G partition the
         letters, found by trying the subsets through 1, on seeded random
         transitive groups of degree <= 8: wreath-like ones, whose
         generators keep a tower of runs of consecutive letters, and ones
-        from arbitrary generators (an empty tower).  ``is_primitive``
-        tries at most one minimal system per orbit of Stab(1) other than
-        {1}, and joins none."""
-        calls = []
-        original = GeneratedGroup._minimal_block
-
-        def counting(self, seeds):
-            calls.append(seeds)
-            return original(self, seeds)
-
+        from arbitrary generators (an empty tower)."""
         rng = random.Random(3163)
         checked = imprimitive = several = 0
         while checked < 200:
@@ -666,11 +664,6 @@ class TestBlocks:
                 continue
             expected = _brute_block_systems(g)
             assert g.block_systems() == expected
-            calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(GeneratedGroup, "_minimal_block", counting)
-                assert g.is_primitive() == (not expected)
-            assert len(calls) <= len(g.point_stabilizer(1).orbits()) - 1
             checked += 1
             imprimitive += len(expected) > 0
             several += len(expected) > 1
@@ -746,90 +739,14 @@ def _brute_block_systems(g):
     return sorted(found, key=lambda b: (b.block_size, b.blocks))
 
 
-class TestCosetAction:
-    def test_coset_action_of_point_stabilizer_recovers_degree(self, deg7):
-        h = deg7.point_stabilizer(1)
-        perms, index = deg7.coset_action(h)
-        assert index == 7
-        image = GeneratedGroup(7, perms)
-        assert image.order() == 168
-        assert image.is_transitive()
-
-    def test_index_multiplicativity(self):
-        s4 = GeneratedGroup(4, [parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)])
-        k = s4.point_stabilizer(4)  # S3, order 6
-        h = k.point_stabilizer(3)  # S2, order 2
-        _, idx_gh = s4.coset_action(h)
-        _, idx_gk = s4.coset_action(k)
-        _, idx_kh = k.coset_action(h)
-        assert idx_gh == idx_gk * idx_kh
-
-    def test_non_subgroup_rejected(self, deg7):
-        other = GeneratedGroup(7, [p7("(1 2)")])
-        with pytest.raises(ValueError):
-            deg7.coset_action(other)
-
-    def test_matches_sift_scan_on_random_pairs(self):
-        # H is cyclic, for a spread of indices.  The scan costs about
-        # index**2 sifts, so pairs of index above 120 are drawn again; the
-        # trivial H of the degree-7 case below has index 168.
-        rng = random.Random(4111)
-        checked = 0
-        while checked < 120:
-            n = rng.randint(1, 6)
-            g = GeneratedGroup(n, [_random_perm(rng, n) for _ in range(rng.randint(1, 3))])
-            h = GeneratedGroup(n, [rng.choice(g.elements())])
-            if g.order() // h.order() > 120:
-                continue
-            assert g.coset_action(h) == _sift_scan_coset_action(g, h)
-            checked += 1
-
-    @pytest.mark.parametrize("which", ["point stabilizer", "trivial group"])
-    def test_matches_sift_scan_on_deg7_catalog_group(self, which):
-        g = catalog.get("deg7-cover-1").group()
-        h = g.point_stabilizer(1) if which == "point stabilizer" else GeneratedGroup(7, [])
-        assert g.coset_action(h) == _sift_scan_coset_action(g, h)
-
-    def test_coset_minimum_is_least_coset_element(self):
-        rng = random.Random(5003)
-        for _ in range(60):
-            n = rng.randint(1, 6)
-            h = GeneratedGroup(n, [_random_perm(rng, n) for _ in range(rng.randint(0, 2))])
-            x = _random_perm(rng, n)
-            assert h.coset_minimum(x) == min(y * x for y in h.elements())
-
-
 def _random_perm(rng: random.Random, n: int) -> Permutation:
     images = list(range(1, n + 1))
     rng.shuffle(images)
     return Permutation(tuple(images))
 
 
-def _sift_scan_coset_action(g: GeneratedGroup, h: GeneratedGroup):
-    """The coset action by the scan that least-coset labels replaced: a
-    coset's label is found by one membership sift per known coset."""
-    reps = [identity(g.degree)]
-
-    def label_of(x):
-        for i, r in enumerate(reps, start=1):
-            if h.contains(x * r.inverse()):
-                return i
-        return None
-
-    frontier = deque([identity(g.degree)])
-    while frontier:
-        rep = frontier.popleft()
-        for gen in g.generators:
-            x = rep * gen
-            if label_of(x) is None:
-                reps.append(x)
-                frontier.append(x)
-    images = [[label_of(rep * gen) for rep in reps] for gen in g.generators]
-    return [Permutation(tuple(img)) for img in images], len(reps)
-
-
 class TestListingCap:
-    """One cap bounds every listing of elements, class members and cosets;
+    """One cap bounds every listing of elements and class members;
     lowered to 1000 here so that S8 crosses it."""
 
     @pytest.fixture
@@ -849,15 +766,6 @@ class TestListingCap:
     def test_elements_refused(self, s8):
         with pytest.raises(CapExceededError, match="40320 group elements"):
             s8.elements()
-
-    def test_coset_index_refused_before_listing(self, s8, monkeypatch):
-        def refuse(group, x):
-            raise AssertionError("a coset was listed before the cap check")
-
-        monkeypatch.setattr(permgroup.GeneratedGroup, "coset_minimum", refuse)
-        cyclic = GeneratedGroup(8, [parse_cycles("(1 2 3 4 5 6 7 8)", 8)])
-        with pytest.raises(CapExceededError, match="5040 cosets"):
-            s8.coset_action(cyclic)
 
 
 class TestConjugacy:
