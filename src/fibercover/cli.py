@@ -19,7 +19,7 @@ import sys
 from functools import cache
 
 from . import catalog, nielsen
-from .cover import Cover, InvalidCoverError, _strings
+from .cover import Cover, InvalidCoverError, _degree, _strings
 from .fiberprod import (
     Component,
     CoverPair,
@@ -85,7 +85,7 @@ def _load_nielsen_spec(path: str, mode_override: str | None) -> NielsenClassSpec
     def build(data: dict) -> NielsenClassSpec:
         cap = _search_cap_override()
         kwargs = {} if cap is None else {"search_cap": cap}
-        degree = int(data["degree"])
+        degree = _degree(data)
         generators = [parse_cycles(s, degree) for s in _strings(data, "generators")]
         reps = tuple(parse_cycles(s, degree) for s in _strings(data, "class_reps"))
         mode = EquivalenceMode(mode_override or data.get("mode", "absolute"))
@@ -195,7 +195,7 @@ def _cmd_nielsen_braid_orbits(args) -> int:
 
 def _cmd_nielsen_coalesce(args) -> int:
     def build(data: dict):
-        degree = int(data["degree"])
+        degree = _degree(data)
         entry_strings = _strings(data, "entries")
         gen_strings = _strings(data, "group_generators", entry_strings)
         entries = tuple(parse_cycles(s, degree) for s in entry_strings)

@@ -136,26 +136,29 @@ class Cover(Record):
 
     # -- numeric invariants ----------------------------------------------
 
-    def genus(self) -> int:
+    def _entry_types(self) -> tuple[tuple[int, ...], ...]:
+        """The entries' cycle types, from the validity report, once the
+        cover is known valid: an entry's order is the lcm of its type,
+        and its index is n minus the number of its cycles."""
         self.require_valid()
-        return genus_from_tuple(self.degree, sum(c.index() for c in self.cycles))
+        return self._validity.cycle_types
+
+    def genus(self) -> int:
+        n = self.degree
+        return genus_from_tuple(n, sum(n - len(t) for t in self._entry_types()))
 
     def galois_closure_genus(self) -> int:
         """Genus of the smallest Galois cover dominating this one, from
         2(|G| + g - 1) = sum over branch points of |G|/ord * (ord - 1)."""
-        self.require_valid()
+        orders = [lcm(*t) for t in self._entry_types()]
         g_order = self.group().order()
-        index_sum = 0
-        for c in self.cycles:
-            o = c.order()
-            index_sum += (g_order // o) * (o - 1)
+        index_sum = sum((g_order // o) * (o - 1) for o in orders)
         return genus_from_tuple(g_order, index_sum)
 
     def orbifold_char(self) -> Fraction:
         """2 + sum(1/ord - 1); equals 2(1 - galois_genus)/|G|.  One
         ``Fraction``: (2L + sum(L/ord - L)) / L, L the lcm of the orders."""
-        self.require_valid()
-        orders = [c.order() for c in self.cycles]
+        orders = [lcm(*t) for t in self._entry_types()]
         common = lcm(*orders)
         return Fraction(2 * common + sum(common // o - common for o in orders), common)
 
@@ -171,7 +174,7 @@ class Cover(Record):
     @staticmethod
     def from_json_dict(data: dict) -> "Cover":
         return Cover.from_cycle_strings(
-            int(data["degree"]),
+            _degree(data),
             _strings(data, "branch_points"),
             _strings(data, "cycles"),
         )
@@ -191,6 +194,18 @@ def _strings(data: dict, key: str, default: list[str] | None = None) -> list[str
         if not isinstance(item, str):
             raise TypeError(f"{key}[{i}] must be a string, got {item!r}")
     return value
+
+
+def _degree(data: dict) -> int:
+    """``data["degree"]``, which must be a JSON integer (not a boolean) or
+    a string of ASCII digits; anything else is refused with a
+    ``TypeError`` naming the key."""
+    value = data["degree"]
+    if type(value) is int or (
+        isinstance(value, str) and value.isascii() and value.isdigit()
+    ):
+        return int(value)
+    raise TypeError(f"degree must be an integer or a digit string, got {value!r}")
 
 
 # -- class-level helpers ---------------------------------------------------

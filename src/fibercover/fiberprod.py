@@ -36,7 +36,7 @@ from .permcore import (
 )
 from .permgroup import CapExceededError, GeneratedGroup, orbits
 from .permgroup import _generates, _orbit
-from .cover import Cover, InvalidCoverError, _strings, genus_from_tuple
+from .cover import Cover, InvalidCoverError, _degree, _strings, genus_from_tuple
 
 __all__ = [
     "CoverPair",
@@ -156,9 +156,10 @@ class CoverPair(Record):
             (self.sigma, self.degree_x, "sigma"),
             (self.tau, self.degree_y, "tau"),
         ):
-            if not product(tup, deg).is_identity:
+            branched = [p for p in tup if not p.is_identity]
+            if not product(branched, deg).is_identity:
                 raise InvalidCoverError(f"{name} tuple fails product-one")
-            if len(orbits(tup, deg)) != 1:
+            if len(orbits(branched, deg)) != 1:
                 raise InvalidCoverError(f"{name} tuple is not transitive")
 
     # -- covers and groups ------------------------------------------------
@@ -255,27 +256,45 @@ class CoverPair(Record):
 
     @cached_property
     def component_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the joint group on tensor letters, by least letter,
-        read off the tensor cycles without building their group."""
-        found = orbits(self.tensor_cycles, self.degree_x * self.degree_y)
-        return tuple(tuple(o) for o in found)
+        """Orbits of the joint group on tensor letters, by least letter.
+        With no branch point where both sides are branched, the joint
+        group is G_x × G_y, transitive on the tensor letters since both
+        sides are; otherwise the orbits are read off the tensor cycles
+        without building their group."""
+        size = self.degree_x * self.degree_y
+        if all(a.is_identity or b.is_identity for a, b in zip(self.sigma, self.tau)):
+            return (tuple(range(1, size + 1)),)
+        return tuple(tuple(o) for o in orbits(self.tensor_cycles, size))
 
     @cached_property
     def _orbit_index_sums(self) -> dict[int, int]:
         """Least letter of each component orbit -> the sum over the tensor
         cycles of their indices on that orbit.  The index of a cycle on an
-        orbit of size s is s minus its disjoint cycles there, so the sum is
-        r·s (r tensor cycles) minus the cycles lying in the orbit, counted
-        in one walk of each tensor cycle."""
-        owner = [0] * (self.degree_x * self.degree_y)
-        sums = {}
-        for orbit in self.component_orbits:
-            for letter in orbit:
-                owner[letter - 1] = orbit[0]
-            sums[orbit[0]] = len(self.tensor_cycles) * len(orbit)
-        for p in self.tensor_cycles:
-            for cyc in p.cycles(include_fixed=True):
-                sums[owner[cyc[0] - 1]] -= 1
+        orbit O is |O| minus its disjoint cycles there, so the sum is r·|O|
+        (r tensor cycles) minus the cycles lying in O, counted from the
+        two sides' cycles.  Over an x-letter, O has |O|/m letters, so
+        (σ, 1) has c(σ)·|O|/m cycles in O, and (1, τ) has c(τ)·|O|/n.
+        Otherwise an x-cycle xc and a y-cycle yc give gcd(|xc|, |yc|)
+        cycles, one through each letter (xc[0], yc[k]) with k < gcd."""
+        m, n = self.degree_x, self.degree_y
+        found = self.component_orbits
+        sums = {o[0]: len(self.sigma) * len(o) for o in found}
+        # Letters outside the later orbits lie in the first, whose least
+        # letter is 1.
+        owner = {letter: o[0] for o in found[1:] for letter in o}
+        for a, b in zip(self.sigma, self.tau):
+            if a.is_identity or b.is_identity:
+                side, degree = (a, m) if b.is_identity else (b, n)
+                cycles = degree - side.index()
+                for o in found:
+                    sums[o[0]] -= cycles * len(o) // degree
+                continue
+            y_cycles = b.cycles(include_fixed=True)
+            for xc in a.cycles(include_fixed=True):
+                row = (xc[0] - 1) * n
+                for yc in y_cycles:
+                    for k in range(gcd(len(xc), len(yc))):
+                        sums[owner.get(row + yc[k], 1)] -= 1
         return sums
 
     @property
@@ -316,8 +335,8 @@ class CoverPair(Record):
     @classmethod
     def from_json_dict(cls, data: dict) -> "CoverPair":
         labels = tuple(_strings(data, "branch_points"))
-        m = int(data["sigma"]["degree"])
-        n = int(data["tau"]["degree"])
+        m = _degree(data["sigma"])
+        n = _degree(data["tau"])
         sigma = tuple(parse_cycles(s, m) for s in _strings(data["sigma"], "cycles"))
         tau = tuple(parse_cycles(s, n) for s in _strings(data["tau"], "cycles"))
         return cls(labels, sigma, tau, m, n)
@@ -365,7 +384,6 @@ class Component:
     def __init__(self, pair: CoverPair, orbit: tuple[int, ...]) -> None:
         self.pair = pair
         self.orbit = tuple(sorted(orbit))
-        self.letter_set = frozenset(self.orbit)
         m, n = pair.degree_x, pair.degree_y
         size = len(self.orbit)
         if size % m != 0 or size % n != 0:
@@ -375,6 +393,11 @@ class Component:
         self.deg_over_z = size
         self.deg_over_x = size // m  # k
         self.deg_over_y = size // n  # l
+
+    @cached_property
+    def letter_set(self) -> frozenset[int]:
+        """The orbit's letters as a set, made on first read."""
+        return frozenset(self.orbit)
 
     # -- orbit correspondences ---------------------------------------------
 
@@ -629,10 +652,11 @@ def pair_covers_over_common_points(
     for b in cover_y.branch_points:
         if b not in labels:
             labels.append(b)
-    sx = {b: p for b, p in zip(cover_x.branch_points, cover_x.cycles)}
-    sy = {b: p for b, p in zip(cover_y.branch_points, cover_y.cycles)}
-    sigma = tuple(sx.get(b, identity(cover_x.degree)) for b in labels)
-    tau = tuple(sy.get(b, identity(cover_y.degree)) for b in labels)
+    sx = dict(zip(cover_x.branch_points, cover_x.cycles))
+    sy = dict(zip(cover_y.branch_points, cover_y.cycles))
+    one_x, one_y = identity(cover_x.degree), identity(cover_y.degree)
+    sigma = tuple(sx.get(b, one_x) for b in labels)
+    tau = tuple(sy.get(b, one_y) for b in labels)
     return CoverPair(tuple(labels), sigma, tau, cover_x.degree, cover_y.degree)
 
 
@@ -770,7 +794,7 @@ def screen_g1(
 
     fail2d: bool | None = None
     if joint is not None:
-        fail2d = len(joint.components) > 1
+        fail2d = len(joint.component_orbits) > 1
         if fail2d:
             notes.append(
                 "the fiber product of the projection with g1 is reducible"

@@ -142,6 +142,42 @@ class TestCoverCommands:
         assert main(["fiber", str(path)]) == 4
 
 
+def _side(degree):
+    return {"degree": degree, "cycles": ["(1 2)", "(1 2)"]}
+
+
+# (argv, what the loader reads, the document with a given degree)
+_BAD_DEGREE_DOCS = [
+    (
+        [command],
+        "cover data",
+        lambda d: {"degree": d, "branch_points": ["a", "b"], "cycles": ["(1 2)"] * 2},
+    )
+    for command in ("validate", "genus")
+] + [
+    (
+        ["fiber"],
+        "paired-cover data",
+        lambda d: {"branch_points": ["a", "b"], "sigma": _side(d), "tau": _side(2)},
+    ),
+    (
+        ["fiber"],
+        "paired-cover data",
+        lambda d: {"branch_points": ["a", "b"], "sigma": _side(2), "tau": _side(d)},
+    ),
+    (
+        ["nielsen", "enum"],
+        "Nielsen spec",
+        lambda d: {"degree": d, "generators": ["(1 2)"], "class_reps": ["(1 2)"] * 2},
+    ),
+    (
+        ["nielsen", "coalesce"],
+        "element data",
+        lambda d: {"degree": d, "entries": ["(1 2)", "(1 2)"]},
+    ),
+]
+
+
 class TestLoaderErrors:
     """Each JSON loader names the file and what it expected in one
     ``error:`` line, and prints nothing on stdout."""
@@ -231,6 +267,18 @@ class TestLoaderErrors:
                 {"degree": 2, "entries": ["(1 2)"], "group_generators": {"(1 2)": 0}},
                 "bad element data: group_generators must be an array, got {'(1 2)': 0}",
             ),
+        ]
+        # A degree that is not a JSON integer or a digit string, on each
+        # loader that reads one.
+        + [
+            (
+                argv,
+                doc(degree),
+                f"bad {what}: degree must be an integer or a digit string, "
+                f"got {degree!r}",
+            )
+            for degree in (2.7, True, "2.5")
+            for argv, what, doc in _BAD_DEGREE_DOCS
         ],
     )
     def test_bad_data_prefix(self, argv, doc, prefix, tmp_path, capsys):

@@ -106,12 +106,21 @@ def _check_orbifold_char(cover: Cover) -> None:
     assert ochar == 2 + sum(Fraction(1, c.order()) - 1 for c in cover.cycles)
     order = cover.group().order()
     assert ochar == Fraction(2 * (1 - cover.galois_closure_genus()), order)
+    # The genera read off the validity report's cycle types, against the
+    # entries' own indices and orders.
+    n = cover.degree
+    assert cover.genus() == genus_from_tuple(n, sum(c.index() for c in cover.cycles))
+    assert cover.galois_closure_genus() == genus_from_tuple(
+        order, sum(order // c.order() * (c.order() - 1) for c in cover.cycles)
+    )
 
 
 class TestOrbifoldChar:
     """``orbifold_char`` is one ``Fraction`` over the lcm of the entry
     orders; it must equal the sum of fractions it replaced and the
-    Riemann-Hurwitz value 2(1 - galois_closure_genus)/|G|."""
+    Riemann-Hurwitz value 2(1 - galois_closure_genus)/|G|.  The genus and
+    the Galois-closure genus must equal Riemann-Hurwitz on the entries'
+    own indices and orders."""
 
     def test_catalog_covers(self):
         values = [catalog.get(key) for key in catalog.list_keys()]

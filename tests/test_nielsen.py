@@ -4,6 +4,9 @@ action, coalescing."""
 import itertools
 import random
 import runpy
+from collections import Counter
+from functools import cache
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -134,9 +137,101 @@ def three_cycle_spec(n, r, mode):
     return NielsenClassSpec(alternating(n), (t,) * r, mode, include_reorderings=False)
 
 
+# -- a count oracle for r 3-cycles, from cycle types alone ---------------------
+#
+# A class function of S_n is a function of cycle types.  The product-one
+# r-tuples of 3-cycles are counted by the convolution f_{k+1}(z) =
+# sum over 3-cycles c of f_k(z·c^-1), from f_0 the indicator of the
+# identity; the tuples generating a transitive group are split off by the
+# exponential formula, letters and positions both labelled.  No group
+# code is used.
+
+
+def _cycle_type(images) -> tuple[int, ...]:
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j], j, length = True, images[j], length + 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)
+
+
+@cache
+def _three_cycle_steps(n) -> dict:
+    """Cycle type of z -> Counter of the cycle types of z·c^-1 over the
+    3-cycles c of S_n (0-based images; c^-1 runs over the 3-cycles too)."""
+    cycles = []
+    for a, b, c in itertools.combinations(range(n), 3):
+        for x, y, z in ((a, b, c), (a, c, b)):
+            images = list(range(n))
+            images[x], images[y], images[z] = y, z, x
+            cycles.append(images)
+    steps = {}
+    for shape in _partitions(n):
+        z, start = [], 0
+        for part in shape:
+            z += [start + (i + 1) % part for i in range(part)]
+            start += part
+        steps[shape] = Counter(_cycle_type([c[z[i]] for i in range(n)]) for c in cycles)
+    return steps
+
+
+@cache
+def _product_one_count(n, r) -> int:
+    """T(n, r): the r-tuples of 3-cycles of S_n with product one."""
+    if n < 3:
+        return int(r == 0)
+    steps = _three_cycle_steps(n)
+    f = {shape: int(shape == (1,) * n) for shape in steps}
+    for _ in range(r):
+        f = {z: sum(k * f[w] for w, k in steps[z].items()) for z in steps}
+    return f[(1,) * n]
+
+
+@cache
+def _transitive_count(n, r) -> int:
+    """g(n, r): the tuples counted by T(n, r) whose group is transitive,
+    from T(n, r) = sum over k, j of C(n-1, k-1)·C(r, j)·g(k, j)·T(n-k, r-j),
+    the orbit of the letter 1 having k letters and j positions."""
+    total = _product_one_count(n, r)
+    for k in range(1, n + 1):
+        for j in range(r + 1):
+            if (k, j) != (n, r):
+                total -= (
+                    comb(n - 1, k - 1)
+                    * comb(r, j)
+                    * _transitive_count(k, j)
+                    * _product_one_count(n - k, r - j)
+                )
+    return total
+
+
+def _three_cycle_oracle(n, r, mode) -> int:
+    """The size of the Nielsen class of r 3-cycles in A_n, n >= 4.  A
+    transitive group generated by 3-cycles is A_n, on which S_n acts
+    freely, so the absolute count is g(n, r)/n! and the inner count,
+    modulo A_n, twice that."""
+    absolute, rest = divmod(_transitive_count(n, r), factorial(n))
+    assert rest == 0
+    return absolute if mode == EquivalenceMode.ABSOLUTE else 2 * absolute
+
+
 class TestThreeCycleClasses:
     """A_n with 3-cycles, the classes the lifting invariant separates.
-    The counts were produced by the enumeration over whole orbits."""
+    The counts were produced by the enumeration over whole orbits, and
+    each must equal the count oracle's."""
 
     @pytest.mark.parametrize(
         "n, r, mode, count, orbit_sizes",
@@ -146,9 +241,17 @@ class TestThreeCycleClasses:
             (5, 5, EquivalenceMode.ABSOLUTE, 342, [126, 216]),
             (6, 5, EquivalenceMode.ABSOLUTE, 96, [96]),
             (6, 5, EquivalenceMode.INNER, 192, [192]),
+            (5, 5, EquivalenceMode.INNER, 684, [252, 432]),
+            pytest.param(
+                5, 6, EquivalenceMode.ABSOLUTE, 8001, [3456, 4545], marks=pytest.mark.slow
+            ),
+            pytest.param(
+                5, 6, EquivalenceMode.INNER, 16002, [6912, 9090], marks=pytest.mark.slow
+            ),
         ],
     )
     def test_counts_and_braid_orbits(self, n, r, mode, count, orbit_sizes):
+        assert _three_cycle_oracle(n, r, mode) == count
         spec = three_cycle_spec(n, r, mode)
         assert len(enumerate_class(spec)) == count
         assert sorted(len(o) for o in nielsen.braid_orbits(spec)) == orbit_sizes
@@ -192,6 +295,7 @@ class TestThreeCycleClasses:
         spec = three_cycle_spec(6, 6, EquivalenceMode.ABSOLUTE)
         reps = enumerate_class(spec)
         assert len(reps) == len(set(reps)) == 8980
+        assert _three_cycle_oracle(6, 6, EquivalenceMode.ABSOLUTE) == 8980
         one = tuple(range(1, 7))
         for e in reps:
             images = one

@@ -324,6 +324,16 @@ def _random_weak_pair(rng: random.Random):
     )
 
 
+def _disjoint_pair(rng: random.Random):
+    """Two random valid covers over disjoint labels, weakly paired: the
+    joint group is G_x × G_y, so the fiber product is irreducible."""
+    (m, sigma), (n, tau) = _small_valid_tuple(rng), _small_valid_tuple(rng)
+    return pair_covers_over_common_points(
+        Cover(m, tuple(f"x{i}" for i in range(len(sigma))), tuple(sigma)),
+        Cover(n, tuple(f"y{i}" for i in range(len(tau))), tuple(tau)),
+    )
+
+
 def _check_against_tensor_group(pair) -> None:
     m, n = pair.degree_x, pair.degree_y
     tensor = GeneratedGroup(m * n, list(pair.tensor_cycles))
@@ -344,6 +354,13 @@ class TestTensorGroupOracle:
         rng = random.Random(5273)
         for _ in range(25):
             _check_against_tensor_group(_random_weak_pair(rng))
+        # Over disjoint labels the one orbit 1..m·n is returned without a
+        # walk; the tensor group must agree.
+        rng = random.Random(6143)
+        for _ in range(100):
+            pair = _disjoint_pair(rng)
+            _check_against_tensor_group(pair)
+            assert len(pair.component_orbits) == 1
 
 
 def _tensor_cycles_by_double_loop(pair) -> tuple[Permutation, ...]:
@@ -378,13 +395,24 @@ class TestTensorCycles:
         pairs = [catalog.get(key) for key in catalog.list_keys()]
         pairs = [v for v in pairs if isinstance(v, CoverPair)]
         assert len(pairs) == 8
-        for pair in pairs:
+        for pair in pairs + [catalog.build_sm_pair(m) for m in range(5, 9)]:
             _check_orbit_index_sums(pair)
 
     def test_orbit_index_sums_on_random_weak_pairs(self):
+        """The pairs meet each way the sums count a branch point's cycles:
+        the y-side unbranched, the x-side unbranched, and both branched."""
         rng = random.Random(8291)
+        cases = Counter()
         for _ in range(200):
-            _check_orbit_index_sums(_random_weak_pair(rng))
+            pair = _random_weak_pair(rng)
+            _check_orbit_index_sums(pair)
+            cases.update(
+                (a.is_identity, b.is_identity) for a, b in zip(pair.sigma, pair.tau)
+            )
+        assert cases[False, True] and cases[True, False] and cases[False, False]
+        rng = random.Random(6143)
+        for _ in range(100):
+            _check_orbit_index_sums(_disjoint_pair(rng))
 
 
 # -- braid moves preserve Nielsen membership -----------------------------------
